@@ -189,8 +189,7 @@ def load_history(path: str) -> list[dict]:
     """Decode the history JSONL, tolerating a torn final line.
 
     Entries with the wrong schema or shape are skipped, not fatal — the
-    history is an append-only log that must survive partial writes
-    (same stance as the sweep checkpoint).
+    history is an append-only log that must survive partial writes.
     """
     entries: list[dict] = []
     try:

@@ -51,14 +51,15 @@ cells over N worker processes; ``0`` = all cores), ``--cache-dir DIR``
 ``--backend {scalar,batched,auto}`` (engine backend selection; batched
 runs compatible sweep cells through one columnar step loop) and
 ``--progress`` (live TTY progress line), plus the resilience flags
-``--retries N`` (per-cell retry budget), ``--timeout S`` (per-attempt
-wall-clock limit) and ``--resume`` (continue an interrupted sweep from
-the checkpoint journal next to the run cache).  Results are
-byte-identical across serial, parallel, cached and resumed executions,
-and telemetry composes with all of them: cells capture per-cell
-snapshots that are merged deterministically in cell order, so the
-merged metrics/journal outputs are byte-identical too (see
-``docs/observability.md``).
+``--retries N`` (per-cell retry budget) and ``--timeout S``
+(per-attempt wall-clock limit).  Every completed cell reaches the run
+cache before a failure is reported, so rerunning an interrupted sweep
+with the same ``--cache-dir`` computes only the cells it lacks
+(``--resume`` is a deprecated no-op).  Results are byte-identical across
+serial, parallel, cold- and warm-cache executions, and telemetry
+composes with all of them: cells capture per-cell snapshots that are
+merged deterministically in cell order, so the merged metrics/journal
+outputs are byte-identical too (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ from repro.core.storage import compare_storage
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import CellPolicy, SweepCheckpoint, SweepFailure
+from repro.exec.resilience import (CellPolicy, SweepFailure,
+                                   resume_deprecation)
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
@@ -208,17 +210,12 @@ def _env_jobs() -> int | None:
         return None
 
 
-def _build_executor(args: argparse.Namespace,
-                    telemetry) -> SweepExecutor | None:
+def _build_executor(args: argparse.Namespace) -> SweepExecutor | None:
     """Construct a SweepExecutor from CLI flags, or ``None`` if all off.
 
     Flags beat the ``REPRO_JOBS``/``REPRO_CACHE_DIR`` environment
-    defaults.  Telemetry composes with every executor feature: cells
-    capture per-cell snapshots (in workers, inline, or replayed from
-    the cache's telemetry artifacts) that merge deterministically in
-    cell order — ``telemetry`` is accepted only for interface symmetry.
+    defaults.
     """
-    del telemetry  # telemetry no longer constrains execution
     jobs_flag = args.jobs if args.jobs is not None else _env_jobs()
     jobs = jobs_flag if jobs_flag is not None else 1
     if jobs == 0:
@@ -227,11 +224,14 @@ def _build_executor(args: argparse.Namespace,
     cache = None
     if cache_dir and not args.no_cache:
         cache = RunCache(cache_dir)
-    if args.resume and cache is None:
-        print("error: --resume needs a run cache (--cache-dir DIR or "
-              "REPRO_CACHE_DIR) holding the interrupted sweep's results",
+    if args.resume:
+        if cache is None:
+            print("error: --resume needs a run cache (--cache-dir DIR or "
+                  "REPRO_CACHE_DIR) holding the interrupted sweep's "
+                  "results", file=sys.stderr)
+            raise SystemExit(2)
+        print(f"warning: {resume_deprecation('--resume')}",
               file=sys.stderr)
-        raise SystemExit(2)
     defaults = CellPolicy()
     policy = CellPolicy(
         timeout_s=args.timeout,
@@ -239,27 +239,17 @@ def _build_executor(args: argparse.Namespace,
         else defaults.retries)
     backend = getattr(args, "backend", "scalar")
     wants_executor = (args.retries is not None or
-                      args.timeout is not None or args.resume or
-                      args.progress or backend != "scalar")
+                      args.timeout is not None or args.progress or
+                      backend != "scalar")
     if jobs == 1 and cache is None and jobs_flag is None and \
             not wants_executor:
         return None
-    checkpoint = None
-    if cache is not None:
-        checkpoint = SweepCheckpoint(cache.checkpoint_path(),
-                                     resume=args.resume)
     progress = None
     if args.progress:
         from repro.obs.progress import SweepProgress
         progress = SweepProgress()
     return SweepExecutor(jobs=jobs, cache=cache, policy=policy,
-                         checkpoint=checkpoint, progress=progress,
-                         backend=backend)
-
-
-def _emit_executor(executor: SweepExecutor | None) -> None:
-    if executor is not None:
-        print(f"[repro.exec] {executor.describe()}", file=sys.stderr)
+                         progress=progress, backend=backend)
 
 
 def _run_options(args: argparse.Namespace) -> RunOptions:
@@ -269,14 +259,18 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
                       seed=args.seed,
                       retries=args.retries,
                       timeout_s=args.timeout,
-                      resume=args.resume,
                       backend=getattr(args, "backend", "scalar"))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _run_experiments(args: argparse.Namespace, emit,
+                     finish=None) -> int:
+    """The experiment loop of ``run`` and ``report``: hands each result
+    to ``emit(name, result, stopwatch)``, reports failed sweeps on
+    stderr, calls ``finish()`` before the executor and telemetry
+    summaries, and returns 1 if any experiment had failed cells."""
     names = args.experiments or registry.names()
     telemetry = _build_telemetry(args)
-    executor = _build_executor(args, telemetry)
+    executor = _build_executor(args)
     options = _run_options(args)
     failed: list[str] = []
     with obs_runtime.activated(telemetry), \
@@ -291,79 +285,67 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     print(f"[repro.exec] {name}: {failure}",
                           file=sys.stderr)
                     continue
-                if args.json:
-                    print(result.to_json())
-                else:
-                    print(result.render())
-                    if args.chart:
-                        from repro.analysis.charts import chart_result
-
-                        chart = chart_result(result.rows)
-                        if chart:
-                            print()
-                            print(chart)
-                    print(f"[{name} finished in {watch.elapsed_s:.1f}s]")
-                    print()
+                emit(name, result, watch)
         finally:
             if executor is not None:
                 executor.close()
-    _emit_executor(executor)
+    if finish is not None:
+        finish()
+    if executor is not None:
+        print(f"[repro.exec] {executor.describe()}", file=sys.stderr)
     _emit_telemetry(args, telemetry)
-    if failed:
-        print(f"[repro.cli] {len(failed)} experiment(s) had failed "
-              f"cells: {', '.join(failed)} — completed cells are cached; "
-              f"rerun (with --resume) to retry only the failures",
-              file=sys.stderr)
-        return 1
-    return 0
+    if not failed:
+        return 0
+    cache = executor.cache if executor is not None else None
+    if cache is not None:
+        hint = (f"completed cells are cached in {cache.root}; rerun with "
+                f"the same --cache-dir to retry only the failures")
+    else:
+        hint = ("nothing was cached; rerun with --cache-dir DIR so "
+                "completed cells are kept and a later rerun retries "
+                "only the failures")
+    print(f"[repro.cli] {len(failed)} experiment(s) had failed cells: "
+          f"{', '.join(failed)} — {hint}", file=sys.stderr)
+    return 1
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    def emit(name, result, watch) -> None:
+        if args.json:
+            print(result.to_json())
+            return
+        print(result.render())
+        if args.chart:
+            from repro.analysis.charts import chart_result
+
+            chart = chart_result(result.rows)
+            if chart:
+                print()
+                print(chart)
+        print(f"[{name} finished in {watch.elapsed_s:.1f}s]")
+        print()
+
+    return _run_experiments(args, emit)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    names = args.experiments or registry.names()
-    telemetry = _build_telemetry(args)
-    executor = _build_executor(args, telemetry)
-    options = _run_options(args)
-    failed: list[str] = []
     sections = ["# DREAM reproduction report", ""]
-    with obs_runtime.activated(telemetry), \
-            exec_runtime.activated(executor):
-        try:
-            for name in names:
-                watch = Stopwatch()
-                try:
-                    result = registry.run_experiment(name, options)
-                except SweepFailure as failure:
-                    failed.append(name)
-                    print(f"[repro.exec] {name}: {failure}",
-                          file=sys.stderr)
-                    continue
-                sections.append(f"## {name}: {result.title}")
-                sections.append("")
-                sections.append("```")
-                sections.append(result.render())
-                sections.append("```")
-                sections.append(f"_regenerated in "
-                                f"{watch.elapsed_s:.1f}s_")
-                sections.append("")
-        finally:
-            if executor is not None:
-                executor.close()
-    report = "\n".join(sections)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report + "\n")
-        print(f"report written to {args.output}")
-    else:
-        print(report)
-    _emit_executor(executor)
-    _emit_telemetry(args, telemetry)
-    if failed:
-        print(f"[repro.cli] {len(failed)} experiment(s) had failed "
-              f"cells: {', '.join(failed)} — completed cells are cached; "
-              f"rerun (with --resume) to retry only the failures",
-              file=sys.stderr)
-        return 1
-    return 0
+
+    def emit(name, result, watch) -> None:
+        sections.extend([f"## {name}: {result.title}", "", "```",
+                         result.render(), "```",
+                         f"_regenerated in {watch.elapsed_s:.1f}s_", ""])
+
+    def finish() -> None:
+        report = "\n".join(sections)
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(report + "\n")
+            print(f"report written to {args.output}")
+        else:
+            print(report)
+
+    return _run_experiments(args, emit, finish)
 
 
 def _load_artifact(loader, *args):
@@ -764,9 +746,9 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
                         help="per-attempt wall-clock limit in seconds "
                              "(default unlimited)")
     parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from the "
-                             "checkpoint journal next to the run cache "
-                             "(requires --cache-dir)")
+                        help="deprecated, no effect (3.0 removes it): "
+                             "rerun with the same --cache-dir to "
+                             "resume an interrupted sweep")
     parser.add_argument("--progress", action="store_true",
                         help="live sweep progress line on stderr (TTY); "
                              "mirrored into exec.progress.* metrics "

@@ -10,9 +10,10 @@ Public surface:
   (:mod:`repro.exec.fingerprint`);
 * :func:`spec_factory` / :class:`PolicySpec` — picklable,
   fingerprintable policy factories (:mod:`repro.exec.spec`);
-* :class:`CellPolicy` / :class:`FailedCell` / :class:`SweepFailure` /
-  :class:`SweepCheckpoint` — per-cell retry policy, terminal failure
-  records and resumable checkpoints (:mod:`repro.exec.resilience`);
+* :class:`CellPolicy` / :class:`FailedCell` / :class:`SweepFailure` —
+  per-cell retry policy and terminal failure records
+  (:mod:`repro.exec.resilience`; :class:`SweepCheckpoint` there is a
+  deprecated no-op kept until 3.0);
 * :class:`FaultPlan` — deterministic fault injection for soak runs and
   tests (:mod:`repro.exec.faults`, ``REPRO_FAULTS``);
 * :mod:`repro.exec.runtime` — the ambient executor the CLI activates.

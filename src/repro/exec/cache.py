@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION
+from repro.exec.resilience import warn_resume_deprecated
 from repro.obs import runtime as obs_runtime
 from repro.obs.snapshot import (TelemetrySnapshot, snapshot_from_doc,
                                 snapshot_to_doc)
@@ -96,12 +97,13 @@ class RunCache:
         return self.root / fingerprint[:2] / f"{fingerprint}.obs.json"
 
     def checkpoint_path(self) -> Path:
-        """Conventional location of the sweep checkpoint journal.
+        """Deprecated: path of the 2.0 sweep checkpoint journal.
 
-        The checkpoint (:class:`~repro.exec.resilience.SweepCheckpoint`)
-        lives next to the entries it refers to, so wiping the cache
-        directory also wipes the resume state that depends on it.
+        Warns once.  Nothing reads or writes that file (the cache
+        entries alone resume a sweep), so a leftover one can be
+        deleted; 3.0 removes this method.
         """
+        warn_resume_deprecated("RunCache.checkpoint_path()")
         return self.root / "checkpoint.jsonl"
 
     # ------------------------------------------------------------------

@@ -27,12 +27,12 @@ retries with deterministic fingerprint-jittered backoff); a cell that
 exhausts its budget becomes a :class:`~repro.exec.resilience.FailedCell`
 terminal record and the sweep finishes everything else before raising
 one :class:`~repro.exec.resilience.SweepFailure`.  Results crossing the
-process boundary are structurally validated, a repeatedly broken worker
-pool degrades to in-process serial execution with a loud warning, and an
-optional :class:`~repro.exec.resilience.SweepCheckpoint` journals
-completed fingerprints next to the run cache so an interrupted sweep
-resumes instead of recomputing.  Failure paths are exercised
-deterministically via :mod:`repro.exec.faults` (``REPRO_FAULTS``).
+process boundary are structurally validated, and a repeatedly broken
+worker pool degrades to in-process serial execution with a loud warning.
+Every completed cell reaches the cache before a failure is raised, so
+relaunching an interrupted sweep over the same cache computes only the
+cells it lacks.  Failure paths are exercised deterministically via
+:mod:`repro.exec.faults` (``REPRO_FAULTS``).
 
 Cells whose policy is not a :class:`~repro.exec.spec.PolicySpec` (a bare
 closure) cannot cross a process boundary or be fingerprinted; they are
@@ -66,7 +66,7 @@ returns a :class:`~repro.obs.snapshot.TelemetrySnapshot` alongside its
 result.  Snapshots ride the memo, are persisted as content-addressed
 artifacts next to the cache entry (replayed on warm hits), and are
 merged into the ambient telemetry in cell submission order — so serial,
-parallel, cached and resumed sweeps produce byte-identical merged
+parallel, cached and relaunched sweeps produce byte-identical merged
 metrics and journals (see ``docs/observability.md``).
 """
 
@@ -88,8 +88,8 @@ from repro.exec.cache import RunCache
 from repro.exec.fingerprint import (FingerprintError, canonical,
                                     fingerprint)
 from repro.exec.resilience import (CellPolicy, CellTimeout, FailedCell,
-                                   SweepCheckpoint, SweepFailure,
-                                   validate_result, validate_snapshot)
+                                   SweepFailure, validate_result,
+                                   validate_snapshot, warn_resume_deprecated)
 from repro.exec.spec import PolicySpec
 from repro.obs import runtime as obs_runtime
 from repro.obs.progress import SweepProgress
@@ -290,7 +290,6 @@ class ExecutorStats:
     #: counted as a memo hit — dedup refines the hit, it does not
     #: replace it.
     dedup_hits: int = 0
-    resumed: int = 0
     retries: int = 0
     timeouts: int = 0
     failed: int = 0
@@ -314,8 +313,6 @@ class ExecutorStats:
             line += f" batched={self.batched}"
         if self.dedup_hits:
             line += f" dedup_hits={self.dedup_hits}"
-        if self.resumed:
-            line += f" resumed={self.resumed}"
         if self.failed:
             line += f" failed={self.failed}"
         if self.fallbacks:
@@ -376,13 +373,13 @@ class SweepExecutor:
         default retries twice with no timeout — a clean run is a single
         attempt with zero overhead.
     checkpoint:
-        Optional :class:`SweepCheckpoint` journalling completed cell
-        fingerprints; pair it with ``cache`` so a resumed run can serve
-        the journalled cells without recomputation.
+        Deprecated and ignored: a non-``None`` value warns once.  The
+        ``cache`` alone resumes an interrupted sweep; 3.0 removes the
+        parameter.
     progress:
         Optional :class:`~repro.obs.progress.SweepProgress` fed with
-        cell-level events (submitted / hit / resumed / computed /
-        retried / failed) for live reporting.
+        cell-level events (submitted / hit / computed / retried /
+        failed) for live reporting.
     backend:
         Engine backend for computed cells: ``"scalar"`` (reference,
         default), ``"batched"`` or ``"auto"``.  Non-scalar backends run
@@ -401,7 +398,7 @@ class SweepExecutor:
 
     def __init__(self, jobs: int = 1, cache: RunCache | None = None,
                  policy: CellPolicy | None = None,
-                 checkpoint: SweepCheckpoint | None = None,
+                 checkpoint: object | None = None,
                  progress: SweepProgress | None = None,
                  backend: str = "scalar") -> None:
         if jobs < 1:
@@ -412,8 +409,9 @@ class SweepExecutor:
                              f"got {backend!r}")
         self.jobs = jobs
         self.cache = cache
+        if checkpoint is not None:
+            warn_resume_deprecated("SweepExecutor(checkpoint=...)")
         self._policy = policy if policy is not None else CellPolicy()
-        self.checkpoint = checkpoint
         self._progress_sink = progress
         self._backend = backend
         self.stats = ExecutorStats()
@@ -515,13 +513,11 @@ class SweepExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool and checkpoint down (idempotent)."""
+        """Shut the worker pool down (idempotent)."""
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if self.checkpoint is not None:
-            self.checkpoint.close()
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -577,8 +573,8 @@ class SweepExecutor:
 
         Cells that fail terminally (retry budget exhausted) are reported
         in one :class:`SweepFailure` raised *after* every other cell has
-        completed and been cached/checkpointed, so a relaunch — with
-        ``--resume`` or a warm cache — redoes only the losers.
+        completed and been cached, so a relaunch over the same cache
+        redoes only the losers.
 
         With ambient telemetry active, every cell additionally captures
         a :class:`TelemetrySnapshot` (in the worker, inline, or replayed
@@ -691,7 +687,6 @@ class SweepExecutor:
                     continue
                 known = self._lookup(fp, capture)
                 if known is not None:
-                    self._mark_done(fp)
                     results[index], snaps[index] = known
                     continue
                 flight = self._inflight.get(fp)
@@ -711,7 +706,6 @@ class SweepExecutor:
                     failures.append(outcome)
                     continue
                 result, snap = outcome
-                self._mark_done(fp)
                 for index in indices:
                     results[index] = result
                     snaps[index] = snap
@@ -803,7 +797,6 @@ class SweepExecutor:
             result, seconds, snap = outcome
             self._account_computed(result, seconds)
             self._store(fp, cells[indices[0]], result, snap)
-            self._mark_done(fp)
             self._finish_flight(fp, flights[fp])
             for index in indices:
                 results[index] = result
@@ -838,7 +831,6 @@ class SweepExecutor:
                 result, seconds, snap = outcome
                 self._account_computed(result, seconds)
                 self._store(fp, chunk_cells[member], result, snap)
-                self._mark_done(fp)
                 self._finish_flight(fp, flights[fp])
                 for index in pending[fp]:
                     results[index] = result
@@ -1095,10 +1087,6 @@ class SweepExecutor:
             raise payload
         return payload
 
-    def _mark_done(self, fp: str) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.mark(fp)
-
     def _obs_inc(self, name: str) -> None:
         """Mirror a resilience event into the ambient metrics registry."""
         telemetry = obs_runtime.active()
@@ -1144,13 +1132,8 @@ class SweepExecutor:
                 cached = None if plain is None else (plain, None)
             if cached is not None:
                 result, snap = cached
-                resumed = self.checkpoint is not None and \
-                    self.checkpoint.was_done(fp)
-                if resumed:
-                    self._stat("resumed")
-                self._progress("resumed" if resumed else "hit")
-                self._span_event("resumed" if resumed else "cache_hit",
-                                 {"fingerprint": fp[:12]})
+                self._progress("hit")
+                self._span_event("cache_hit", {"fingerprint": fp[:12]})
                 self._memo[fp] = (result, snap)
                 return result, snap
         return None
@@ -1181,6 +1164,4 @@ class SweepExecutor:
         line = f"executor[jobs={self.jobs}]: {self.stats.describe()}"
         if self.cache is not None:
             line += f"; {self.cache.describe()}"
-        if self.checkpoint is not None:
-            line += f"; {self.checkpoint.describe()}"
         return line

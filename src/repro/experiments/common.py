@@ -29,6 +29,7 @@ from repro.analysis.slowdown import SlowdownSeries
 from repro.exec import runtime as exec_runtime
 from repro.exec.executor import Cell, SweepExecutor, cell_fingerprint
 from repro.exec.fingerprint import fingerprint as _fingerprint
+from repro.exec.resilience import warn_resume_deprecated
 from repro.mc.policy import PolicyFactory
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.results import ComparisonResult
@@ -89,9 +90,10 @@ class RunOptions:
     timeout_s:
         Per-attempt wall-clock timeout in seconds (``None`` = no limit).
     resume:
-        Resume from the sweep checkpoint next to the run cache, skipping
-        cells a previous (interrupted) run already completed.  Only
-        meaningful when a cache-backed executor is active.
+        Deprecated and ignored: ``True`` warns once.  A cache-backed
+        executor already serves every cell an interrupted run
+        completed; 3.0 removes the field (it stays in the wire format
+        until then).
     backend:
         Engine backend: ``"scalar"`` (the reference event loop,
         default), ``"batched"`` (the columnar batch engine for every
@@ -125,6 +127,10 @@ class RunOptions:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, "
                              f"got {self.backend!r}")
+        if self.resume:
+            # Blame the line that built the record, past the generated
+            # __init__ that calls this hook.
+            warn_resume_deprecated("RunOptions.resume", stacklevel=4)
 
     @property
     def quick(self) -> bool:
@@ -188,8 +194,7 @@ class RunOptions:
 
     def wants_resilience(self) -> bool:
         """Whether any executor-facing knob deviates from the default."""
-        return (self.retries is not None or self.timeout_s is not None
-                or self.resume)
+        return self.retries is not None or self.timeout_s is not None
 
     def describe(self) -> str:
         parts = [f"mode={self.mode}", f"seed={self.seed}"]
@@ -199,8 +204,6 @@ class RunOptions:
             parts.append(f"retries={self.retries}")
         if self.timeout_s is not None:
             parts.append(f"timeout_s={self.timeout_s:g}")
-        if self.resume:
-            parts.append("resume")
         if self.backend != "scalar":
             parts.append(f"backend={self.backend}")
         return " ".join(parts)

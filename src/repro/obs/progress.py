@@ -1,10 +1,10 @@
 """Live sweep progress reporting (opt-in via ``--progress``).
 
 The executor feeds one :class:`SweepProgress` with cell-level events —
-submitted, cache hit, resumed, computed, retried, failed — and the
-reporter renders a single self-overwriting status line on a TTY:
+submitted, cache hit, computed, retried, failed — and the reporter
+renders a single self-overwriting status line on a TTY:
 
-    [repro.exec] 14/24 cells  computed=8 hits=5 resumed=1 retried=2  eta 12s
+    [repro.exec] 14/24 cells  computed=8 hit=6 retried=2  eta 12s
 
 ETA comes from an exponentially-weighted moving average of per-cell
 wall seconds (computed cells only — hits are effectively free), times
@@ -33,7 +33,7 @@ import time
 from repro.obs import runtime as obs_runtime
 
 #: Completion event kinds (each advances the done count by one cell).
-_DONE_KINDS = ("computed", "hit", "resumed")
+_DONE_KINDS = ("computed", "hit")
 
 #: All event kinds the reporter understands.
 KINDS = _DONE_KINDS + ("retried", "failed")

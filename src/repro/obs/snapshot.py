@@ -25,7 +25,7 @@ deterministic by construction:
 
 Because every cell's snapshot is itself deterministic (simulated time,
 seeded RNG) and the merge order is the fixed submission order, serial,
-parallel, cached and resumed sweeps all produce byte-identical merged
+parallel, cached and relaunched sweeps all produce byte-identical merged
 metrics and journals.  Wall-clock quantities are kept out of the
 deterministic sections entirely (see ``Telemetry.snapshot``).
 

@@ -27,7 +27,7 @@ sidecar.
 Determinism contract (``tests/test_obs_spans.py``): the **normalized**
 tree — wall-clock fields stripped, execution-side spans spliced out and
 execution-side events dropped — is byte-identical across serial,
-``--jobs N``, warm-cache and ``--resume`` sweeps.  Anything
+``--jobs N``, warm-cache and relaunched sweeps.  Anything
 nondeterministic (timings, worker pids, attempt indices, cache-hit
 events) must therefore be marked ``exec_side`` or live in the stripped
 wall-clock fields; ``meta`` of a non-exec span must hold simulated /
@@ -334,7 +334,7 @@ def normalized_tree(spans: list[Span]) -> list[dict]:
     *splices* execution-side spans — their (non-exec) children are
     promoted into the parent's child list in order, so a cell's phase
     spans survive the removal of the ``attempt`` wrapper around them.
-    Serial, parallel, warm-cache and resumed sweeps must produce
+    Serial, parallel, warm-cache and relaunched sweeps must produce
     byte-identical normalized trees (compare ``json.dumps`` with
     ``sort_keys=True``).
     """

@@ -37,12 +37,12 @@ selects the engine backend (batched groups reuse the planner from
 jobs never see each other's policy — and the same scope yields the
 job's **attributed counters**: exactly the cells/computed/memo work
 this job generated, with no snapshot arithmetic against global totals
-that neighbouring jobs are mutating.  ``resume`` is rejected at
-submission — the service has no per-job checkpoint journal; its memo
-and cache already provide the equivalent warm restart.
+that neighbouring jobs are mutating.  Resubmitting an interrupted job
+needs no option: the shared memo and cache serve its completed cells
+warm.
 
 Every cell-level event the executor reports (submitted / computed /
-memo or cache hit / resumed / retried / failed) is appended to the
+memo or cache hit / retried / failed) is appended to the
 job's ordered event log with a monotonically increasing ``seq``, which
 is what the server's NDJSON stream — and the client's
 reconnect-with-cursor — ride on.  Event logs are strictly per-job even
@@ -88,8 +88,7 @@ TERMINAL_STATES = ("done", "failed")
 #: Executor counters mirrored into each job record (the same counters
 #: the executor mirrors into the obs metrics registry as ``exec.*``).
 COUNTER_FIELDS = ("cells", "computed", "memo_hits", "dedup_hits",
-                  "resumed", "retries", "timeouts", "failed", "batched",
-                  "inline")
+                  "retries", "timeouts", "failed", "batched", "inline")
 
 
 class UnknownJob(KeyError):
@@ -98,7 +97,7 @@ class UnknownJob(KeyError):
 
 class BadSubmission(ValueError):
     """A submission the scheduler rejects (unknown experiment, invalid
-    options, unsupported knob); the server maps this to HTTP 400."""
+    options, shutting down); the server maps this to HTTP 400."""
 
 
 class SpansUnavailable(Exception):
@@ -242,8 +241,8 @@ class JobScheduler:
             -> dict:
         """Queue one job; returns its (queued) record.
 
-        Raises :class:`BadSubmission` for unknown experiments or options
-        the service cannot honour.
+        Raises :class:`BadSubmission` for unknown experiments or once the
+        scheduler is shutting down.
         """
         if options is None:
             options = RunOptions()
@@ -251,10 +250,6 @@ class JobScheduler:
             raise BadSubmission(
                 f"unknown experiment {experiment!r}; "
                 f"see GET /v1/experiments")
-        if options.resume:
-            raise BadSubmission(
-                "resume is not a service-side option: the shared "
-                "run cache already serves completed cells warm")
         with self._wake:
             if self._closed:
                 raise BadSubmission("service is shutting down")

@@ -447,8 +447,8 @@ class SweepService:
         exec_stats = getattr(executor, "stats", None)
         if exec_stats is not None:
             for field in ("cells", "computed", "inline", "batched",
-                          "memo_hits", "dedup_hits", "resumed",
-                          "retries", "timeouts", "failed", "fallbacks",
+                          "memo_hits", "dedup_hits", "retries",
+                          "timeouts", "failed", "fallbacks",
                           "engine_events"):
                 expo.counter(f"repro_executor_{field}",
                              getattr(exec_stats, field),

@@ -335,30 +335,76 @@ class TestResilienceFlags:
     def test_failed_cells_exit_1_then_resume_recovers(self, tmp_path,
                                                       monkeypatch,
                                                       capsys):
-        code, clean, _ = self._run_json(capsys)
+        # A failed sweep leaves its completed cells in the cache, so a
+        # plain relaunch over the same cache computes only the loser.
+        reference = tmp_path / "reference"
+        code, clean, _ = self._run_json(capsys, "--cache-dir",
+                                        str(reference))
+        assert code == 0
+        loser = sorted(reference.rglob("*.json"))[0].stem
         cache = str(tmp_path / "runcache")
-        monkeypatch.setenv("REPRO_FAULTS", "crash:*:9")
+        monkeypatch.setenv("REPRO_FAULTS", f"crash:{loser[:16]}:9")
         code, _, err = self._run_json(capsys, "--retries", "1",
                                       "--cache-dir", cache)
         assert code == 1
-        assert "failed terminally" in err
-        assert "rerun (with --resume)" in err
+        assert "1 cell(s) failed terminally" in err
         monkeypatch.delenv("REPRO_FAULTS")
         code, recovered, err = self._run_json(capsys, "--cache-dir",
-                                              cache, "--resume")
+                                              cache)
         assert code == 0
         assert recovered == clean
+        assert " computed=1 " in err
+        assert "hits=9 misses=1 " in err
 
-    def test_resume_after_clean_run_serves_checkpoint(self, tmp_path,
-                                                      capsys):
+    @pytest.mark.parametrize("cached", [True, False],
+                             ids=["cache", "no-cache"])
+    def test_failure_hint_matches_the_cache(self, tmp_path, monkeypatch,
+                                            capsys, cached):
         cache = str(tmp_path / "runcache")
-        code, cold, _ = self._run_json(capsys, "--cache-dir", cache)
+        flags = ("--cache-dir", cache) if cached else ()
+        monkeypatch.setenv("REPRO_FAULTS", "crash:*:9")
+        code, _, err = self._run_json(capsys, "--retries", "0", *flags)
+        assert code == 1
+        hint = err.splitlines()[-1]
+        assert "--resume" not in hint
+        if cached:
+            assert f"completed cells are cached in {cache}; rerun with " \
+                   f"the same --cache-dir" in hint
+        else:
+            assert "nothing was cached; rerun with --cache-dir DIR" in hint
+
+    def test_resume_flag_warns_once_and_changes_nothing(self, tmp_path,
+                                                        capsys):
+        cache = tmp_path / "runcache"
+        code, cold, _ = self._run_json(capsys, "--cache-dir", str(cache))
         assert code == 0
-        code, warm, err = self._run_json(capsys, "--cache-dir", cache,
-                                         "--resume")
+        code, warm, err = self._run_json(capsys, "--cache-dir",
+                                         str(cache), "--resume")
         assert code == 0
         assert warm == cold
-        assert "resumed=10" in err
+        notices = [line for line in err.splitlines()
+                   if "deprecated" in line]
+        assert len(notices) == 1
+        assert notices[0].startswith("warning: --resume is deprecated")
+        assert "same --cache-dir" in notices[0] and "3.0" in notices[0]
+        assert " computed=0 " in err
+        assert not (cache / "checkpoint.jsonl").exists()
+
+    def test_leftover_checkpoint_journal_is_ignored(self, tmp_path,
+                                                    capsys):
+        # A 2.0 sweep's journal (torn tail included) left in a full
+        # cache is ignored: the rerun is fully warm, the file intact.
+        cache = tmp_path / "runcache"
+        code, cold, _ = self._run_json(capsys, "--cache-dir", str(cache))
+        journal = cache / "checkpoint.jsonl"
+        text = '{"fp": "%s", "schema": 1}\n{"fp"' % ("ab" * 32)
+        journal.write_text(text)
+        code, warm, err = self._run_json(capsys, "--cache-dir",
+                                         str(cache))
+        assert code == 0
+        assert warm == cold
+        assert " computed=0 " in err and "hits=10 misses=0 " in err
+        assert journal.read_text() == text
 
 
 class TestStats:

@@ -1,8 +1,9 @@
-"""Resilience-layer tests: retry policy, checkpoints, degradation.
+"""Resilience-layer tests: retry policy, warm relaunch, degradation.
 
 The invariant under test throughout: faults, retries, timeouts, pool
-degradation and resumption never change a single simulated number —
-recovered sweeps are byte-identical to clean ones.
+degradation and relaunching over a partly filled cache never change a
+single simulated number — recovered sweeps are byte-identical to clean
+ones.
 """
 
 import json
@@ -117,52 +118,6 @@ class TestValidateResult:
         assert "boom" in str(failure)
 
 
-class TestCheckpoint:
-    def test_fresh_truncates_and_marks(self, tmp_path):
-        path = tmp_path / "checkpoint.jsonl"
-        path.write_text('{"schema": 1, "fp": "stale"}\n')
-        checkpoint = SweepCheckpoint(path)
-        assert len(checkpoint) == 0
-        assert not checkpoint.was_done("stale")
-        checkpoint.mark("aa")
-        checkpoint.mark("aa")  # idempotent
-        checkpoint.mark("bb")
-        checkpoint.close()
-        assert len(path.read_text().splitlines()) == 2
-
-    def test_resume_loads_previous(self, tmp_path):
-        path = tmp_path / "checkpoint.jsonl"
-        first = SweepCheckpoint(path)
-        first.mark("aa")
-        first.close()
-        resumed = SweepCheckpoint(path, resume=True)
-        assert "aa" in resumed
-        assert resumed.was_done("aa")
-        resumed.mark("bb")
-        assert "bb" in resumed
-        assert not resumed.was_done("bb")  # new this run, not previous
-        resumed.close()
-        third = SweepCheckpoint(path, resume=True)
-        assert third.was_done("aa") and third.was_done("bb")
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "checkpoint.jsonl"
-        path.write_text('{"schema": 1, "fp": "aa"}\n'
-                        '\n'
-                        '{"schema": 1, "fp"')  # killed mid-append
-        resumed = SweepCheckpoint(path, resume=True)
-        assert resumed.was_done("aa")
-        assert len(resumed) == 1
-
-    def test_missing_file_resumes_empty(self, tmp_path):
-        resumed = SweepCheckpoint(tmp_path / "absent.jsonl", resume=True)
-        assert len(resumed) == 0
-
-    def test_describe(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "c.jsonl", resume=True)
-        assert "resume" in checkpoint.describe()
-
-
 class TestRetries:
     def test_crash_and_corrupt_retried_identical_output(
             self, small_system, small_sim, designs, workloads):
@@ -196,10 +151,8 @@ class TestRetries:
         fps = _fingerprints(designs, small_system, small_sim, workloads)
         faults.install(FaultPlan.parse(f"crash:{fps['para'][:16]}:99"))
         cache = RunCache(tmp_path)
-        checkpoint = SweepCheckpoint(cache.checkpoint_path())
         policy = CellPolicy(retries=1, **FAST)
-        with SweepExecutor(cache=cache, checkpoint=checkpoint,
-                           policy=policy) as executor:
+        with SweepExecutor(cache=cache, policy=policy) as executor:
             with pytest.raises(SweepFailure) as excinfo:
                 _sweep(designs, small_system, small_sim, workloads,
                        executor)
@@ -210,20 +163,17 @@ class TestRetries:
         assert "InjectedCrash" in failures[0].error
         assert executor.stats.failed == 1
         # The healthy cells (baseline + the "none" design) reached the
-        # cache and the journal before the failure was raised.
+        # cache before the failure was raised.
         assert cache.stats.stores == 2
-        assert fps["none"] in checkpoint
 
-        # A relaunch with --resume semantics redoes only the loser.
+        # A plain relaunch over the same cache redoes only the loser.
         faults.install(None)
-        resumed_checkpoint = SweepCheckpoint(cache.checkpoint_path(),
-                                             resume=True)
-        with SweepExecutor(cache=RunCache(tmp_path),
-                           checkpoint=resumed_checkpoint) as retry:
+        warm_cache = RunCache(tmp_path)
+        with SweepExecutor(cache=warm_cache) as retry:
             series = _sweep(designs, small_system, small_sim, workloads,
                             retry)
-        assert retry.stats.resumed == 2
         assert retry.stats.computed == 1
+        assert warm_cache.stats.hits == 2
         reference = _sweep(designs, small_system, small_sim, workloads)
         assert _series_json(series) == _series_json(reference)
 
@@ -236,28 +186,63 @@ class TestResume:
 
         # Simulate an interruption: only the first cells complete before
         # the run dies.
-        cache = RunCache(tmp_path)
-        first = SweepExecutor(
-            cache=cache, checkpoint=SweepCheckpoint(cache.checkpoint_path()))
-        first.run_cells(cells[:2])
-        first.close()
+        with SweepExecutor(cache=RunCache(tmp_path)) as first:
+            first.run_cells(cells[:2])
         done_before = first.stats.computed
         assert done_before >= 1
 
-        # Relaunch with resume: journalled cells come back from the
-        # cache as *resumed*, only the remainder is computed.
+        # Relaunch over the same cache: the completed cells come back
+        # as cache hits, only the remainder is computed.
         warm_cache = RunCache(tmp_path)
-        resumed = SweepExecutor(
-            cache=warm_cache,
-            checkpoint=SweepCheckpoint(warm_cache.checkpoint_path(),
-                                       resume=True))
-        series = _sweep(designs, small_system, small_sim, workloads,
-                        resumed)
-        resumed.close()
-        assert resumed.stats.resumed == done_before
-        assert resumed.stats.computed == 3 - done_before
-        assert "resumed=" in resumed.describe()
+        with SweepExecutor(cache=warm_cache) as relaunch:
+            series = _sweep(designs, small_system, small_sim, workloads,
+                            relaunch)
+        assert relaunch.stats.computed == 3 - done_before
+        assert warm_cache.stats.hits == done_before
         assert _series_json(series) == _series_json(reference)
+        assert not (tmp_path / "checkpoint.jsonl").exists()
+
+
+class TestDeprecatedResumeSpellings:
+    """Each 2.0 resume spelling, used alone, warns exactly once, names
+    the replacement and changes nothing."""
+
+    def _assert_one_warning(self, record, spelling):
+        assert len(record) == 1, [str(w.message) for w in record]
+        message = str(record[0].message)
+        assert message.startswith(f"{spelling} is deprecated")
+        assert "same --cache-dir" in message and "3.0" in message
+        assert record[0].filename == __file__  # blames the caller
+
+    def test_sweep_checkpoint_records_nothing(self, tmp_path):
+        path = tmp_path / "checkpoint.jsonl"
+        with pytest.warns(DeprecationWarning) as record:
+            checkpoint = SweepCheckpoint(path, resume=True)
+        self._assert_one_warning(record, "SweepCheckpoint")
+        checkpoint.close()
+        assert not path.exists()
+
+    def test_executor_checkpoint_parameter_is_ignored(
+            self, tmp_path, small_system, small_sim, designs, workloads):
+        reference = _sweep(designs, small_system, small_sim, workloads)
+        with pytest.warns(DeprecationWarning):
+            checkpoint = SweepCheckpoint(tmp_path / "checkpoint.jsonl")
+        with pytest.warns(DeprecationWarning) as record:
+            executor = SweepExecutor(cache=RunCache(tmp_path),
+                                     checkpoint=checkpoint)
+        self._assert_one_warning(record, "SweepExecutor(checkpoint=...)")
+        with executor:
+            series = _sweep(designs, small_system, small_sim, workloads,
+                            executor)
+        assert _series_json(series) == _series_json(reference)
+        assert not (tmp_path / "checkpoint.jsonl").exists()
+
+    def test_cache_checkpoint_path(self, tmp_path):
+        with pytest.warns(DeprecationWarning) as record:
+            path = RunCache(tmp_path).checkpoint_path()
+        self._assert_one_warning(record, "RunCache.checkpoint_path()")
+        assert path == tmp_path / "checkpoint.jsonl"
+        assert not path.exists()
 
 
 class TestDegradation:

@@ -1,22 +1,23 @@
 """End-to-end determinism of telemetry under every execution mode.
 
 The tentpole guarantee: a sweep run serially, fanned over workers,
-served from a warm cache, or resumed from a checkpoint produces
-**byte-identical** merged telemetry — the deterministic ``metrics``
-section, the journal records and the timeline — because each cell's
-snapshot is captured where the cell executes and merged in the fixed
-submission order.
+served from a warm cache, or relaunched over the cache a failed run
+left behind produces **byte-identical** merged telemetry — the
+deterministic ``metrics`` section, the journal records and the timeline
+— because each cell's snapshot is captured where the cell executes and
+merged in the fixed submission order.
 """
 
 import json
 
 import pytest
 
+from repro.exec import faults
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
-from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import SweepCheckpoint
-from repro.experiments.common import DesignSpec, sweep_designs
+from repro.exec.executor import SweepExecutor, cell_fingerprint
+from repro.exec.resilience import CellPolicy, SweepFailure
+from repro.experiments.common import DesignSpec, sweep_cells, sweep_designs
 from repro.mc.mitigation import coupled_para_factory
 from repro.mc.policy import no_mitigation_factory
 from repro.obs import Telemetry
@@ -29,6 +30,7 @@ from repro.workloads.profiles import profiles_for
 def _fresh_trace_cache():
     clear_cache()
     yield
+    faults.install(None)
     clear_cache()
 
 
@@ -87,26 +89,26 @@ class TestByteIdenticalAcrossModes:
     def test_resume_matches_serial_without_double_counting(
             self, tmp_path, small_system, small_sim, designs, workloads):
         serial = _merged(designs, small_system, small_sim, workloads)
-        cache = RunCache(tmp_path / "runcache")
-        checkpoint = SweepCheckpoint(cache.checkpoint_path())
-        with SweepExecutor(cache=cache,
-                           checkpoint=checkpoint) as cold_exec:
-            _merged(designs, small_system, small_sim, workloads,
-                    cold_exec)
-        resume_cache = RunCache(tmp_path / "runcache")
-        resume_checkpoint = SweepCheckpoint(
-            resume_cache.checkpoint_path(), resume=True)
-        with SweepExecutor(cache=resume_cache,
-                           checkpoint=resume_checkpoint) as resumed_exec:
-            resumed = _merged(designs, small_system, small_sim,
-                              workloads, resumed_exec)
-        assert resumed_exec.stats.resumed == CELLS
+        # The "para" cell fails terminally and the others reach the cache
+        # with their telemetry; a plain relaunch computes only "para".
+        para = sweep_cells(designs, small_system, small_sim, workloads)[2]
+        faults.install(faults.FaultPlan.parse(
+            f"crash:{cell_fingerprint(para)}:9"))
+        with SweepExecutor(cache=RunCache(tmp_path),
+                           policy=CellPolicy(retries=0)) as failed, \
+                pytest.raises(SweepFailure):
+            _merged(designs, small_system, small_sim, workloads, failed)
+        faults.install(None)
+        with SweepExecutor(cache=RunCache(tmp_path)) as relaunch:
+            relaunched = _merged(designs, small_system, small_sim,
+                                 workloads, relaunch)
+        assert relaunch.stats.computed == 1
         for key in ("metrics", "journal", "timeline"):
-            assert resumed[key] == serial[key], key
-        # Satellite guarantee: a resumed sweep counts every cell exactly
-        # once — no double-counted runs, no duplicated journal records
-        # or timeline samples.
-        telemetry = resumed["telemetry"]
+            assert relaunched[key] == serial[key], key
+        # A relaunched sweep counts every cell exactly once — no
+        # double-counted runs, no duplicated journal records or
+        # timeline samples.
+        telemetry = relaunched["telemetry"]
         assert telemetry.registry.counter("sim.runs").value == CELLS
         kinds = telemetry.journal.kinds()
         assert kinds["run_start"] == CELLS

@@ -87,7 +87,7 @@ class TestAccounting:
     def test_done_kinds_advance_completion(self):
         progress = SweepProgress(stream=io.StringIO())
         progress.add_cells(4)
-        for kind in ("computed", "hit", "resumed"):
+        for kind in ("computed", "hit", "hit"):
             progress.record(kind)
         progress.record("retried")
         progress.record("failed")
@@ -97,8 +97,10 @@ class TestAccounting:
 
     def test_unknown_kind_raises(self):
         progress = SweepProgress(stream=io.StringIO())
-        with pytest.raises(ValueError, match="unknown progress event"):
-            progress.record("teleported")
+        for kind in ("teleported", "resumed"):
+            with pytest.raises(ValueError,
+                               match="unknown progress event"):
+                progress.record(kind)
 
     def test_eta_is_ewma_times_remaining(self):
         progress = SweepProgress(stream=io.StringIO())

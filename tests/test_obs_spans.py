@@ -4,19 +4,20 @@ The tentpole guarantee mirrors ``test_obs_parallel.py``: the
 **normalized** span tree (wall-clock stripped, execution-side spans
 spliced, execution-side events dropped) is byte-identical whether a
 sweep ran serially, over ``--jobs N`` workers, from a warm cache, or
-across an interrupt + ``--resume`` — and ``RunResult.to_json()`` never
-changes with span tracing on or off.
+relaunched over the cache a failed run left behind — and
+``RunResult.to_json()`` never changes with span tracing on or off.
 """
 
 import json
 
 import pytest
 
+from repro.exec import faults
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
-from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import SweepCheckpoint
-from repro.experiments.common import DesignSpec, sweep_designs
+from repro.exec.executor import SweepExecutor, cell_fingerprint
+from repro.exec.resilience import CellPolicy, SweepFailure
+from repro.experiments.common import DesignSpec, sweep_cells, sweep_designs
 from repro.mc.mitigation import coupled_para_factory
 from repro.mc.policy import no_mitigation_factory
 from repro.obs import Telemetry
@@ -31,6 +32,7 @@ from repro.workloads.profiles import profiles_for
 def _fresh_trace_cache():
     clear_cache()
     yield
+    faults.install(None)
     clear_cache()
 
 
@@ -218,21 +220,21 @@ class TestSpanTreeByteIdenticalAcrossModes:
     def test_resume_matches_serial(self, tmp_path, small_system,
                                    small_sim, designs, workloads):
         serial, _ = _traced(designs, small_system, small_sim, workloads)
-        cache = RunCache(tmp_path / "runcache")
-        checkpoint = SweepCheckpoint(cache.checkpoint_path())
-        with SweepExecutor(cache=cache,
-                           checkpoint=checkpoint) as cold_exec:
-            _traced(designs, small_system, small_sim, workloads,
-                    cold_exec)
-        resume_cache = RunCache(tmp_path / "runcache")
-        resume_checkpoint = SweepCheckpoint(
-            resume_cache.checkpoint_path(), resume=True)
-        with SweepExecutor(cache=resume_cache,
-                           checkpoint=resume_checkpoint) as resumed_exec:
-            resumed, _ = _traced(designs, small_system, small_sim,
-                                 workloads, resumed_exec)
-        assert resumed_exec.stats.resumed == CELLS
-        assert resumed == serial
+        # The "para" cell fails terminally, then a plain relaunch over
+        # the same cache computes only that cell.
+        para = sweep_cells(designs, small_system, small_sim, workloads)[2]
+        faults.install(faults.FaultPlan.parse(
+            f"crash:{cell_fingerprint(para)}:9"))
+        with SweepExecutor(cache=RunCache(tmp_path),
+                           policy=CellPolicy(retries=0)) as failed, \
+                pytest.raises(SweepFailure):
+            _traced(designs, small_system, small_sim, workloads, failed)
+        faults.install(None)
+        with SweepExecutor(cache=RunCache(tmp_path)) as relaunch:
+            relaunched, _ = _traced(designs, small_system, small_sim,
+                                    workloads, relaunch)
+        assert relaunch.stats.computed == 1
+        assert relaunched == serial
 
     def test_run_result_json_unchanged_by_spans(self, small_system,
                                                 small_sim, designs,

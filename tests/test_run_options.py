@@ -57,7 +57,6 @@ class TestRecord:
     def test_resilience_knobs_detected(self):
         assert RunOptions(retries=3).wants_resilience()
         assert RunOptions(timeout_s=10.0).wants_resilience()
-        assert RunOptions(resume=True).wants_resilience()
 
     def test_describe_names_the_knobs(self):
         text = RunOptions(mode="full", retries=3).describe()
@@ -81,10 +80,11 @@ class TestWireFormat:
         assert RunOptions.from_json(RunOptions().to_json()) == RunOptions()
 
     def test_round_trip_every_field(self):
-        options = RunOptions(mode="full", requests_per_core=123, seed=7,
-                             retries=4, timeout_s=1.5, resume=True,
-                             backend="auto")
-        assert RunOptions.from_json(options.to_json()) == options
+        with pytest.warns(DeprecationWarning):
+            options = RunOptions(mode="full", requests_per_core=123,
+                                 seed=7, retries=4, timeout_s=1.5,
+                                 resume=True, backend="auto")
+            assert RunOptions.from_json(options.to_json()) == options
 
     def test_json_is_canonical(self):
         # sort_keys → stable bytes: identical options produce identical
@@ -146,6 +146,28 @@ class TestRunExperimentV2:
             "ablation-atm", RunOptions(seed=11, requests_per_core=BUDGET,
                                        backend=backend))
         assert routed.to_json() == scalar.to_json()
+
+    def test_deprecated_resume_warns_once_and_changes_nothing(
+            self, tiny_quick_subset):
+        plain = registry.run_experiment(
+            "ablation-atm", RunOptions(seed=11, requests_per_core=BUDGET))
+        clear_cache()
+        with pytest.warns(DeprecationWarning) as record:
+            options = RunOptions(seed=11, requests_per_core=BUDGET,
+                                 resume=True)
+            flagged = registry.run_experiment("ablation-atm", options)
+        assert len(record) == 1
+        assert str(record[0].message).startswith(
+            "RunOptions.resume is deprecated and has no effect")
+        assert record[0].filename == __file__  # blames the caller
+        assert flagged.to_json() == plain.to_json()
+        # The field stays in the wire format until 3.0 removes it, but
+        # no longer counts as a resilience knob.
+        assert list(options.to_dict()) == [
+            "mode", "requests_per_core", "seed", "retries", "timeout_s",
+            "resume", "backend"]
+        assert not options.wants_resilience()
+        assert "resume" not in options.describe()
 
     def test_wire_round_trip_runs_identically(self, tiny_quick_subset):
         """Options that crossed the wire drive the same run as the

@@ -59,9 +59,18 @@ class TestScheduler:
         with pytest.raises(BadSubmission, match="unknown experiment"):
             scheduler.submit("nope", RunOptions())
 
-    def test_resume_rejected(self, scheduler):
-        with pytest.raises(BadSubmission, match="resume"):
-            scheduler.submit("table4", RunOptions(resume=True))
+    def test_resume_accepted_as_a_no_op(self, scheduler):
+        # The deprecated knob rides the wire until 3.0 and changes
+        # nothing: the shared cache is the only resume mechanism.
+        with pytest.warns(DeprecationWarning):
+            options = RunOptions(seed=11, requests_per_core=BUDGET,
+                                 resume=True)
+        job_id = scheduler.submit("ablation-atm", options)["job"]
+        record = _wait(scheduler, job_id)
+        assert record["state"] == "done"
+        assert "resumed" not in record["counters"]
+        assert scheduler.result_text(job_id) == registry.run_experiment(
+            "ablation-atm", OPTIONS).to_json()
 
     def test_unknown_job_raises(self, scheduler):
         with pytest.raises(UnknownJob):
