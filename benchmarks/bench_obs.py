@@ -2,13 +2,13 @@
 
 Runs one fixed, fully mitigated cell (mcf under coupled MINT + DRFMsb —
 a mitigation-heavy configuration, so journal/trace recording is
-exercised, not idle) in three telemetry configurations:
+exercised, not idle) in four telemetry configurations:
 
 * **off** — no telemetry at all (the default path: one pointer check);
-* **on** — in-memory journal + timeline sampling + metrics;
+* **on** — in-memory journal + timeline sampling + metrics + the span
+  tracer every telemetry records (engine spans bracket the event loop,
+  so their per-event cost is nil);
 * **on+trace** — the above plus the bounded DRFM event trace;
-* **on+spans** — "on" plus the hierarchical span tracer (engine spans
-  bracket the event loop, so the per-event cost must stay nil);
 * **on+export** — "on" plus the service observability plane exercised
   concurrently: a background scraper renders the Prometheus exposition
   from the live telemetry registry every 50 ms (a /v1/metrics scrape)
@@ -64,7 +64,7 @@ OBS_SNAPSHOT = RESULTS_DIR / "BENCH_obs.json"
 ROUNDS = 7
 REQUESTS = 2_000
 WORKLOAD = "mcf"
-CONFIGS = ("off", "on", "on+trace", "on+spans", "on+export")
+CONFIGS = ("off", "on", "on+trace", "on+export")
 
 #: Scrape cadence for the ``on+export`` configuration — far more
 #: aggressive than a real Prometheus (15 s default) so the measured
@@ -76,8 +76,7 @@ def _telemetry(config: str) -> Telemetry | None:
     if config == "off":
         return None
     return Telemetry(journal_memory=True, sample_every_refi=8,
-                     trace=(config == "on+trace"),
-                     spans=(config == "on+spans"))
+                     trace=(config == "on+trace"))
 
 
 class _ExportScraper:

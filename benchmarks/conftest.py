@@ -11,13 +11,12 @@ Execution modes (telemetry composes with parallelism — the split below
 only picks where the events/sec accounting is read from):
 
 * **Serial (default)** — each benchmark runs under a profiling-only
-  telemetry instance and reports the engine's **events/sec** from the
-  throughput gauge.
+  telemetry instance and reports the engine's **events/sec** from its
+  span-derived profile.
 * **Parallel** — ``REPRO_JOBS=N`` (N > 1) activates a
   :class:`repro.exec.SweepExecutor`: sweep cells fan out over N worker
   processes and the aggregate events/sec comes from the executor's own
-  accounting (worker wall-clock does not fold into the parent's
-  profiler).  ``REPRO_CACHE_DIR=DIR`` additionally enables the
+  accounting.  ``REPRO_CACHE_DIR=DIR`` additionally enables the
   content-addressed run cache in either mode.
 
 Telemetry's *own* cost is benchmarked separately in ``bench_obs.py``,
@@ -126,9 +125,9 @@ def experiment_runner(benchmark):
         RESULTS_DIR.mkdir(exist_ok=True)
         rendered = result.render()
         if telemetry is not None:
-            throughput = telemetry.profiler.throughput
-            events = throughput.events
-            events_per_sec = throughput.events_per_sec
+            throughput = telemetry.profiler.snapshot()["throughput"]
+            events = throughput["events"]
+            events_per_sec = throughput["events_per_sec"]
         else:
             events = executor.stats.engine_events
             events_per_sec = executor.stats.events_per_sec

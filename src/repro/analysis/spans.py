@@ -2,14 +2,14 @@
 
 Input is the JSON document written by ``--spans FILE``
 (:meth:`repro.obs.Telemetry.write_spans`): a schema-versioned span
-forest plus the run's profiling snapshot.  Three reductions live here:
+forest.  Three reductions live here:
 
 * **critical path** — the longest dependency chain through the tree.
   Sibling spans are sequential by construction (the tracer lays grafted
   cell subtrees out back to back), so the chain total equals the sweep's
-  serialized work: it matches the profiler's phase wall time for a
-  serial sweep and measures *total work* (not elapsed wall time) for a
-  parallel one.
+  serialized work: it matches the summed phase spans for a serial sweep
+  and measures *total work* (not elapsed wall time) for a parallel
+  one.
 * **worker breakdown** — per-process attribution of attempt time into
   engine time, trace building and dispatch overhead (pickling, queueing,
   snapshot capture), the figure the ROADMAP's distributed-execution work
@@ -24,8 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.obs.spans import (KIND_ATTEMPT, KIND_ENGINE,
-                             SPANS_SCHEMA_VERSION, Span, span_from_doc)
+from repro.obs.spans import (ENGINE_LOOP, KIND_ATTEMPT, KIND_ENGINE,
+                             SPANS_SCHEMA_VERSION, Span, span_from_doc,
+                             span_profile)
 
 #: Synthetic pid of the dispatcher track (sweep + merge spans that run
 #: in the parent but outside any worker attempt).
@@ -34,11 +35,10 @@ DISPATCHER_PID = 0
 
 @dataclass
 class SpansDoc:
-    """Decoded ``--spans`` file: the forest plus profiling context."""
+    """Decoded ``--spans`` file: the span forest."""
 
     schema: int
     roots: list[Span]
-    profiling: dict = field(default_factory=dict)
 
     def span_count(self) -> int:
         return sum(1 for root in self.roots for _ in root.walk())
@@ -48,10 +48,9 @@ class SpansDoc:
                    if span.kind == "cell")
 
     def phase_seconds(self) -> float:
-        """Total phase wall time from the embedded profiling snapshot."""
-        phases = self.profiling.get("phases", {})
-        return sum(entry.get("seconds", 0.0) for entry in phases.values()
-                   if isinstance(entry, dict))
+        """Total phase wall time, summed over the tree's phase spans."""
+        phases = span_profile(self.roots)["phases"]
+        return sum(entry["seconds"] for entry in phases.values())
 
 
 class SpansFormatError(ValueError):
@@ -107,10 +106,7 @@ def decode_spans(doc, source: str = "a spans producer") -> SpansDoc:
             raise SpansFormatError(f"malformed span document at "
                                    f"index {index}")
         roots.append(span)
-    profiling = doc.get("profiling")
-    return SpansDoc(schema=schema, roots=roots,
-                    profiling=profiling if isinstance(profiling, dict)
-                    else {})
+    return SpansDoc(schema=schema, roots=roots)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +201,7 @@ def worker_breakdown(roots: list[Span]) -> list[WorkerBreakdown]:
             worker.busy_s += span.duration_s
             for inner in span.walk():
                 if inner.kind == KIND_ENGINE and \
-                        inner.name == "engine:event_loop":
+                        inner.name == ENGINE_LOOP:
                     worker.engine_s += inner.duration_s
                 elif inner.name == "build_traces":
                     worker.build_s += inner.duration_s

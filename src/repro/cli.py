@@ -37,11 +37,11 @@ exits 1.
 
 ``run`` and ``report`` accept the telemetry flags ``--journal FILE``
 (JSONL run journal), ``--metrics-out FILE`` (metrics snapshot JSON),
-``--profile`` (wall-clock phase table), ``--trace FILE`` (bounded
-mitigation event trace for ``trace``), ``--spans FILE`` (hierarchical
-sweep span trace for ``spans``) and ``--sample-every N`` (timeline
-cadence in tREFI).  Telemetry is off unless one of these is given, and
-enabling it does not change any simulated result.
+``--profile`` (wall-clock phase table on stderr), ``--trace FILE``
+(bounded mitigation event trace for ``trace``), ``--spans FILE``
+(hierarchical sweep span trace for ``spans``) and ``--sample-every N``
+(timeline cadence in tREFI).  Telemetry is off unless one of these is
+given, and enabling it does not change any simulated result.
 
 They also accept the sweep-execution flags ``--jobs N`` (fan simulation
 cells over N worker processes; ``0`` = all cores), ``--cache-dir DIR``
@@ -79,7 +79,7 @@ from repro.exec.resilience import (CellPolicy, SweepFailure,
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
-from repro.obs.profiling import Stopwatch
+from repro.obs.profiling import Stopwatch, render_profile
 
 #: Default sweep-service port (``repro serve`` / ``repro submit``).
 DEFAULT_SERVICE_PORT = 8731
@@ -154,16 +154,15 @@ def _build_telemetry(args: argparse.Namespace):
     return Telemetry(journal_path=args.journal,
                      sample_every_refi=sample_every,
                      profile=args.profile,
-                     trace=bool(args.trace),
-                     spans=bool(args.spans))
+                     trace=bool(args.trace))
 
 
 def _emit_telemetry(args: argparse.Namespace, telemetry) -> None:
     """Finalize telemetry: journal close, metrics dump, profile print.
 
-    File-written notices go to stderr so stdout stays pure data
-    (``--json`` output must be byte-comparable across runs whose
-    telemetry files merely have different names).
+    File-written notices and the wall-clock profile go to stderr so
+    stdout stays pure data (``--json`` output must be byte-comparable
+    across runs whose telemetry flags or file names differ).
     """
     if telemetry is None:
         return
@@ -185,9 +184,8 @@ def _emit_telemetry(args: argparse.Namespace, telemetry) -> None:
               f"({telemetry.spans.span_count()} spans); analyse with "
               f"'dream-repro spans {args.spans}'", file=sys.stderr)
     if args.profile:
-        print()
-        print("== wall-clock profile ==")
-        print(telemetry.profiler.render())
+        print("\n== wall-clock profile ==", file=sys.stderr)
+        print(telemetry.profiler.render(), file=sys.stderr)
 
 
 def _resolve_mode(args: argparse.Namespace) -> str:
@@ -441,18 +439,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(bar_chart(items, unit=" acts"))
 
     for profile in by_kind.get("profile", []):
-        phases = profile.get("phases", {})
-        if phases:
-            print()
-            print("wall-clock phases:")
-            for name, data in sorted(phases.items(),
-                                     key=lambda kv: -kv[1]["seconds"]):
-                print(f"  {name:24} {data['seconds']:9.3f}s "
-                      f"x{data['calls']}")
-        throughput = profile.get("throughput", {})
-        if throughput.get("events"):
-            print(f"engine throughput: "
-                  f"{throughput['events_per_sec']:,.0f} events/s")
+        print()
+        print("wall-clock profile:")
+        print(render_profile(profile))
     return 0
 
 
@@ -761,7 +750,8 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metrics-out", metavar="FILE",
                         help="write a metrics snapshot (JSON)")
     parser.add_argument("--profile", action="store_true",
-                        help="print wall-clock phase timings")
+                        help="print wall-clock phase timings to "
+                             "stderr")
     parser.add_argument("--trace", metavar="FILE",
                         help="write a bounded JSONL mitigation event "
                              "trace for the `trace` subcommand")

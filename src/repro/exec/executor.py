@@ -592,8 +592,7 @@ class SweepExecutor:
         telemetry = obs_runtime.active()
         capture = CaptureSpec.from_telemetry(telemetry) \
             if telemetry is not None else None
-        tracer = telemetry.spans if telemetry is not None else None
-        sweep_span = None if tracer is None else tracer.begin(
+        sweep_span = None if telemetry is None else telemetry.spans.begin(
             "sweep", kind=KIND_SWEEP, meta={"cells": len(cells)})
         if self.progress is not None:
             self.progress.add_cells(len(cells))
@@ -607,12 +606,12 @@ class SweepExecutor:
                 if self.progress is not None:
                     self.progress.finish()
             if telemetry is not None:
-                self._merge_all(telemetry, tracer, cells, snaps)
+                self._merge_all(telemetry, cells, snaps)
         finally:
             with self._lock:
                 self._active_runs -= 1
             if sweep_span is not None:
-                tracer.end(sweep_span)
+                telemetry.spans.end(sweep_span)
         self._stat("wall_seconds", time.perf_counter() - started)
         if failures:
             with self._lock:
@@ -620,20 +619,18 @@ class SweepExecutor:
             raise SweepFailure(failures)
         return results
 
-    def _merge_all(self, telemetry, tracer, cells: list[Cell],
+    def _merge_all(self, telemetry, cells: list[Cell],
                    snaps: list[TelemetrySnapshot | None]) -> None:
         """Merge cell snapshots in submission order.
 
-        With span tracing on, each snapshot is merged inside a ``cell``
-        span so the worker-recorded subtree (attempt → phases → engine)
-        grafts under it; cell spans carry only structural metadata, so
-        the normalized tree is identical across execution modes.
+        Each snapshot is merged inside a ``cell`` span so the
+        worker-recorded subtree (attempt → phases → engine) grafts under
+        it; cell spans carry only structural metadata, so the normalized
+        tree is identical across execution modes.
         """
+        tracer = telemetry.spans
         for index, snap in enumerate(snaps):
             if snap is None:
-                continue
-            if tracer is None:
-                merge_snapshot(telemetry, snap)
                 continue
             cell = cells[index]
             span = tracer.begin(
@@ -1095,9 +1092,9 @@ class SweepExecutor:
 
     def _span_event(self, name: str, meta: dict | None = None) -> None:
         """Record an exec-side event on the open sweep span, if any."""
-        tracer = obs_runtime.active_spans()
-        if tracer is not None:
-            tracer.event(name, meta)
+        telemetry = obs_runtime.active()
+        if telemetry is not None:
+            telemetry.spans.event(name, meta)
 
     def _progress(self, kind: str, seconds: float | None = None) -> None:
         if self.progress is not None:

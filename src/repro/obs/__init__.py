@@ -14,15 +14,16 @@ The facade wires four independent pieces together:
   N tREFI of *simulated* time;
 * :mod:`repro.obs.journal`   — schema-versioned JSONL run journal
   (file-backed or in-memory);
-* :mod:`repro.obs.profiling` — wall-clock phase timers and the engine
-  events/sec throughput gauge;
+* :mod:`repro.obs.profiling` — the wall-clock phase table and engine
+  events/sec, rendered from the span tree;
 * :mod:`repro.obs.trace`     — bounded structured trace of mitigation
   events (analysed by ``repro trace``);
 * :mod:`repro.obs.snapshot`  — picklable per-cell snapshots plus the
   deterministic cross-process merge used by ``repro.exec``;
 * :mod:`repro.obs.progress`  — TTY-aware live sweep progress reporter;
-* :mod:`repro.obs.spans`     — opt-in hierarchical span tracing across
-  the sweep fabric (exported by ``repro spans``).
+* :mod:`repro.obs.spans`     — hierarchical span tracing across the
+  sweep fabric, the only wall-clock record (exported by
+  ``repro spans``).
 
 Telemetry never perturbs simulation results: it only reads simulator
 state and maintains its own side structures, so identical seeds produce
@@ -41,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from contextlib import contextmanager
+import warnings
 
 from repro.dram.commands import Command
 from repro.obs import runtime
@@ -49,8 +50,7 @@ from repro.obs.journal import (RunJournal, SCHEMA_VERSION, load_journal,
                                read_journal)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                RLP_BUCKETS)
-from repro.obs.profiling import (PhaseTimer, Profiler, Stopwatch,
-                                 ThroughputGauge)
+from repro.obs.profiling import ProfileView, Stopwatch
 from repro.obs.timeline import (DEFAULT_SAMPLE_EVERY_REFI, TimelineSample,
                                 TimelineSampler)
 from repro.obs.trace import DEFAULT_TRACE_LIMIT, EventTrace
@@ -60,7 +60,8 @@ from repro.obs.snapshot import (CaptureSpec, SNAPSHOT_SCHEMA_VERSION,
                                 snapshot_to_doc)
 from repro.obs.progress import SweepProgress
 from repro.obs.spans import (SPANS_SCHEMA_VERSION, Span, SpanTracer,
-                             normalized_tree, span_from_doc, span_to_doc)
+                             normalized_tree, span_from_doc, span_profile,
+                             span_to_doc)
 
 __all__ = [
     "CaptureSpec",
@@ -72,8 +73,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimer",
-    "Profiler",
     "RLP_BUCKETS",
     "RunJournal",
     "SCHEMA_VERSION",
@@ -86,7 +85,6 @@ __all__ = [
     "SweepProgress",
     "Telemetry",
     "TelemetrySnapshot",
-    "ThroughputGauge",
     "TimelineSample",
     "TimelineSampler",
     "capture_snapshot",
@@ -96,6 +94,7 @@ __all__ = [
     "read_journal",
     "runtime",
     "span_from_doc",
+    "span_profile",
     "span_to_doc",
     "snapshot_from_doc",
     "snapshot_to_doc",
@@ -153,8 +152,13 @@ class SubchannelTelemetry:
                 self.trace.record(record)
 
 
+#: Default of the deprecated ``Telemetry(spans=...)`` parameter; any
+#: explicit value warns.
+_UNSET = object()
+
+
 class Telemetry:
-    """Facade bundling registry, timeline sampler, journal and profiler.
+    """Facade bundling registry, timeline sampler, journal and span tracer.
 
     Parameters
     ----------
@@ -167,20 +171,21 @@ class Telemetry:
     sample_every_refi:
         Timeline sampling period in tREFI units.
     profile:
-        Whether the caller intends to render wall-clock profiling; phase
-        timers are always maintained (they are per-run, not per-event),
-        the flag only gates reporting (including the journal's closing
-        ``profile`` record — wall-clock is nondeterministic, so it only
-        enters the journal on request).
+        Whether the caller intends to render wall-clock profiling.  The
+        profile is always derivable from :attr:`spans`; the flag only
+        gates reporting (including the journal's closing ``profile``
+        record — wall-clock is nondeterministic, so it only enters the
+        journal on request).
     trace:
         Keep a bounded :class:`~repro.obs.trace.EventTrace` of
         individual mitigation events for the ``repro trace`` analyzer.
     trace_limit:
         Event capacity of that trace.
     spans:
-        Record a hierarchical :class:`~repro.obs.spans.SpanTracer` of
-        sweep execution (exported by ``repro spans``).  Off by default;
-        every span site guards on ``telemetry.spans is None``.
+        Deprecated no-op: :attr:`spans`, a hierarchical
+        :class:`~repro.obs.spans.SpanTracer` of sweep execution
+        (exported by ``repro spans``), is always recorded.  Any explicit
+        value warns once; 3.0 removes the parameter.
     """
 
     def __init__(self, journal_path: str | None = None,
@@ -189,7 +194,10 @@ class Telemetry:
                  profile: bool = False,
                  trace: bool = False,
                  trace_limit: int = DEFAULT_TRACE_LIMIT,
-                 spans: bool = False) -> None:
+                 spans: object = _UNSET) -> None:
+        if spans is not _UNSET:
+            warnings.warn("spans are always recorded; 3.0 removes the "
+                          "parameter", DeprecationWarning, stacklevel=2)
         self.registry = MetricsRegistry()
         self.journal: RunJournal | None = None
         if journal_path is not None:
@@ -198,11 +206,10 @@ class Telemetry:
             self.journal = RunJournal()
         self.timeline = TimelineSampler(sample_every_refi,
                                         journal=self.journal)
-        self.profiler = Profiler()
         self.profile = profile
         self.trace: EventTrace | None = \
             EventTrace(trace_limit) if trace else None
-        self.spans: SpanTracer | None = SpanTracer() if spans else None
+        self.spans = SpanTracer()
         self.run_index = -1
         self._channels: dict[int, SubchannelTelemetry] = {}
         self._finalized = False
@@ -219,20 +226,15 @@ class Telemetry:
         return channel
 
     def phase(self, name: str):
-        """Context manager timing one wall-clock phase.
+        """Context manager timing one wall-clock phase as a ``phase``
+        span."""
+        return self.spans.span(name)
 
-        With span tracing on, the same region is also recorded as a
-        ``phase`` span, so profiler totals and the span tree describe
-        the same boundaries.
-        """
-        if self.spans is None:
-            return self.profiler.phase(name)
-        return self._phase_with_span(name)
-
-    @contextmanager
-    def _phase_with_span(self, name: str):
-        with self.spans.span(name), self.profiler.phase(name):
-            yield
+    @property
+    def profiler(self) -> ProfileView:
+        """The wall-clock profile, derived from :attr:`spans` on each
+        call."""
+        return ProfileView(self.spans)
 
     # ------------------------------------------------------------------
     # Run lifecycle (called by the simulation runner)
@@ -244,15 +246,15 @@ class Telemetry:
             self.journal.write("run_start", run=self.run_index,
                                workload=workload, policy=policy, seed=seed)
 
-    def end_run(self, result, events: int, seconds: float) -> None:
-        """Fold one completed run into throughput, counters and journal.
+    def end_run(self, result, events: int) -> None:
+        """Fold one completed run into counters and journal.
 
-        Wall-clock quantities go to the profiler only — the counters
-        and the journal's ``summary`` record carry exclusively simulated
-        numbers, so merged journals and the ``metrics`` section stay
-        byte-identical across serial/parallel/cached execution.
+        The counters and the journal's ``summary`` record carry
+        exclusively simulated numbers (the run's wall-clock lives in its
+        ``engine:event_loop`` span), so merged journals and the
+        ``metrics`` section stay byte-identical across
+        serial/parallel/cached execution.
         """
-        self.profiler.throughput.record(events, seconds)
         registry = self.registry
         registry.counter("sim.runs").inc()
         registry.counter("sim.requests").inc(events)
@@ -276,7 +278,7 @@ class Telemetry:
     # Output
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Registry plus profiler state as one JSON-serialisable dict.
+        """Registry plus profile as one JSON-serialisable dict.
 
         The ``metrics`` section holds only deterministic, simulated-time
         instruments; execution-side counters (``exec.*`` — retries,
@@ -295,7 +297,7 @@ class Telemetry:
             "schema_version": SCHEMA_VERSION,
             "metrics": metrics,
             "exec": executor,
-            "profiling": self.profiler.snapshot(),
+            "profiling": span_profile(self.spans.roots),
             "timeline_samples": len(self.timeline.samples),
         }
 
@@ -323,18 +325,13 @@ class Telemetry:
             raise
 
     def spans_doc(self) -> dict:
-        """Span forest plus profiling context, JSON-serialisable.
+        """The span forest, JSON-serialisable.
 
         This is the on-disk format of ``--spans FILE`` and the input of
-        the ``repro spans`` analyzer; profiling rides along so the
-        critical path can be sanity-checked against phase wall time.
+        the ``repro spans`` analyzer.
         """
-        tracer = self.spans if self.spans is not None else SpanTracer()
-        return {
-            "schema": SPANS_SCHEMA_VERSION,
-            "profiling": self.profiler.snapshot(),
-            "spans": tracer.to_docs(),
-        }
+        return {"schema": SPANS_SCHEMA_VERSION,
+                "spans": self.spans.to_docs()}
 
     def write_spans(self, path: str) -> None:
         """Dump :meth:`spans_doc` as JSON to ``path``, atomically."""
@@ -360,7 +357,8 @@ class Telemetry:
             return
         self._finalized = True
         if self.journal is not None:
-            if self.profile and self.profiler.phases.seconds:
-                self.journal.write("profile",
-                                   **self.profiler.snapshot())
+            if self.profile:
+                profile = span_profile(self.spans.roots)
+                if profile["phases"]:
+                    self.journal.write("profile", **profile)
             self.journal.close()

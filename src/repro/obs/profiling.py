@@ -1,23 +1,21 @@
-"""Wall-clock profiling: phase timers and an events/sec throughput gauge.
+"""Wall-clock profiling, read off the span tree.
 
 All timers use :func:`time.perf_counter` (monotonic, high resolution) —
 never ``time.time``, which can jump under NTP adjustments and has coarse
 resolution on some platforms.
 
-The profiler answers two questions the simulated-time telemetry cannot:
-
-* *where does wall-clock go?* — :class:`PhaseTimer` accumulates elapsed
-  seconds per named phase (``build_traces``, ``simulate``, ...);
-* *how fast is the engine?* — :class:`ThroughputGauge` folds completed
-  event counts over their elapsed time into an events/sec figure, the
-  baseline number future performance PRs regress against.
+The profile answers two questions the simulated-time telemetry cannot:
+*where does wall-clock go?* (the phase table) and *how fast is the
+engine?* (events/sec).  Both are :func:`~repro.obs.spans.span_profile`
+of the telemetry's span tree — there is no second timer — and this
+module renders that view.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+
+from repro.obs.spans import SpanTracer, span_profile
 
 
 class Stopwatch:
@@ -41,123 +39,43 @@ class Stopwatch:
         return elapsed
 
 
-@dataclass
-class PhaseTimer:
-    """Accumulated wall-clock per named phase."""
+def render_profile(profile: dict) -> str:
+    """Phase table, slowest first, plus the engine throughput line.
 
-    seconds: dict = field(default_factory=dict)
-    calls: dict = field(default_factory=dict)
+    ``profile`` is a :func:`~repro.obs.spans.span_profile` dict — or the
+    journal's closing ``profile`` record, which has the same shape.
+    """
+    phases = profile.get("phases", {})
+    if not phases:
+        lines = ["(no phases recorded)"]
+    else:
+        width = max(len(name) for name in phases)
+        lines = [f"{name.ljust(width)}  {entry['seconds']:9.3f}s"
+                 f"  x{entry['calls']}"
+                 for name, entry in sorted(
+                     phases.items(), key=lambda item: item[1]["seconds"],
+                     reverse=True)]
+    throughput = profile.get("throughput", {})
+    if throughput.get("events"):
+        lines.append(f"engine throughput: "
+                     f"{throughput['events_per_sec']:,.0f} events/s "
+                     f"({throughput['events']:,} events / "
+                     f"{throughput['seconds']:.3f}s)")
+    return "\n".join(lines)
 
-    @contextmanager
-    def phase(self, name: str):
-        """Context manager timing one execution of ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.add(name, elapsed)
 
-    def add(self, name: str, elapsed_s: float) -> None:
-        """Credit ``elapsed_s`` seconds to ``name``."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed_s
-        self.calls[name] = self.calls.get(name, 0) + 1
+class ProfileView:
+    """``Telemetry.profiler``: the span tree's profile, computed on each
+    call."""
 
-    def total(self, name: str) -> float:
-        """Accumulated seconds of one phase (0.0 if never entered)."""
-        return self.seconds.get(name, 0.0)
+    __slots__ = ("tracer",)
 
-    def absorb(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot`-shaped dict into this timer."""
-        for name, entry in snapshot.items():
-            self.seconds[name] = self.seconds.get(name, 0.0) \
-                + entry["seconds"]
-            self.calls[name] = self.calls.get(name, 0) + entry["calls"]
-
-    def reset(self) -> None:
-        self.seconds.clear()
-        self.calls.clear()
+    def __init__(self, tracer: SpanTracer) -> None:
+        self.tracer = tracer
 
     def snapshot(self) -> dict:
-        """Per-phase ``{seconds, calls}`` (JSON-serialisable)."""
-        return {name: {"seconds": self.seconds[name],
-                       "calls": self.calls[name]}
-                for name in sorted(self.seconds)}
+        """Per-phase ``{seconds, calls}`` plus engine throughput."""
+        return span_profile(self.tracer.roots)
 
     def render(self) -> str:
-        """Human-readable phase table, slowest first."""
-        if not self.seconds:
-            return "(no phases recorded)"
-        width = max(len(name) for name in self.seconds)
-        lines = []
-        for name in sorted(self.seconds, key=self.seconds.get,
-                           reverse=True):
-            lines.append(f"{name.ljust(width)}  {self.seconds[name]:9.3f}s"
-                         f"  x{self.calls[name]}")
-        return "\n".join(lines)
-
-
-@dataclass
-class ThroughputGauge:
-    """Events/sec across one or more measured intervals."""
-
-    events: int = 0
-    seconds: float = 0.0
-    intervals: int = 0
-
-    def record(self, events: int, seconds: float) -> None:
-        """Fold one measured interval into the gauge."""
-        self.events += events
-        self.seconds += seconds
-        self.intervals += 1
-
-    def absorb(self, events: int, seconds: float,
-               intervals: int) -> None:
-        """Fold another gauge's accumulated totals into this one."""
-        self.events += events
-        self.seconds += seconds
-        self.intervals += intervals
-
-    @property
-    def events_per_sec(self) -> float:
-        """Aggregate throughput (0.0 before any interval)."""
-        return self.events / self.seconds if self.seconds > 0 else 0.0
-
-    def reset(self) -> None:
-        self.events = 0
-        self.seconds = 0.0
-        self.intervals = 0
-
-    def snapshot(self) -> dict:
-        return {"events": self.events, "seconds": self.seconds,
-                "events_per_sec": self.events_per_sec}
-
-
-@dataclass
-class Profiler:
-    """Phase timers plus the engine-loop throughput gauge."""
-
-    phases: PhaseTimer = field(default_factory=PhaseTimer)
-    throughput: ThroughputGauge = field(default_factory=ThroughputGauge)
-
-    def phase(self, name: str):
-        """Context manager timing one execution of ``name``."""
-        return self.phases.phase(name)
-
-    def reset(self) -> None:
-        self.phases.reset()
-        self.throughput.reset()
-
-    def snapshot(self) -> dict:
-        return {"phases": self.phases.snapshot(),
-                "throughput": self.throughput.snapshot()}
-
-    def render(self) -> str:
-        """Phase table plus the throughput line."""
-        lines = [self.phases.render()]
-        if self.throughput.intervals:
-            lines.append(f"engine throughput: "
-                         f"{self.throughput.events_per_sec:,.0f} events/s "
-                         f"({self.throughput.events:,} events / "
-                         f"{self.throughput.seconds:.3f}s)")
-        return "\n".join(lines)
+        return render_profile(self.snapshot())

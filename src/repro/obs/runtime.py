@@ -46,16 +46,6 @@ def deactivate() -> None:
     activate(None)
 
 
-def active_spans():
-    """The ambient telemetry's span tracer, or ``None``.
-
-    Collapses the two-level guard (telemetry active? spans enabled?)
-    into one call for instrumentation sites that only emit spans.
-    """
-    telemetry = active()
-    return None if telemetry is None else telemetry.spans
-
-
 @contextmanager
 def activated(telemetry):
     """Scope ``telemetry`` as this thread's ambient for a ``with``

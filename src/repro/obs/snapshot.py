@@ -5,7 +5,7 @@ in-memory :class:`~repro.obs.Telemetry` built from a :class:`CaptureSpec`
 (the picklable recipe the parent ships with the cell).  When the cell
 finishes, :func:`capture_snapshot` freezes everything that telemetry
 observed — metric values, journal records, full-precision timeline
-samples and profiling totals — into a :class:`TelemetrySnapshot`: a
+samples and the span subtree — into a :class:`TelemetrySnapshot`: a
 plain-data record that survives both pickling (worker → parent) and JSON
 (the content-addressed telemetry artifact stored next to the
 :class:`~repro.exec.cache.RunCache` entry).
@@ -21,7 +21,8 @@ deterministic by construction:
   within each cell;
 * **journal records** append in cell order with the per-worker ``run``
   index remapped to the parent's global run sequence;
-* **profiling totals** (phase seconds, throughput intervals) accumulate.
+* **span subtrees** graft under the parent's open span, carrying the
+  cell's phase and engine spans — and with them its wall-clock profile.
 
 Because every cell's snapshot is itself deterministic (simulated time,
 seeded RNG) and the merge order is the fixed submission order, serial,
@@ -44,7 +45,9 @@ from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI, TimelineSample
 
 #: Version stamped into snapshot documents; bump on breaking changes.
 #: v2 added the ``spans`` section — v1 sidecars are treated as misses so
-#: the cell recomputes and the artifact is rewritten complete.
+#: the cell recomputes and the artifact is rewritten complete.  The
+#: ``phases``/``throughput`` keys that 2.1 wrote duplicate the span
+#: tree; the reader ignores them.
 SNAPSHOT_SCHEMA_VERSION = 2
 
 #: TimelineSample field names, in declaration order (pickle/JSON shape).
@@ -70,17 +73,10 @@ class CaptureSpec:
         return cls(sample_every_refi=telemetry.timeline.sample_every_refi)
 
     def build(self):
-        """A fresh in-memory capture telemetry for one cell.
-
-        Spans are always recorded here (same principle as the always-on
-        in-memory journal): the snapshot must be complete so a cached
-        sidecar can serve a later spans-enabled sweep even if the sweep
-        that wrote it had spans off.
-        """
+        """A fresh in-memory capture telemetry for one cell."""
         from repro.obs import Telemetry
         return Telemetry(journal_memory=True,
-                         sample_every_refi=self.sample_every_refi,
-                         spans=True)
+                         sample_every_refi=self.sample_every_refi)
 
 
 @dataclass
@@ -93,16 +89,13 @@ class TelemetrySnapshot:
     "overflow": n, "count": n, "total": x}``); ``journal`` holds the
     cell's journal records verbatim; ``timeline`` holds full-precision
     ``dataclasses.asdict`` forms of every :class:`TimelineSample`;
-    ``phases``/``throughput`` carry the profiling totals; ``spans``
-    holds the cell's span subtree in document form (see
+    ``spans`` holds the cell's span subtree in document form (see
     :mod:`repro.obs.spans`).
     """
 
     metrics: dict = field(default_factory=dict)
     journal: list = field(default_factory=list)
     timeline: list = field(default_factory=list)
-    phases: dict = field(default_factory=dict)
-    throughput: dict = field(default_factory=dict)
     spans: list = field(default_factory=list)
     schema: int = SNAPSHOT_SCHEMA_VERSION
 
@@ -131,18 +124,9 @@ def capture_snapshot(telemetry) -> TelemetrySnapshot:
         else list(telemetry.journal.records)
     timeline = [dataclasses.asdict(sample)
                 for sample in telemetry.timeline.samples]
-    throughput_gauge = telemetry.profiler.throughput
-    spans = [] if telemetry.spans is None else telemetry.spans.to_docs()
-    return TelemetrySnapshot(
-        metrics=metrics,
-        journal=journal,
-        timeline=timeline,
-        phases=telemetry.profiler.phases.snapshot(),
-        throughput={"events": throughput_gauge.events,
-                    "seconds": throughput_gauge.seconds,
-                    "intervals": throughput_gauge.intervals},
-        spans=spans,
-    )
+    return TelemetrySnapshot(metrics=metrics, journal=journal,
+                             timeline=timeline,
+                             spans=telemetry.spans.to_docs())
 
 
 def _merge_metric(registry: MetricsRegistry, name: str,
@@ -194,13 +178,7 @@ def merge_snapshot(telemetry, snapshot: TelemetrySnapshot) -> None:
     registry = telemetry.registry
     for name in sorted(snapshot.metrics):
         _merge_metric(registry, name, snapshot.metrics[name])
-    telemetry.profiler.phases.absorb(snapshot.phases)
-    throughput = snapshot.throughput
-    telemetry.profiler.throughput.absorb(
-        throughput.get("events", 0), throughput.get("seconds", 0.0),
-        throughput.get("intervals", 0))
-    if telemetry.spans is not None and snapshot.spans:
-        telemetry.spans.graft_docs(snapshot.spans)
+    telemetry.spans.graft_docs(snapshot.spans)
 
 
 def snapshot_to_doc(snapshot: TelemetrySnapshot) -> dict:
@@ -210,8 +188,6 @@ def snapshot_to_doc(snapshot: TelemetrySnapshot) -> dict:
         "metrics": snapshot.metrics,
         "journal": snapshot.journal,
         "timeline": snapshot.timeline,
-        "phases": snapshot.phases,
-        "throughput": snapshot.throughput,
         "spans": snapshot.spans,
     }
 
@@ -221,7 +197,8 @@ def snapshot_from_doc(doc) -> TelemetrySnapshot | None:
 
     Returns ``None`` on any structural mismatch (wrong schema, missing
     or mistyped sections, malformed timeline rows) so callers can treat
-    a damaged telemetry artifact exactly like a cache miss.
+    a damaged telemetry artifact exactly like a cache miss.  Keys outside
+    the sections (a 2.1 sidecar's ``phases``/``throughput``) are ignored.
     """
     if not isinstance(doc, dict):
         return None
@@ -230,13 +207,9 @@ def snapshot_from_doc(doc) -> TelemetrySnapshot | None:
     metrics = doc.get("metrics")
     journal = doc.get("journal")
     timeline = doc.get("timeline")
-    phases = doc.get("phases")
-    throughput = doc.get("throughput")
     spans = doc.get("spans")
     if not isinstance(metrics, dict) or not isinstance(journal, list) \
             or not isinstance(timeline, list) \
-            or not isinstance(phases, dict) \
-            or not isinstance(throughput, dict) \
             or not isinstance(spans, list):
         return None
     if not all(isinstance(record, dict) for record in journal):
@@ -248,5 +221,4 @@ def snapshot_from_doc(doc) -> TelemetrySnapshot | None:
     if not all(isinstance(span, dict) for span in spans):
         return None
     return TelemetrySnapshot(metrics=metrics, journal=journal,
-                             timeline=timeline, phases=phases,
-                             throughput=throughput, spans=spans)
+                             timeline=timeline, spans=spans)

@@ -15,8 +15,10 @@ tracer records the execution of a sweep as a tree::
 with cache hits, retries, timeouts and pool-break fallbacks recorded as
 *span events* on the enclosing span.
 
-Spans are strictly opt-in (``Telemetry(spans=True)``) and cross process
-boundaries by riding the :class:`~repro.obs.snapshot.TelemetrySnapshot`
+Every :class:`~repro.obs.Telemetry` records spans, and the tree is its
+only wall-clock record: :func:`span_profile` derives the phase table
+and engine throughput from it.  Spans cross process boundaries by
+riding the :class:`~repro.obs.snapshot.TelemetrySnapshot`
 capture/merge path: a worker's capture telemetry records the cell's
 subtree, :func:`~repro.obs.snapshot.capture_snapshot` freezes it into
 document form, and the parent grafts it under the cell span at merge
@@ -43,8 +45,8 @@ sequentially in submission order even though the merge happens long
 after the computation it describes.  That keeps the tree
 mode-independent: the sweep root spans ``max(real elapsed, serialized
 work)``, and the critical path (:mod:`repro.analysis.spans`) — the sum
-of measured durations along the longest chain — matches the profiling
-wall time of a serial sweep and measures *total work* for a parallel
+of measured durations along the longest chain — matches the summed
+phase time of a serial sweep and measures *total work* for a parallel
 or cache-served one.
 """
 
@@ -63,6 +65,10 @@ KIND_CELL = "cell"
 KIND_ATTEMPT = "attempt"
 KIND_PHASE = "phase"
 KIND_ENGINE = "engine"
+
+#: The engine span bracketing one run's event loop; its ``events`` meta
+#: and duration are one throughput interval of :func:`span_profile`.
+ENGINE_LOOP = "engine:event_loop"
 
 
 class Span:
@@ -145,10 +151,21 @@ class SpanTracer:
         child's end.  The executor uses this for the per-cell merge
         spans, whose grafted content describes work that happened
         earlier, elsewhere.
+
+        A real-time span whose previous sibling ends past the wall clock
+        (logically placed work, such as a warm sweep replaying cached
+        subtrees) starts at that sibling's end, and the tracer's clock
+        jumps forward to match: the span still measures its real
+        duration, and later spans never overlap it.
         """
         siblings = self._stack[-1].children if self._stack else self.roots
-        t0 = self._cursor() if rebase else \
-            max(self.now(), self._cursor())
+        t0 = self._cursor()
+        if not rebase:
+            now = self.now()
+            if t0 > now:
+                self.epoch -= t0 - now
+            else:
+                t0 = now
         span = Span(name, kind, t0_s=t0, meta=meta, exec_side=exec_side)
         siblings.append(span)
         self._stack.append(span)
@@ -322,6 +339,42 @@ def span_from_doc(doc) -> Span | None:
             return None
         span.children.append(child)
     return span
+
+
+# ----------------------------------------------------------------------
+# Profile (the wall-clock view of a forest)
+# ----------------------------------------------------------------------
+def span_profile(spans: list[Span]) -> dict:
+    """The wall-clock profile of a span forest.
+
+    ``phases`` maps each ``phase`` span name to its summed
+    ``{seconds, calls}`` (a nested phase counts at its own level too);
+    ``throughput`` sums the ``events`` meta and the durations of the
+    :data:`ENGINE_LOOP` spans.  Open spans are skipped.  This one
+    reduction feeds ``--profile``, the ``profiling`` section of
+    ``--metrics-out`` and the journal's closing ``profile`` record.
+    """
+    phases: dict[str, dict] = {}
+    events = 0
+    seconds = 0.0
+    for root in spans:
+        for span in root.walk():
+            if span.t1_s is None:
+                continue
+            if span.kind == KIND_PHASE:
+                entry = phases.setdefault(span.name,
+                                          {"seconds": 0.0, "calls": 0})
+                entry["seconds"] += span.duration_s
+                entry["calls"] += 1
+            elif span.kind == KIND_ENGINE and span.name == ENGINE_LOOP:
+                events += span.meta.get("events", 0)
+                seconds += span.duration_s
+    return {
+        "phases": {name: phases[name] for name in sorted(phases)},
+        "throughput": {"events": events, "seconds": seconds,
+                       "events_per_sec": events / seconds
+                       if seconds > 0 else 0.0},
+    }
 
 
 # ----------------------------------------------------------------------

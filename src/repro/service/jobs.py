@@ -447,7 +447,7 @@ class JobScheduler:
             timeout_s=job.options.timeout_s,
             retries=job.options.retries
             if job.options.retries is not None else defaults.retries)
-        telemetry = Telemetry(spans=True) if self.spans_enabled else None
+        telemetry = Telemetry() if self.spans_enabled else None
         state, error, result_json = "done", None, None
         spans_json = None
         with executor.scoped(policy=policy,

@@ -37,14 +37,14 @@ Invariants any further optimization must keep (see
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from heapq import heappop, heappush
 
 from repro.cpu.core import Core
 from repro.mc.controller import MemoryController
 from repro.mc.policy import PolicyFactory
 from repro.obs import runtime as obs_runtime
-from repro.obs.spans import KIND_ENGINE
+from repro.obs.spans import ENGINE_LOOP, KIND_ENGINE
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.engine import EventQueue
 from repro.sim.results import ComparisonResult, RunResult
@@ -72,9 +72,16 @@ def _setup(system: SystemConfig, traces: list[MemoryTrace],
     return mc, cores, workload, telemetry
 
 
+def _finishing(telemetry):
+    """The ``engine:finish`` span around :func:`_finish` (a no-op
+    context without telemetry)."""
+    if telemetry is None:
+        return nullcontext()
+    return telemetry.spans.span("engine:finish", kind=KIND_ENGINE)
+
+
 def _finish(mc, cores, workload: str, policy_name: str, completed: int,
-            end_time: int, system: SystemConfig, telemetry,
-            loop_seconds: float) -> RunResult:
+            end_time: int, system: SystemConfig, telemetry) -> RunResult:
     """Shared run epilogue: assemble the result, close out telemetry."""
     finish_times = [core.finish_time_ps if core.finish_time_ps is not None
                     else end_time for core in cores]
@@ -95,7 +102,7 @@ def _finish(mc, cores, workload: str, policy_name: str, completed: int,
         policy_summaries=mc.policy_summaries(),
     )
     if telemetry is not None:
-        telemetry.end_run(result, events=completed, seconds=loop_seconds)
+        telemetry.end_run(result, events=completed)
     return result
 
 
@@ -150,16 +157,11 @@ def run_simulation(system: SystemConfig, traces: list[MemoryTrace],
                             sub_col[index], bank_col[index],
                             row_col[index]))
             sequence += 1
-    loop_started = 0.0
-    spans = None
     loop_span = None
     if telemetry is not None:
         telemetry.timeline.queue_depth = lambda: len(heap)
-        loop_started = time.perf_counter()
-        spans = telemetry.spans
-        if spans is not None:
-            # Span begin/end brackets the loop — zero per-event cost.
-            loop_span = spans.begin("engine:event_loop", kind=KIND_ENGINE)
+        # Span begin/end brackets the loop — zero per-event cost.
+        loop_span = telemetry.spans.begin(ENGINE_LOOP, kind=KIND_ENGINE)
     completed = 0
     end_time = 0
     try:
@@ -187,16 +189,10 @@ def run_simulation(system: SystemConfig, traces: list[MemoryTrace],
         # Telemetry and poison later runs' timeline samples.
         if telemetry is not None:
             telemetry.timeline.queue_depth = None
-        if loop_span is not None:
-            spans.end(loop_span, meta={"events": completed})
-    loop_seconds = (time.perf_counter() - loop_started
-                    if telemetry is not None else 0.0)
-    if spans is not None:
-        with spans.span("engine:finish", kind=KIND_ENGINE):
-            return _finish(mc, cores, workload, policy_name, completed,
-                           end_time, system, telemetry, loop_seconds)
-    return _finish(mc, cores, workload, policy_name, completed, end_time,
-                   system, telemetry, loop_seconds)
+            telemetry.spans.end(loop_span, meta={"events": completed})
+    with _finishing(telemetry):
+        return _finish(mc, cores, workload, policy_name, completed,
+                       end_time, system, telemetry)
 
 
 def run_simulation_reference(system: SystemConfig,
@@ -224,15 +220,10 @@ def run_simulation_reference(system: SystemConfig,
                 break
             request, gap = fetched
             queue.push(gap, request)
-    loop_started = 0.0
-    spans = None
     loop_span = None
     if telemetry is not None:
         telemetry.timeline.queue_depth = lambda: len(queue)
-        loop_started = time.perf_counter()
-        spans = telemetry.spans
-        if spans is not None:
-            loop_span = spans.begin("engine:event_loop", kind=KIND_ENGINE)
+        loop_span = telemetry.spans.begin(ENGINE_LOOP, kind=KIND_ENGINE)
     completed = 0
     end_time = 0
     try:
@@ -252,16 +243,10 @@ def run_simulation_reference(system: SystemConfig,
     finally:
         if telemetry is not None:
             telemetry.timeline.queue_depth = None
-        if loop_span is not None:
-            spans.end(loop_span, meta={"events": completed})
-    loop_seconds = (time.perf_counter() - loop_started
-                    if telemetry is not None else 0.0)
-    if spans is not None:
-        with spans.span("engine:finish", kind=KIND_ENGINE):
-            return _finish(mc, cores, workload, policy_name, completed,
-                           end_time, system, telemetry, loop_seconds)
-    return _finish(mc, cores, workload, policy_name, completed, end_time,
-                   system, telemetry, loop_seconds)
+            telemetry.spans.end(loop_span, meta={"events": completed})
+    with _finishing(telemetry):
+        return _finish(mc, cores, workload, policy_name, completed,
+                       end_time, system, telemetry)
 
 
 def run_comparison(system: SystemConfig, traces: list[MemoryTrace],

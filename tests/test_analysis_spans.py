@@ -44,7 +44,7 @@ def traced_sweep(tmp_path, small_system):
     """
     from repro.sim.config import SimConfig
 
-    telemetry = Telemetry(journal_memory=True, spans=True, profile=True)
+    telemetry = Telemetry(journal_memory=True, profile=True)
     designs = [DesignSpec("none", no_mitigation_factory())]
     sim = SimConfig(requests_per_core=12_000, seed=7)
     with obs_runtime.activated(telemetry):

@@ -173,8 +173,9 @@ class TestTelemetryFlags:
 
     def test_profile_prints_phase_table(self, capsys):
         assert main(["run", "table1", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "wall-clock profile" in out
+        captured = capsys.readouterr()
+        assert "wall-clock profile" in captured.err
+        assert "wall-clock profile" not in captured.out
 
 
 class TestExecFlags:
@@ -279,9 +280,11 @@ class TestExecFlags:
         assert "ignoring --jobs" not in err
         assert "executor[jobs=2]" in err
         assert (tmp_path / "runcache").exists()
-        # Simulated results are untouched by telemetry capture; the JSON
-        # block precedes the profile table in stdout.
-        assert out.startswith(plain)
+        # Simulated results are untouched by telemetry capture, and the
+        # wall-clock profile goes to stderr: stdout stays pure data.
+        assert out == plain
+        assert "== wall-clock profile ==" in err
+        assert "engine throughput:" in err
         # Telemetry artifacts land next to the cached result entries.
         artifacts = list((tmp_path / "runcache").rglob("*.obs.json"))
         assert len(artifacts) == 10

@@ -124,7 +124,9 @@ class TestMetricsEndToEnd:
         assert telemetry.registry.counter("sim.runs").value == 1
         assert telemetry.registry.counter("sim.requests").value == \
             result.requests_completed
-        assert telemetry.profiler.throughput.events_per_sec > 0
+        throughput = telemetry.profiler.snapshot()["throughput"]
+        assert throughput["events"] == result.requests_completed
+        assert throughput["events_per_sec"] > 0
 
     def test_timeline_queue_depth_hook_reset_after_run(self, system,
                                                        traces, sim):

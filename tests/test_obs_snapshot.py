@@ -16,6 +16,7 @@ from repro.obs.snapshot import (CaptureSpec, SNAPSHOT_SCHEMA_VERSION,
                                 TelemetrySnapshot, capture_snapshot,
                                 merge_snapshot, snapshot_from_doc,
                                 snapshot_to_doc)
+from repro.obs.spans import ENGINE_LOOP, KIND_ENGINE
 from repro.obs.timeline import TimelineSample
 
 
@@ -146,17 +147,22 @@ class TestMergeTimeline:
 
 class TestMergeProfiling:
     def test_phase_and_throughput_totals_accumulate(self):
-        snap = TelemetrySnapshot(
-            phases={"simulate": {"seconds": 1.5, "calls": 2}},
-            throughput={"events": 100, "seconds": 0.5, "intervals": 1})
+        # The profile rides the grafted span subtree: merging a cell
+        # twice doubles its phase calls and engine events.
+        local = CaptureSpec().build()
+        with local.phase("simulate"):
+            loop = local.spans.begin(ENGINE_LOOP, kind=KIND_ENGINE)
+            local.spans.end(loop, meta={"events": 100})
+        snap = capture_snapshot(local)
         parent = Telemetry()
         merge_snapshot(parent, snap)
         merge_snapshot(parent, snap)
-        phases = parent.profiler.phases.snapshot()
-        assert phases["simulate"]["seconds"] == 3.0
-        assert phases["simulate"]["calls"] == 4
-        assert parent.profiler.throughput.events == 200
-        assert parent.profiler.throughput.intervals == 2
+        profile = parent.profiler.snapshot()
+        single = local.profiler.snapshot()
+        assert profile["phases"]["simulate"]["calls"] == 2
+        assert profile["phases"]["simulate"]["seconds"] == pytest.approx(
+            2 * single["phases"]["simulate"]["seconds"])
+        assert profile["throughput"]["events"] == 200
 
 
 class TestDocRoundTrip:
@@ -192,8 +198,7 @@ class TestDocRoundTrip:
     def test_malformed_sections_rejected(self):
         base = snapshot_to_doc(self._real_snapshot())
         for key, bad in [("metrics", []), ("journal", {}),
-                         ("timeline", {}), ("phases", []),
-                         ("throughput", [])]:
+                         ("timeline", {})]:
             doc = dict(base)
             doc[key] = bad
             assert snapshot_from_doc(doc) is None
@@ -208,10 +213,7 @@ class TestDocRoundTrip:
 
 class TestSpansInSnapshots:
     def _spanned_capture(self) -> TelemetrySnapshot:
-        # Capture telemetry always records spans (CaptureSpec.build
-        # sets spans=True) so sidecars serve later spans-enabled runs.
         local = CaptureSpec(sample_every_refi=5).build()
-        assert local.spans is not None
         with local.spans.span("attempt", exec_side=True):
             with local.spans.span("run:none"):
                 pass
@@ -227,20 +229,15 @@ class TestSpansInSnapshots:
 
     def test_merge_grafts_into_spans_enabled_parent(self):
         snap = self._spanned_capture()
-        parent = Telemetry(spans=True)
+        parent = Telemetry()
         merge_snapshot(parent, snap)
         assert [root.name for root in parent.spans.roots] == ["attempt"]
         assert [child.name
                 for child in parent.spans.roots[0].children] == \
             ["run:none"]
         # The snapshot itself stays replayable.
-        merge_snapshot(Telemetry(spans=True), snap)
+        merge_snapshot(Telemetry(), snap)
         assert len(snap.spans) == 1
-
-    def test_merge_into_spans_off_parent_is_a_noop(self):
-        parent = Telemetry()
-        merge_snapshot(parent, self._spanned_capture())
-        assert parent.spans is None
 
     def test_malformed_spans_section_rejected(self):
         doc = snapshot_to_doc(self._spanned_capture())

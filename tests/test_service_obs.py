@@ -190,7 +190,7 @@ class TestRemoteSpans:
         client.wait(job_id)
         remote = decode_spans(json.loads(client.spans(job_id)))
 
-        telemetry = Telemetry(spans=True)
+        telemetry = Telemetry()
         with obs_runtime.activated(telemetry):
             registry.run_experiment("table4", OPTIONS)
         telemetry.finalize()
