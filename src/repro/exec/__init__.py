@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :class:`SweepExecutor` / :class:`Cell` — run independent simulation
-  cells across a worker pool (:mod:`repro.exec.executor`);
+* :class:`SweepExecutor` / :class:`Cell` / :class:`StudyCell` — run
+  independent cells (simulations and studies) across a worker pool
+  (:mod:`repro.exec.executor`);
 * :class:`RunCache` — content-addressed on-disk result cache
   (:mod:`repro.exec.cache`);
 * :func:`fingerprint` / :func:`canonical` — stable cell fingerprints
@@ -48,6 +49,7 @@ _LAZY = {
     "InjectedCrash": ("repro.exec.faults", "InjectedCrash"),
     "Cell": ("repro.exec.executor", "Cell"),
     "ExecutorStats": ("repro.exec.executor", "ExecutorStats"),
+    "StudyCell": ("repro.exec.executor", "StudyCell"),
     "SweepExecutor": ("repro.exec.executor", "SweepExecutor"),
     "cell_fingerprint": ("repro.exec.executor", "cell_fingerprint"),
     "runtime": ("repro.exec.runtime", None),

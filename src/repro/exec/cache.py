@@ -1,14 +1,17 @@
-"""Content-addressed on-disk cache of simulation results.
+"""Content-addressed on-disk cache of cell results.
 
-One :class:`~repro.sim.results.RunResult` per entry, addressed by the
-cell fingerprint of :mod:`repro.exec.fingerprint`.  Layout::
+One result per entry, addressed by the cell fingerprint of
+:mod:`repro.exec.fingerprint`: a :class:`~repro.sim.results.RunResult`
+for a simulation cell, the plain JSON value for a study cell.  Layout::
 
     <root>/<fp[:2]>/<fp>.json          # the result entry
     <root>/<fp[:2]>/<fp>.obs.json     # optional telemetry artifact
 
 Each entry stores the schema version, its own fingerprint, the decoded
-cell key (purely for human debugging — ``get`` never trusts it) and the
-result's constructor fields.  The telemetry artifact (written only when
+cell key (purely for human debugging — ``get`` never trusts it) and
+either the result's constructor fields (``"result"``) or the study value
+(``"study"``, written with its key order intact).  The telemetry
+artifact (written only when
 the cell executed under telemetry capture) holds the cell's
 :class:`~repro.obs.snapshot.TelemetrySnapshot` so a warm hit can replay
 the cell's telemetry instead of silently eliding it.  Guarantees:
@@ -19,7 +22,8 @@ the cell's telemetry instead of silently eliding it.  Guarantees:
   wrong-shape entry is counted, deleted best-effort and reported as a
   miss, so the cell is simply recomputed.
 * **Results round-trip exactly**: entries hold only JSON-exact values
-  (ints and floats), so a cached :meth:`RunResult.to_json` is
+  (ints and floats; study values are validated plain data), so a cached
+  :meth:`RunResult.to_json` — or a cached study value's JSON — is
   byte-identical to the freshly computed one.
 """
 
@@ -82,7 +86,8 @@ class CacheStats:
 
 
 class RunCache:
-    """Content-addressed store of :class:`RunResult` entries."""
+    """Content-addressed store of cell results (:class:`RunResult`
+    entries and study values)."""
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
@@ -109,7 +114,7 @@ class RunCache:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, fingerprint: str) -> RunResult | None:
+    def get(self, fingerprint: str):
         """The cached result, or ``None`` on miss/corruption."""
         started = time.perf_counter()
         result = self._load_result(fingerprint)
@@ -120,7 +125,7 @@ class RunCache:
         return result
 
     def get_with_telemetry(self, fingerprint: str) \
-            -> tuple[RunResult, TelemetrySnapshot] | None:
+            -> tuple[object, TelemetrySnapshot] | None:
         """Result *plus* its replayable telemetry snapshot, or ``None``.
 
         A hit requires both halves: an entry without a (valid) telemetry
@@ -140,7 +145,7 @@ class RunCache:
         _observe_hit_latency(time.perf_counter() - started)
         return result, snapshot
 
-    def _load_result(self, fingerprint: str) -> RunResult | None:
+    def _load_result(self, fingerprint: str):
         path = self.path_for(fingerprint)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -175,13 +180,15 @@ class RunCache:
             return self._discard_corrupt_artifact(path)
         return snapshot
 
-    def _decode(self, entry, fingerprint: str) -> RunResult | None:
+    def _decode(self, entry, fingerprint: str):
         if not isinstance(entry, dict):
             return None
         if entry.get("schema") != CACHE_SCHEMA_VERSION:
             return None
         if entry.get("fingerprint") != fingerprint:
             return None
+        if "study" in entry:
+            return None if "result" in entry else entry["study"]
         payload = entry.get("result")
         if not isinstance(payload, dict) or \
                 set(payload) != _RESULT_FIELDS:
@@ -214,10 +221,11 @@ class RunCache:
     # ------------------------------------------------------------------
     # Store
     # ------------------------------------------------------------------
-    def put(self, fingerprint: str, result: RunResult,
+    def put(self, fingerprint: str, result,
             key: dict | None = None) -> None:
         """Atomically persist ``result`` under ``fingerprint``.
 
+        ``result`` is a :class:`RunResult` or a study cell's plain value.
         ``key`` is the canonical cell-key document; it is stored verbatim
         so a human can ``cat`` an entry and see what produced it.
         """
@@ -225,9 +233,17 @@ class RunCache:
             "schema": CACHE_SCHEMA_VERSION,
             "fingerprint": fingerprint,
             "key": key or {},
-            "result": dataclasses.asdict(result),
         }
-        self._write_atomic(self.path_for(fingerprint), fingerprint, entry)
+        if isinstance(result, RunResult):
+            entry["result"] = dataclasses.asdict(result)
+            sort_keys = True
+        else:
+            # A study value's key order is part of it (it orders the
+            # rendered columns), so the entry is written unsorted.
+            entry["study"] = result
+            sort_keys = False
+        self._write_atomic(self.path_for(fingerprint), fingerprint, entry,
+                           sort_keys=sort_keys)
         self.stats.stores += 1
 
     def put_telemetry(self, fingerprint: str,

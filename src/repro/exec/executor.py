@@ -1,8 +1,17 @@
 """Parallel sweep executor with memoised, cache-backed, fault-tolerant cells.
 
-A *cell* is one independent simulation: build the (deterministic,
-calibrated) traces for a workload, then run one policy configuration on
-them.  Experiments decompose into flat lists of cells —
+A *cell* is one independent unit of experiment work, of one of two
+kinds:
+
+* a :class:`Cell` is a closed-loop simulation: build the (deterministic,
+  calibrated) traces for a workload profile or mix, then run one policy
+  configuration on them, returning a
+  :class:`~repro.sim.results.RunResult`;
+* a :class:`StudyCell` is any other run — an attack-harness outcome, a
+  queued-scheduler replay — named as a module-level function plus
+  canonical arguments, returning plain JSON data.
+
+Every experiment decomposes its work into flat lists of cells —
 ``sweep_designs`` submits ``(1 baseline + N designs) × workloads`` — and
 :class:`SweepExecutor` executes such lists with three layers of reuse:
 
@@ -16,9 +25,8 @@ them.  Experiments decompose into flat lists of cells —
 
 Every cell is deterministic — traces and policies derive all randomness
 from the cell's own seeds — so execution order cannot change any result:
-serial, parallel and cached paths return byte-identical
-:class:`~repro.sim.results.RunResult` values, and the caller merges them
-back in its own fixed order.
+serial, parallel and cached paths return byte-identical results, and
+the caller merges them back in its own fixed order.
 
 On top of the reuse layers sits a **resilience layer**
 (:mod:`repro.exec.resilience`): each cell runs under a
@@ -79,7 +87,7 @@ import time
 from concurrent.futures import (BrokenExecutor, Future,
                                 ProcessPoolExecutor)
 from concurrent.futures import TimeoutError as FuturesTimeout
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -89,8 +97,9 @@ from repro.exec.fingerprint import (FingerprintError, canonical,
                                     fingerprint)
 from repro.exec.resilience import (CellPolicy, CellTimeout, FailedCell,
                                    SweepFailure, validate_result,
-                                   validate_snapshot, warn_resume_deprecated)
-from repro.exec.spec import PolicySpec
+                                   validate_snapshot, validate_study_value,
+                                   warn_resume_deprecated)
+from repro.exec.spec import PolicySpec, resolve_ref
 from repro.obs import runtime as obs_runtime
 from repro.obs.progress import SweepProgress
 from repro.obs.snapshot import (CaptureSpec, TelemetrySnapshot,
@@ -98,6 +107,7 @@ from repro.obs.snapshot import (CaptureSpec, TelemetrySnapshot,
 from repro.obs.spans import KIND_ATTEMPT, KIND_CELL, KIND_SWEEP
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.results import RunResult
+from repro.workloads.mixes import MixRecipe
 from repro.workloads.profiles import WorkloadProfile
 
 
@@ -105,14 +115,17 @@ from repro.workloads.profiles import WorkloadProfile
 class Cell:
     """One independent simulation: workload × system × sim × policy.
 
+    ``workload`` is the trace recipe: a profile, or a
+    :class:`~repro.workloads.mixes.MixRecipe` for a multi-program mix.
     ``trace_system`` is the system the traces are built (and calibrated)
     for; ``run_system`` is the system the run executes on.  They differ
-    only for designs like PRAC that override hardware timings while
-    keeping the baseline's traces, which is how the paper pairs those
-    runs.
+    for designs like PRAC that override hardware timings while keeping
+    the baseline's traces, which is how the paper pairs those runs, and
+    for the page-policy ablation, which runs closed-page controllers on
+    the open-page traces.
     """
 
-    workload: WorkloadProfile
+    workload: WorkloadProfile | MixRecipe
     trace_system: SystemConfig
     run_system: SystemConfig
     sim: SimConfig
@@ -130,8 +143,50 @@ class Cell:
             "policy_name": self.policy_name,
         }
 
+    @property
+    def workload_name(self) -> str:
+        return self.workload.name
 
-def cell_fingerprint(cell: Cell, backend: str = "scalar") -> str | None:
+
+@dataclass(frozen=True)
+class StudyCell:
+    """One run that is not a closed-loop simulation.
+
+    ``ref`` names a module-level function (``"module:qualname"``) and
+    ``kwargs`` holds its sorted keyword arguments, which must be
+    canonically encodable — the way a
+    :class:`~repro.exec.spec.PolicySpec` names a policy factory.  The
+    function returns plain JSON data (see
+    :func:`~repro.exec.resilience.validate_study_value`), which the run
+    cache stores as is.  ``workload_name`` and ``policy_name`` label the
+    cell in spans and failure reports; they are not part of its
+    identity.
+    """
+
+    ref: str
+    kwargs: tuple
+    workload_name: str
+    policy_name: str
+
+    @classmethod
+    def of(cls, fn: Callable, workload_name: str, policy_name: str,
+           **kwargs) -> "StudyCell":
+        """The study cell calling module-level ``fn(**kwargs)``."""
+        return cls(ref=f"{fn.__module__}:{fn.__qualname__}",
+                   kwargs=tuple(sorted(kwargs.items())),
+                   workload_name=workload_name, policy_name=policy_name)
+
+    def key(self) -> dict:
+        """The cell's identity as canonical-encodable parts."""
+        return {"study": self.ref, "kwargs": dict(self.kwargs)}
+
+    def run(self):
+        """Call the study function (resolved afresh, like a spec)."""
+        return resolve_ref(self.ref)(**dict(self.kwargs))
+
+
+def cell_fingerprint(cell: Cell | StudyCell,
+                     backend: str = "scalar") -> str | None:
     """Content fingerprint of ``cell``, or ``None`` if not spec-backed.
 
     ``backend`` participates in the fingerprint whenever it deviates
@@ -140,7 +195,8 @@ def cell_fingerprint(cell: Cell, backend: str = "scalar") -> str | None:
     an identity regression — and scalar fingerprints (the historical
     format) are unchanged.
     """
-    if not (cell.policy is None or isinstance(cell.policy, PolicySpec)):
+    if isinstance(cell, Cell) and not (
+            cell.policy is None or isinstance(cell.policy, PolicySpec)):
         return None
     parts = cell.key()
     if backend != "scalar":
@@ -158,31 +214,25 @@ def _worker_init() -> None:
     faults.mark_worker()
 
 
-def _execute_cell(cell: Cell, fp: str | None = None, attempt: int = 0,
-                  capture: CaptureSpec | None = None) \
-        -> tuple[RunResult | object, float, TelemetrySnapshot | None]:
+def _execute_cell(cell: Cell | StudyCell, fp: str | None = None,
+                  attempt: int = 0, capture: CaptureSpec | None = None) \
+        -> tuple[object, float, TelemetrySnapshot | None]:
     """Run one cell to completion (worker- and parent-side entry point).
 
     Returns the result, the engine wall-seconds (excluding trace
-    building — they feed the executor's aggregate events/sec figure),
-    and — when ``capture`` is given — the cell's telemetry snapshot.
-    The capture telemetry is private to this call and passed explicitly,
-    so an ambient parent telemetry can never double-count an inline
-    cell.  ``fp``/``attempt`` key deterministic fault injection
+    building — they feed the executor's aggregate events/sec figure;
+    zero for a study, which runs no engine), and — when ``capture`` is
+    given — the cell's telemetry snapshot.  The capture telemetry is
+    private to this call and passed explicitly, so an ambient parent
+    telemetry can never double-count an inline cell.
+    ``fp``/``attempt`` key deterministic fault injection
     (:mod:`repro.exec.faults`); with no plan active they are inert.
     """
-    from repro.sim.runner import run_simulation
-    from repro.workloads.builder import build_traces
-
     corrupt = faults.inject_before(fp, attempt)
     if corrupt is not None:
         return faults.CORRUPT_SENTINEL, 0.0, None
     if capture is None:
-        traces = build_traces(cell.workload, cell.trace_system, cell.sim)
-        started = time.perf_counter()
-        result = run_simulation(cell.run_system, traces, cell.sim,
-                                cell.policy, cell.policy_name)
-        return result, time.perf_counter() - started, None
+        return (*_compute(cell, None), None)
     local = capture.build()
     # The attempt span is exec-side: which attempt succeeded and in
     # which process is execution detail, spliced out of the normalized
@@ -191,18 +241,46 @@ def _execute_cell(cell: Cell, fp: str | None = None, attempt: int = 0,
         "attempt", kind=KIND_ATTEMPT, exec_side=True,
         meta={"attempt": attempt, "pid": os.getpid()})
     try:
-        with local.phase("build_traces"):
-            traces = build_traces(cell.workload, cell.trace_system,
-                                  cell.sim)
-        started = time.perf_counter()
-        with local.phase(f"run:{cell.policy_name}"):
-            result = run_simulation(cell.run_system, traces, cell.sim,
-                                    cell.policy, cell.policy_name,
-                                    telemetry=local)
-        seconds = time.perf_counter() - started
+        result, seconds = _compute(cell, local)
     finally:
         local.spans.end(attempt_span)
     return result, seconds, capture_snapshot(local)
+
+
+def _compute(cell: Cell | StudyCell, telemetry) -> tuple[object, float]:
+    """The cell's own work and its engine seconds, recorded as phases
+    of ``telemetry`` when given."""
+    def phase(name: str):
+        return nullcontext() if telemetry is None else \
+            telemetry.phase(name)
+
+    if isinstance(cell, StudyCell):
+        with phase(f"study:{cell.policy_name}"):
+            return cell.run(), 0.0
+    from repro.sim.runner import run_simulation
+    from repro.workloads.builder import build_traces
+
+    with phase("build_traces"):
+        traces = build_traces(cell.workload, cell.trace_system, cell.sim)
+    started = time.perf_counter()
+    with phase(f"run:{cell.policy_name}"):
+        result = run_simulation(cell.run_system, traces, cell.sim,
+                                cell.policy, cell.policy_name,
+                                telemetry=telemetry)
+    return result, time.perf_counter() - started
+
+
+def _problem(cell: Cell | StudyCell, result, snap,
+             capture: CaptureSpec | None) -> str | None:
+    """Why an attempt's outcome is unusable, or ``None``; under capture
+    a structurally missing snapshot counts like a corrupt result."""
+    if isinstance(cell, StudyCell):
+        problem = validate_study_value(result)
+    else:
+        problem = validate_result(result)
+    if problem is None and capture is not None:
+        problem = validate_snapshot(snap)
+    return problem
 
 
 def _execute_batch(cells: list[Cell], fps: list[str | None],
@@ -366,7 +444,7 @@ class SweepExecutor:
         Worker processes; ``1`` (default) runs every cell inline in the
         parent, which is the reference execution mode.
     cache:
-        Optional :class:`RunCache`; hits skip simulation entirely and
+        Optional :class:`RunCache`; hits skip the cell's work and
         fresh results are persisted for future invocations.
     policy:
         Per-cell :class:`CellPolicy` (timeout, retries, backoff).  The
@@ -418,7 +496,7 @@ class SweepExecutor:
         self.failures: list[FailedCell] = []
         #: fingerprint -> (result, snapshot-or-None); snapshots are kept
         #: so a memo hit under telemetry can replay the cell's capture.
-        self._memo: dict[str, tuple[RunResult,
+        self._memo: dict[str, tuple[object,
                                     TelemetrySnapshot | None]] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_breaks = 0
@@ -567,9 +645,11 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_cells(self, cells: list[Cell],
-                  plan=None) -> list[RunResult]:
-        """Execute ``cells`` and return results in submission order.
+    def run_cells(self, cells: list[Cell | StudyCell],
+                  plan=None) -> list:
+        """Execute ``cells`` and return results in submission order: a
+        :class:`RunResult` per :class:`Cell`, the plain value per
+        :class:`StudyCell`.
 
         Cells that fail terminally (retry budget exhausted) are reported
         in one :class:`SweepFailure` raised *after* every other cell has
@@ -634,9 +714,9 @@ class SweepExecutor:
                 continue
             cell = cells[index]
             span = tracer.begin(
-                f"{cell.workload.name}/{cell.policy_name}",
+                f"{cell.workload_name}/{cell.policy_name}",
                 kind=KIND_CELL,
-                meta={"workload": cell.workload.name,
+                meta={"workload": cell.workload_name,
                       "policy": cell.policy_name, "index": index},
                 rebase=True)
             try:
@@ -646,7 +726,7 @@ class SweepExecutor:
 
     def _run(self, cells: list[Cell], failures: list[FailedCell],
              capture: CaptureSpec | None, plan=None):
-        results: list[RunResult | None] = [None] * len(cells)
+        results: list = [None] * len(cells)
         snaps: list[TelemetrySnapshot | None] = [None] * len(cells)
         if plan is None and cells and self.backend != "scalar" \
                 and self.policy.timeout_s is None:
@@ -952,10 +1032,7 @@ class SweepExecutor:
         """
         if isinstance(outcome, tuple):
             result, seconds, snap = outcome
-            problem = validate_result(result)
-            if problem is None and capture is not None:
-                problem = validate_snapshot(snap)
-            if problem is None:
+            if _problem(cell, result, snap, capture) is None:
                 self._stat("batched")
                 return result, seconds, snap
         self._stat("retries")
@@ -990,9 +1067,7 @@ class SweepExecutor:
                 else:
                     result, seconds, snap = self._attempt_inline(
                         cell, fp, attempt, capture)
-                problem = validate_result(result)
-                if problem is None and capture is not None:
-                    problem = validate_snapshot(snap)
+                problem = _problem(cell, result, snap, capture)
                 if problem is None:
                     return result, seconds, snap
                 kind, error = "corrupt", problem
@@ -1024,7 +1099,7 @@ class SweepExecutor:
                                   "kind": kind})
                 return FailedCell(
                     fingerprint=fp or "(unfingerprintable)",
-                    workload=cell.workload.name,
+                    workload=cell.workload_name,
                     policy_name=cell.policy_name,
                     attempts=attempt, kind=kind, error=error)
             self._stat("retries")
@@ -1104,7 +1179,7 @@ class SweepExecutor:
     # Reuse layers
     # ------------------------------------------------------------------
     def _lookup(self, fp: str, capture: CaptureSpec | None = None) \
-            -> tuple[RunResult, TelemetrySnapshot | None] | None:
+            -> tuple[object, TelemetrySnapshot | None] | None:
         """Serve ``fp`` from memo or cache (call with ``_lock`` held).
 
         Under telemetry capture a known result only counts when its
@@ -1135,7 +1210,7 @@ class SweepExecutor:
                 return result, snap
         return None
 
-    def _store(self, fp: str, cell: Cell, result: RunResult,
+    def _store(self, fp: str, cell: Cell | StudyCell, result,
                snap: TelemetrySnapshot | None = None) -> None:
         with self._lock:
             self._memo[fp] = (result, snap)
@@ -1144,12 +1219,13 @@ class SweepExecutor:
                 if snap is not None:
                     self.cache.put_telemetry(fp, snap)
 
-    def _account_computed(self, result: RunResult, seconds: float,
+    def _account_computed(self, result, seconds: float,
                           inline: bool = False) -> None:
         self._stat("computed")
         if inline:
             self._stat("inline")
-        self._stat("engine_events", result.requests_completed)
+        if isinstance(result, RunResult):
+            self._stat("engine_events", result.requests_completed)
         self._stat("engine_seconds", seconds)
         self._progress("computed", seconds)
 

@@ -25,7 +25,7 @@ installed in-process with :func:`install` for tests.  Directive grammar::
     fault plan can never kill the parent;
   - ``hang``    — sleep ``seconds`` (default 30) before running, so a
     per-cell timeout fires; without a timeout the cell is merely slow;
-  - ``corrupt`` — skip the simulation and return a non-result sentinel,
+  - ``corrupt`` — skip the cell's work and return a non-result sentinel,
     which the executor's result validation rejects.
 
 * ``selector`` — a hex fingerprint prefix, or ``*`` for every cell.
@@ -53,8 +53,20 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: timeout while still letting an un-timed-out run finish eventually.
 DEFAULT_HANG_SECONDS = 30.0
 
-#: What a ``corrupt`` fault returns in place of a RunResult.
-CORRUPT_SENTINEL = "<corrupted-by-fault-injection>"
+
+class CorruptResult:
+    """What a ``corrupt`` fault returns in place of a cell's result.
+
+    Neither a :class:`~repro.sim.results.RunResult` nor plain JSON data,
+    so result validation rejects it for either cell kind.
+    """
+
+    def __repr__(self) -> str:
+        return "<corrupted-by-fault-injection>"
+
+
+#: The ``corrupt`` fault's stand-in result.
+CORRUPT_SENTINEL = CorruptResult()
 
 KINDS = ("crash", "abort", "hang", "corrupt")
 

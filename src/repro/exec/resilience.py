@@ -13,9 +13,10 @@ make :class:`~repro.exec.executor.SweepExecutor` fault-tolerant:
   retry budget becomes a terminal record instead of an exception tearing
   down the pool; the sweep finishes (and caches) every other cell first,
   then raises one :class:`SweepFailure` summarising the casualties.
-* :func:`validate_result` — structural sanity check on whatever comes
-  back across the process boundary, so a corrupted result is retried
-  like a crash rather than silently rendered into a table.
+* :func:`validate_result` / :func:`validate_study_value` — structural
+  sanity checks on whatever comes back across the process boundary, so
+  a corrupted result is retried like a crash rather than silently
+  rendered into a table.
 
 Resuming needs nothing here: every completed cell was cached, so a
 relaunch over the same cache computes only the rest.  The 2.0 resume
@@ -157,6 +158,36 @@ def validate_result(result) -> str | None:
                 f"requests={result.requests_completed})")
     if not result.workload or not result.policy:
         return "missing workload/policy labels"
+    return None
+
+
+#: The scalars a study value may hold: exactly what JSON round-trips.
+_PLAIN_SCALARS = (str, int, float, bool, type(None))
+
+
+def validate_study_value(value, path: str = "value") -> str | None:
+    """Plain-data check of a study cell's value; an error string or None.
+
+    The run cache stores a study's value as JSON, so the value may hold
+    only str, int, float, bool and None, in lists and string-keyed
+    dicts.  Anything else — a tuple, a numpy scalar — would come back
+    from the cache as a different type and render differently.
+    """
+    kind = type(value)
+    if kind in _PLAIN_SCALARS:
+        return None
+    if kind is list:
+        items = enumerate(value)
+    elif kind is dict:
+        if any(type(key) is not str for key in value):
+            return f"{path} has a non-string key"
+        items = value.items()
+    else:
+        return f"{path} is {kind.__name__}, not plain JSON data"
+    for key, item in items:
+        problem = validate_study_value(item, f"{path}[{key!r}]")
+        if problem is not None:
+            return problem
     return None
 
 

@@ -30,6 +30,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 
+def resolve_ref(ref: str) -> Callable:
+    """The undecorated module-level function ``"module:qualname"`` names."""
+    module_name, _, qualname = ref.partition(":")
+    target = importlib.import_module(module_name)
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    return getattr(target, "__wrapped__", target)
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """One policy factory as data: function reference plus arguments.
@@ -51,11 +60,7 @@ class PolicySpec:
 
     def resolve(self) -> Callable:
         """The undecorated factory-producing function behind :attr:`ref`."""
-        module_name, _, qualname = self.ref.partition(":")
-        target = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            target = getattr(target, part)
-        return getattr(target, "__wrapped__", target)
+        return resolve_ref(self.ref)
 
     def materialize(self) -> Callable:
         """Rebuild the underlying policy factory (the original closure)."""

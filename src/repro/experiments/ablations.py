@@ -27,12 +27,17 @@ from repro.core.storage import dream_c_config
 from repro.dram.commands import Command
 from repro.dram.disturbance import (DisturbanceConfig, DisturbanceModel,
                                     RefreshMode)
+from repro.exec.executor import Cell, StudyCell
 from repro.exec.spec import spec_factory
 from repro.experiments.common import (DEFAULT_SEED, DesignSpec,
                                       ExperimentResult, default_sim_config,
-                                      default_system, sweep_designs)
+                                      default_system, run_cells,
+                                      sweep_designs)
 from repro.mc.mitigation import coupled_para_factory
-from repro.sim.config import SystemConfig
+from repro.mc.page_policy import PagePolicy
+from repro.mc.scheduler import SchedulingPolicy
+from repro.sim.config import SimConfig, SystemConfig
+from repro.sim.results import ComparisonResult
 from repro.workloads.profiles import profiles_for
 
 #: Workloads used by the focused ablations (memory-intensive pair).
@@ -232,26 +237,34 @@ def run_page_policy(quick: bool = True,
     rate-proportional tracker like PARA.  The ablation runs the
     unprotected and PARA-DREAM-R systems under both policies; each
     protected run is compared against the *same-policy* unprotected
-    baseline so the numbers isolate the mitigation overhead.
+    baseline so the numbers isolate the mitigation overhead.  Both
+    policies replay the same open-page traces, so the comparison
+    isolates the controller's row-buffer closure.
     """
-    from repro.mc.page_policy import PagePolicy
-    from repro.sim.results import ComparisonResult
-    from repro.sim.runner import run_simulation
-    from repro.workloads.builder import build_traces
-
     sim = default_sim_config(quick, requests_per_core, seed)
-    rows = []
-    for policy in (PagePolicy.OPEN, PagePolicy.CLOSED):
+    trace_system = replace(default_system(), page_policy=PagePolicy.OPEN)
+    policies = (PagePolicy.OPEN, PagePolicy.CLOSED)
+    workloads = _ablation_profiles()
+    cells = []
+    for policy in policies:
         system = replace(default_system(), page_policy=policy)
+        for workload in workloads:
+            for factory, name in ((None, "none"),
+                                  (dream_r_para_factory(t_rh),
+                                   "para-dream-r")):
+                cells.append(Cell(workload=workload,
+                                  trace_system=trace_system,
+                                  run_system=system, sim=sim,
+                                  policy=factory, policy_name=name))
+    cursor = iter(run_cells(cells))
+    rows = []
+    for policy in policies:
         act_rates = []
         slowdowns = []
         mitigations = []
-        for workload in _ablation_profiles():
-            traces = build_traces(workload, system, sim)
-            baseline = run_simulation(system, traces, sim)
-            protected = run_simulation(system, traces, sim,
-                                       dream_r_para_factory(t_rh),
-                                       "para-dream-r")
+        for _workload in workloads:
+            baseline = next(cursor)
+            protected = next(cursor)
             act_rates.append(baseline.activations
                              / baseline.requests_completed)
             slowdowns.append(ComparisonResult(baseline,
@@ -286,17 +299,36 @@ def run_scheduler(quick: bool = True,
     Feeds one sub-channel's requests from a calibrated trace into the
     queued scheduler under both policies and reports latency, hit rate
     and the tracker-relevant consequence: FR-FCFS's extra row hits mean
-    fewer ACTs for any tracker to see.
+    fewer ACTs for any tracker to see.  Each policy's replay is one
+    study cell.
     """
-    from repro.dram.subchannel import SubChannel
-    from repro.mc.controller import SubChannelController
-    from repro.mc.scheduler import (QueuedRequest, QueuedScheduler,
-                                    SchedulingPolicy)
-    from repro.workloads.builder import build_traces
-
     system = default_system()
     sim = default_sim_config(quick, requests_per_core, seed)
     budget = 6_000 if quick else 20_000
+    rows = run_cells([
+        StudyCell.of(scheduler_row, "bwaves", policy.value,
+                     policy=policy, system=system, sim=sim, budget=budget)
+        for policy in (SchedulingPolicy.FCFS, SchedulingPolicy.FR_FCFS)])
+    return ExperimentResult(
+        experiment="ablation-scheduler",
+        title="FCFS vs FR-FCFS queued scheduling (open-loop, bwaves)",
+        rows=rows,
+        paper_reference={"note": "paper/DRAMSim3 use FR-FCFS-class "
+                                 "scheduling with MOP"},
+        notes="FR-FCFS lifts the hit rate and cuts latency; fewer ACTs "
+              "also means fewer tracker events",
+    )
+
+
+def scheduler_row(policy: SchedulingPolicy, system: SystemConfig,
+                  sim: SimConfig, budget: int) -> dict:
+    """One ``run_scheduler`` row: replay the first ``budget`` sub-channel-0
+    requests of bwaves' calibrated traces under ``policy``."""
+    from repro.dram.subchannel import SubChannel
+    from repro.mc.controller import SubChannelController
+    from repro.mc.scheduler import QueuedRequest, QueuedScheduler
+    from repro.workloads.builder import build_traces
+
     traces = build_traces("bwaves", system, sim)
     # Open-loop arrivals: each core issues at its closed-loop steady
     # rate (think gap amortised over its MLP slots); the per-core
@@ -312,36 +344,23 @@ def run_scheduler(quick: bool = True,
             arrivals.append((clock, int(trace.bank[i]),
                              int(trace.row[i])))
     arrivals.sort()
-    arrivals = arrivals[:budget]
-    rows = []
-    for policy in (SchedulingPolicy.FCFS, SchedulingPolicy.FR_FCFS):
-        subchannel = SubChannel(0, system.timing,
-                                system.organization.banks,
-                                system.organization.banks_per_group)
-        controller = SubChannelController(subchannel, system.timing, None)
-        scheduler = QueuedScheduler(controller, policy)
-        for arrival, bank, row in arrivals:
-            scheduler.enqueue(QueuedRequest(arrival_ps=arrival,
-                                            bank=bank, row=row))
-        scheduler.run()
-        hits = sum(bank.stats.row_hits for bank in subchannel.banks)
-        acts = sum(bank.stats.activations for bank in subchannel.banks)
-        rows.append({
-            "policy": policy.value,
-            "avg_latency_ns": scheduler.stats.average_latency_ps / 1000.0,
-            "row_hit_rate": hits / max(hits + acts, 1),
-            "activations": acts,
-            "reorders": scheduler.stats.reorders,
-        })
-    return ExperimentResult(
-        experiment="ablation-scheduler",
-        title="FCFS vs FR-FCFS queued scheduling (open-loop, bwaves)",
-        rows=rows,
-        paper_reference={"note": "paper/DRAMSim3 use FR-FCFS-class "
-                                 "scheduling with MOP"},
-        notes="FR-FCFS lifts the hit rate and cuts latency; fewer ACTs "
-              "also means fewer tracker events",
-    )
+    subchannel = SubChannel(0, system.timing, system.organization.banks,
+                            system.organization.banks_per_group)
+    controller = SubChannelController(subchannel, system.timing, None)
+    scheduler = QueuedScheduler(controller, policy)
+    for arrival, bank, row in arrivals[:budget]:
+        scheduler.enqueue(QueuedRequest(arrival_ps=arrival, bank=bank,
+                                        row=row))
+    scheduler.run()
+    hits = sum(bank.stats.row_hits for bank in subchannel.banks)
+    acts = sum(bank.stats.activations for bank in subchannel.banks)
+    return {
+        "policy": policy.value,
+        "avg_latency_ns": scheduler.stats.average_latency_ps / 1000.0,
+        "row_hit_rate": hits / max(hits + acts, 1),
+        "activations": acts,
+        "reorders": scheduler.stats.reorders,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,13 @@ request budget (suitable for the default benchmark run); full mode sweeps
 all 22 workloads.  ``REPRO_FULL=1`` in the environment switches the
 benchmark harness to full mode.
 
-The central helper, :func:`sweep_designs`, decomposes a sweep into
-independent cells — one unprotected baseline plus one mitigated run per
-design, per workload — and submits them through a
-:class:`repro.exec.SweepExecutor`.  The baseline is shared across every
+Every experiment's work runs as executor cells through
+:func:`run_cells`.  The central helper, :func:`sweep_designs`,
+decomposes a sweep into independent cells — one unprotected baseline
+plus one mitigated run per design, per workload — and submits them
+through a :class:`repro.exec.SweepExecutor`; experiments whose runs are
+not closed-loop simulations submit study cells
+(:class:`~repro.exec.StudyCell`).  The baseline is shared across every
 design (the runs are perfectly paired because traces are deterministic
 per (workload, system, seed)); with an ambient executor activated
 (``repro.exec.runtime``), it is also shared across *experiments*, fanned
@@ -27,12 +30,14 @@ from dataclasses import dataclass, field
 
 from repro.analysis.slowdown import SlowdownSeries
 from repro.exec import runtime as exec_runtime
-from repro.exec.executor import Cell, SweepExecutor, cell_fingerprint
+from repro.exec.executor import (Cell, StudyCell, SweepExecutor,
+                                 cell_fingerprint)
 from repro.exec.fingerprint import fingerprint as _fingerprint
 from repro.exec.resilience import warn_resume_deprecated
 from repro.mc.policy import PolicyFactory
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.results import ComparisonResult
+from repro.workloads.mixes import MixRecipe
 from repro.workloads.profiles import WorkloadProfile, profiles_for
 
 #: Default per-core request budget in quick / full mode.
@@ -320,10 +325,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def run_cells(cells: list[Cell | StudyCell]) -> list:
+    """Run ``cells`` through the ambient
+    :class:`~repro.exec.SweepExecutor` when one is activated
+    (``repro.exec.runtime``), which brings cross-experiment sharing, the
+    run cache and ``--jobs N`` fan-out; otherwise through a private
+    serial executor.  Results come back in submission order."""
+    executor = exec_runtime.active()
+    if executor is None:
+        executor = SweepExecutor()
+    return executor.run_cells(cells)
+
+
 def sweep_cells(designs: list[DesignSpec],
                 system: SystemConfig,
                 sim: SimConfig,
-                workloads: list[WorkloadProfile]) -> list[Cell]:
+                workloads: list[WorkloadProfile | MixRecipe]) -> list[Cell]:
     """The sweep's independent cells in canonical (workload × design)
     order: for each workload, the shared baseline first, then one cell
     per design."""
@@ -390,6 +407,8 @@ def plan_backends(cells: list[Cell], backend: str = "scalar",
         return BatchPlan(backends=tuple(backends), groups=())
     grouped: dict[str, list[int]] = {}
     for index, cell in enumerate(cells):
+        if not isinstance(cell, Cell):
+            continue  # a study runs no engine
         if backend == "auto" and cell.policy is not None:
             continue
         if cell.run_system.organization.channels != 1:
@@ -413,27 +432,19 @@ def plan_backends(cells: list[Cell], backend: str = "scalar",
 def sweep_designs(designs: list[DesignSpec],
                   system: SystemConfig,
                   sim: SimConfig,
-                  workloads: list[WorkloadProfile] | None = None,
+                  workloads: list[WorkloadProfile | MixRecipe] | None = None,
                   quick: bool = True) -> dict[str, SlowdownSeries]:
     """Run every design against every workload with shared baselines.
 
-    Cells are submitted through the ambient
-    :class:`~repro.exec.SweepExecutor` when one is activated
-    (``repro.exec.runtime``), which brings cross-experiment baseline
-    sharing, the run cache and ``--jobs N`` fan-out; otherwise a private
-    serial executor reproduces the historical behaviour.  Ambient
-    telemetry (``repro.obs.runtime``) composes with all of it: each cell
-    captures its telemetry where it executes and the executor merges the
+    Cells go through :func:`run_cells`.  Ambient telemetry
+    (``repro.obs.runtime``) composes with all of it: each cell captures
+    its telemetry where it executes and the executor merges the
     snapshots deterministically in cell order (see
     ``docs/observability.md``).
     """
     if workloads is None:
         workloads = profiles_for(quick=quick)
-    executor = exec_runtime.active()
-    if executor is None:
-        executor = SweepExecutor()
-    results = executor.run_cells(sweep_cells(designs, system, sim,
-                                             workloads))
+    results = run_cells(sweep_cells(designs, system, sim, workloads))
     series = {spec.name: SlowdownSeries(spec.name) for spec in designs}
     cursor = iter(results)
     for _workload in workloads:

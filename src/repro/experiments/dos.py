@@ -14,7 +14,9 @@ from repro.analysis.dos import analyze_dos
 from repro.core.storage import vertical_factor
 from repro.analysis.harness import AttackHarness
 from repro.core.dream_c import DreamCPolicy, dream_c_factory
-from repro.experiments.common import DEFAULT_SEED, ExperimentResult
+from repro.exec.executor import StudyCell
+from repro.experiments.common import (DEFAULT_SEED, ExperimentResult,
+                                      run_cells)
 from repro.mc.policy import no_mitigation_factory
 from repro.workloads.attacks import gang_dos_rows
 
@@ -47,8 +49,13 @@ def measured_dos_factor(t_rh: int, seed: int,
 def run(quick: bool = True, requests_per_core: int | None = None,
         seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Regenerate the Section 5.5 DoS analysis."""
+    measured = run_cells([
+        StudyCell.of(measured_dos_factor, "gang-dos", f"t_rh={t_rh}",
+                     t_rh=t_rh, seed=seed,
+                     activations=2_000 if quick else 8_000)
+        for t_rh in THRESHOLDS])
     rows = []
-    for t_rh in THRESHOLDS:
+    for t_rh, factor in zip(THRESHOLDS, measured):
         analysis = analyze_dos(t_rh, vertical=vertical_factor(t_rh))
         rows.append({
             "t_rh": t_rh,
@@ -56,8 +63,7 @@ def run(quick: bool = True, requests_per_core: int | None = None,
             "attack_time_ns": analysis.attack_time_ps / 1000.0,
             "block_time_ns": analysis.mitigation_block_ps / 1000.0,
             "analytic_factor": analysis.throughput_factor,
-            "measured_factor": measured_dos_factor(
-                t_rh, seed, activations=2_000 if quick else 8_000),
+            "measured_factor": factor,
         })
     return ExperimentResult(
         experiment="dos",

@@ -8,17 +8,15 @@ variants below PRAC for T_RH >= 500.
 
 from __future__ import annotations
 
-from repro.analysis.slowdown import SlowdownSeries
 from repro.core.dream_c import dream_c_factory
 from repro.core.dream_r import dream_r_mint_factory
 from repro.experiments.common import (default_system,
                                       DEFAULT_SEED, DesignSpec,
-                                      ExperimentResult, default_sim_config)
+                                      ExperimentResult, default_sim_config,
+                                      sweep_designs)
 from repro.sim.config import SystemConfig
-from repro.sim.results import ComparisonResult
-from repro.sim.runner import run_simulation
 from repro.trackers.prac import moat_factory
-from repro.workloads.mixes import NUM_MIXES, build_mix_traces
+from repro.workloads.mixes import NUM_MIXES, MixRecipe
 
 #: Threshold of the mix comparison.
 T_RH = 500
@@ -47,15 +45,8 @@ def run(quick: bool = True, requests_per_core: int | None = None,
     sim = default_sim_config(quick, requests_per_core, seed)
     mixes = range(3) if quick else range(NUM_MIXES)
     specs = designs(system.timing.refs_per_window)
-    series = {spec.name: SlowdownSeries(spec.name) for spec in specs}
-    for index in mixes:
-        traces = build_mix_traces(index, system, sim)
-        baseline = run_simulation(system, traces, sim)
-        for spec in specs:
-            target = spec.system if spec.system is not None else system
-            mitigated = run_simulation(target, traces, sim, spec.factory,
-                                       spec.name)
-            series[spec.name].add(ComparisonResult(baseline, mitigated))
+    series = sweep_designs(specs, system, sim,
+                           workloads=[MixRecipe(index) for index in mixes])
     rows = []
     for name in sorted(series[specs[0].name].slowdowns):
         row: dict = {"mix": name}

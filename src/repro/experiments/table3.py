@@ -5,21 +5,26 @@ counts ACTs per (bank, row) per refresh window, then reports the same
 columns as the paper's Table 3 — average ACTs per row per window, the
 percentage of rows with 0 / 1-4 / >= 5 activations, and bandwidth
 utilisation — side by side with the paper's measured values, validating
-the workload substitution of DESIGN.md.
+the workload substitution of DESIGN.md.  Each census is one sweep cell:
+its per-sub-channel histograms ride the run's policy summaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.exec.executor import Cell
+from repro.exec.spec import spec_factory
 from repro.experiments.common import (default_system,
                                       DEFAULT_SEED, ExperimentResult,
-                                      default_sim_config)
+                                      default_sim_config, run_cells)
 from repro.mc.policy import MitigationPolicy, PolicyContext
-from repro.sim.config import SystemConfig
-from repro.sim.runner import run_simulation
-from repro.workloads.builder import build_traces
+from repro.sim.results import RunResult
 from repro.workloads.profiles import WorkloadProfile, profiles_for
+
+#: The histogram fields a census policy summary carries.
+HISTOGRAM_FIELDS = ("windows", "rows_act0", "rows_act1_4", "rows_act5",
+                    "acts")
 
 
 @dataclass
@@ -89,29 +94,34 @@ class ActivationCensusPolicy(MitigationPolicy):
     def total_rows(self) -> int:
         return self._total_rows
 
+    def summary(self) -> dict[str, float]:
+        """Base statistics plus the window histogram, with the trailing
+        partial window folded in (the run is over when this is read)."""
+        self.close_partial_window()
+        histogram = self.histogram
+        return {**super().summary(),
+                **{name: getattr(histogram, name)
+                   for name in HISTOGRAM_FIELDS},
+                "total_rows": self._total_rows}
 
-def characterize(workload: WorkloadProfile, system: SystemConfig,
-                 sim) -> dict:
-    """Run one workload and measure its Table 3 row."""
-    policies: list[ActivationCensusPolicy] = []
 
-    def factory(context: PolicyContext) -> ActivationCensusPolicy:
-        policy = ActivationCensusPolicy(context)
-        policies.append(policy)
-        return policy
+@spec_factory
+def census_factory():
+    """Factory for the activation-census policy."""
+    return ActivationCensusPolicy
 
-    traces = build_traces(workload, system, sim)
-    result = run_simulation(system, traces, sim, factory, "census")
+
+def characterize(workload: WorkloadProfile, result: RunResult) -> dict:
+    """The Table 3 row of ``workload`` from its census run.
+
+    Sub-channel histograms merge in sub-channel order.
+    """
     merged = WindowHistogram()
     total_rows = 0
-    for policy in policies:
-        policy.close_partial_window()
-        merged.windows += policy.histogram.windows
-        merged.rows_act0 += policy.histogram.rows_act0
-        merged.rows_act1_4 += policy.histogram.rows_act1_4
-        merged.rows_act5 += policy.histogram.rows_act5
-        merged.acts += policy.histogram.acts
-        total_rows = policy.total_rows
+    for summary in result.policy_summaries:
+        for name in HISTOGRAM_FIELDS:
+            setattr(merged, name, getattr(merged, name) + summary[name])
+        total_rows = summary["total_rows"]
     act0, act14, act5 = merged.percentages(total_rows)
     return {
         "workload": workload.name,
@@ -133,8 +143,13 @@ def run(quick: bool = True, requests_per_core: int | None = None,
     """Regenerate Table 3 from the synthetic traces."""
     system = default_system()
     sim = default_sim_config(quick, requests_per_core, seed)
-    rows = [characterize(workload, system, sim)
-            for workload in profiles_for(quick=quick)]
+    workloads = profiles_for(quick=quick)
+    results = run_cells([Cell(workload=workload, trace_system=system,
+                              run_system=system, sim=sim,
+                              policy=census_factory(), policy_name="census")
+                         for workload in workloads])
+    rows = [characterize(workload, result)
+            for workload, result in zip(workloads, results)]
     return ExperimentResult(
         experiment="table3",
         title="Workload characteristics: generated vs paper",

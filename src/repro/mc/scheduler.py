@@ -15,12 +15,18 @@ FR-FCFS raises the row-hit rate on locality-rich streams (fewer ACTs —
 which also means fewer tracker events), at the cost of potential
 starvation that real controllers cap; the cap is modelled with a simple
 maximum-reorder window.
+
+The queue is kept ordered by arrival time, ties in enqueue order.  The
+requests that have arrived are then always a prefix of it, so one issue
+decision inspects at most ``reorder_window`` requests however long the
+queue grows.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 
 from repro.mc.controller import SubChannelController
 
@@ -81,48 +87,43 @@ class QueuedScheduler:
         self.controller = controller
         self.policy = policy
         self.reorder_window = reorder_window
+        #: Pending requests by arrival time, ties in enqueue order.
         self.queue: list[QueuedRequest] = []
         self.stats = SchedulerStats()
         self.now_ps = 0
 
     def enqueue(self, request: QueuedRequest) -> None:
         """Add a request to the queue."""
-        self.queue.append(request)
+        insort(self.queue, request, key=lambda queued: queued.arrival_ps)
 
     def _candidates(self) -> list[QueuedRequest]:
         """Arrived requests, oldest first, capped to the reorder window."""
-        arrived = [request for request in self.queue
-                   if request.arrival_ps <= self.now_ps]
-        arrived.sort(key=lambda request: request.arrival_ps)
-        return arrived[:self.reorder_window]
+        candidates = self.queue[:self.reorder_window]
+        for index, request in enumerate(candidates):
+            if request.arrival_ps > self.now_ps:
+                return candidates[:index]
+        return candidates
 
-    def _pick(self, candidates: list[QueuedRequest]) -> QueuedRequest:
+    def _pick(self, candidates: list[QueuedRequest]) -> int:
+        """Index (in ``candidates`` and the queue) of the next issue."""
         if self.policy is SchedulingPolicy.FCFS:
-            return candidates[0]
+            return 0
         banks = self.controller.subchannel.banks
-        for request in candidates:
+        for index, request in enumerate(candidates):
             if banks[request.bank].open_row == request.row:
-                if request is not candidates[0]:
+                if index:
                     self.stats.reorders += 1
                 self.stats.row_hit_issues += 1
-                return request
-        return candidates[0]
-
-    def _advance_to_next_arrival(self) -> None:
-        pending = min(request.arrival_ps for request in self.queue)
-        if pending > self.now_ps:
-            self.now_ps = pending
+                return index
+        return 0
 
     def step(self) -> QueuedRequest | None:
         """Issue one request; returns it, or ``None`` if queue is empty."""
         if not self.queue:
             return None
-        candidates = self._candidates()
-        if not candidates:
-            self._advance_to_next_arrival()
-            candidates = self._candidates()
-        request = self._pick(candidates)
-        self.queue.remove(request)
+        # Nothing arrived yet: advance to the next arrival.
+        self.now_ps = max(self.now_ps, self.queue[0].arrival_ps)
+        request = self.queue.pop(self._pick(self._candidates()))
         request.issued_ps = self.now_ps
         request.finish_ps = self.controller.service(request.bank,
                                                     request.row,

@@ -10,17 +10,24 @@ rate, and applies one fixed-point correction of the closed-loop law:
     response_measured = slots / rate_pilot - gap_pilot
     gap_final = slots / rate_target - response_measured
 
-Traces are cached (small LRU) keyed by workload/system/budget/seed, since
-every experiment reuses the same traces across many policy configurations
-— which is also what makes the baseline and mitigated runs perfectly
-paired.
+Traces are cached (small LRU) keyed by the content fingerprint of
+everything they depend on — the workload or mix recipe, the whole system,
+the budget, the seed and whether they were calibrated — since every
+experiment reuses the same traces across many policy configurations,
+which is also what makes the baseline and mitigated runs perfectly
+paired.  Calibrated gaps are memoised per process by the fingerprint of
+(workload, system, seed): a pilot is pure, and the small trace LRU would
+otherwise evict and re-pilot between experiments.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
+from repro.exec.fingerprint import fingerprint
 from repro.sim.config import SimConfig, SystemConfig
+from repro.workloads.mixes import MixRecipe, build_mix_traces
 from repro.workloads.profiles import WorkloadProfile, profile
 from repro.workloads.synthetic import estimate_gap_ps, generate_trace
 from repro.workloads.trace import MemoryTrace
@@ -31,19 +38,21 @@ PILOT_REQUESTS = 2_000
 #: Maximum cached trace sets (each is ~tens of MB for large budgets).
 _CACHE_CAPACITY = 3
 
-_cache: OrderedDict[tuple, list[MemoryTrace]] = OrderedDict()
+_cache: OrderedDict[str, list[MemoryTrace]] = OrderedDict()
 
+#: Calibrated think gap per (workload, system, seed) fingerprint.
+_gaps: dict[str, int] = {}
 
-def _cache_key(name: str, system: SystemConfig, requests_per_core: int,
-               seed: int) -> tuple:
-    return (name, system.num_cores, system.mlp_per_core,
-            system.timing.refs_per_window, system.timing.t_rp,
-            system.organization.rows_per_bank, requests_per_core, seed)
+#: Guards the LRU's check-then-act sequences: sweep-service jobs build
+#: traces from concurrent threads.
+_lock = threading.Lock()
 
 
 def clear_cache() -> None:
-    """Drop all cached traces (mainly for tests)."""
-    _cache.clear()
+    """Drop all cached traces and calibrated gaps (mainly for tests)."""
+    with _lock:
+        _cache.clear()
+        _gaps.clear()
 
 
 def _generate_all(workload: WorkloadProfile, system: SystemConfig,
@@ -58,7 +67,19 @@ def _generate_all(workload: WorkloadProfile, system: SystemConfig,
 
 def calibrate_gap_ps(workload: WorkloadProfile, system: SystemConfig,
                      seed: int) -> int:
-    """Pilot-calibrated think gap for ``workload`` on ``system``."""
+    """Pilot-calibrated think gap for ``workload`` on ``system``.
+
+    Memoised per process: each (workload, system, seed) pilots once.
+    """
+    key = fingerprint(workload=workload, system=system, seed=seed)
+    gap = _gaps.get(key)
+    if gap is None:
+        gap = _gaps[key] = _pilot_gap_ps(workload, system, seed)
+    return gap
+
+
+def _pilot_gap_ps(workload: WorkloadProfile, system: SystemConfig,
+                  seed: int) -> int:
     from repro.obs import runtime as obs_runtime
     from repro.sim.runner import run_simulation
 
@@ -82,21 +103,34 @@ def calibrate_gap_ps(workload: WorkloadProfile, system: SystemConfig,
     return max(0, gap_final)
 
 
-def build_traces(workload: WorkloadProfile | str, system: SystemConfig,
-                 sim: SimConfig, calibrate: bool = True) -> list[MemoryTrace]:
-    """Build (or fetch cached) calibrated traces for every core."""
+def build_traces(workload: WorkloadProfile | MixRecipe | str,
+                 system: SystemConfig, sim: SimConfig,
+                 calibrate: bool = True) -> list[MemoryTrace]:
+    """Build (or fetch cached) calibrated traces for every core.
+
+    ``workload`` is a profile, a profile name, or a
+    :class:`~repro.workloads.mixes.MixRecipe` (one workload per core;
+    mixes are always calibrated).
+    """
     if isinstance(workload, str):
         workload = profile(workload)
-    key = _cache_key(workload.name, system, sim.requests_per_core, sim.seed)
-    cached = _cache.get(key)
-    if cached is not None:
-        _cache.move_to_end(key)
-        return cached
-    gap_ps = (calibrate_gap_ps(workload, system, sim.seed) if calibrate
-              else estimate_gap_ps(workload, system))
-    traces = _generate_all(workload, system, sim.requests_per_core,
-                           sim.seed, gap_ps)
-    _cache[key] = traces
-    while len(_cache) > _CACHE_CAPACITY:
-        _cache.popitem(last=False)
+    key = fingerprint(workload=workload, system=system,
+                      requests_per_core=sim.requests_per_core,
+                      seed=sim.seed, calibrate=calibrate)
+    with _lock:
+        cached = _cache.get(key)
+        if cached is not None:
+            _cache.move_to_end(key)
+            return cached
+    if isinstance(workload, MixRecipe):
+        traces = build_mix_traces(workload.index, system, sim)
+    else:
+        gap_ps = (calibrate_gap_ps(workload, system, sim.seed) if calibrate
+                  else estimate_gap_ps(workload, system))
+        traces = _generate_all(workload, system, sim.requests_per_core,
+                               sim.seed, gap_ps)
+    with _lock:
+        _cache[key] = traces
+        while len(_cache) > _CACHE_CAPACITY:
+            _cache.popitem(last=False)
     return traces

@@ -9,10 +9,11 @@ reproduction sees the same mixes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.sim.config import SimConfig, SystemConfig
-from repro.workloads.builder import calibrate_gap_ps
 from repro.workloads.profiles import PROFILES, Suite, WorkloadProfile
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import MemoryTrace
@@ -44,6 +45,19 @@ def mix_name(index: int) -> str:
     return f"mix{index + 1}"
 
 
+@dataclass(frozen=True)
+class MixRecipe:
+    """Mix ``index`` as a trace recipe: what a sweep cell carries in
+    place of a :class:`WorkloadProfile` to run on a multi-program mix
+    (:func:`repro.workloads.builder.build_traces` builds it)."""
+
+    index: int
+
+    @property
+    def name(self) -> str:
+        return mix_name(self.index)
+
+
 def build_mix_traces(index: int, system: SystemConfig,
                      sim: SimConfig) -> list[MemoryTrace]:
     """Build one calibrated trace per core for mix ``index``.
@@ -51,18 +65,18 @@ def build_mix_traces(index: int, system: SystemConfig,
     Each core runs its own workload with that workload's calibrated think
     gap; the trace name is the mix name so results aggregate per mix.
     """
+    # Late import: the builder dispatches mix recipes to this module.
+    from repro.workloads.builder import calibrate_gap_ps
+
     composition = mix_composition(index)
     if len(composition) != system.num_cores:
         composition = (composition * system.num_cores)[:system.num_cores]
     traces = []
-    gap_cache: dict[str, int] = {}
     for core, workload in enumerate(composition):
-        if workload.name not in gap_cache:
-            gap_cache[workload.name] = calibrate_gap_ps(workload, system,
-                                                        sim.seed)
         trace = generate_trace(workload, system, core,
                                sim.requests_per_core, sim.seed,
-                               gap_ps=gap_cache[workload.name])
+                               gap_ps=calibrate_gap_ps(workload, system,
+                                                       sim.seed))
         trace.name = mix_name(index)
         traces.append(trace)
     return traces

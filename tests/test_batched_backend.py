@@ -10,7 +10,7 @@ batching planner (:func:`~repro.experiments.common.plan_backends`).
 import pytest
 
 from tests import golden_engine
-from repro.exec.executor import Cell, cell_fingerprint
+from repro.exec.executor import Cell, StudyCell, cell_fingerprint
 from repro.mc.mitigation import coupled_mint_factory
 from repro.mc.policy import PolicyStats
 from repro.obs import Telemetry
@@ -23,6 +23,7 @@ from repro.workloads.profiles import profile
 
 from repro.experiments.common import (AUTO_BATCH_MIN, MAX_BATCH_CELLS,
                                       plan_backends)
+from repro.experiments.dos import measured_dos_factor
 
 
 def _grid_items(system):
@@ -279,6 +280,14 @@ class TestPlanner:
                                policy_name="closure")
         plan = plan_backends(cells, "batched")
         assert plan.batched_cells == 0
+
+    @pytest.mark.parametrize("backend", ["batched", "auto"])
+    def test_study_cells_stay_scalar(self, backend):
+        study = StudyCell.of(measured_dos_factor, "gang-dos", "t_rh=125",
+                             t_rh=125, seed=1)
+        plan = plan_backends(_planner_cells(4) + [study], backend)
+        assert plan.batched_cells == 4
+        assert plan.backends[4] == "scalar"
 
     def test_bad_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):

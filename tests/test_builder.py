@@ -1,11 +1,17 @@
 """Unit tests for trace building and bandwidth calibration."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.mc.page_policy import PagePolicy
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.runner import run_simulation
+from repro.workloads import builder
 from repro.workloads.builder import (build_traces, calibrate_gap_ps,
                                      clear_cache)
+from repro.workloads.mixes import MixRecipe, build_mix_traces
 from repro.workloads.profiles import profile
 
 
@@ -48,8 +54,36 @@ class TestBuildTraces:
                               calibrate=False)
         assert first is not second
 
+    def test_cache_keys_on_the_whole_system(self):
+        # A closed-page build must not be served the open-page traces
+        # that share its name, cores, timing and budget.  On the
+        # 8-core experiment system their calibrated gaps differ.
+        sim = SimConfig(requests_per_core=300, seed=1)
+        system = SystemConfig.baseline(refs_per_window=32)
+        closed = replace(system, page_policy=PagePolicy.CLOSED)
+        build_traces("mcf", system, sim)
+        served = build_traces("mcf", closed, sim)
+        clear_cache()
+        fresh = build_traces("mcf", closed, sim)
+        assert [trace.gap_ps.tolist() for trace in served] == \
+            [trace.gap_ps.tolist() for trace in fresh]
+
+    def test_cache_distinguishes_calibration(self, system):
+        sim = SimConfig(requests_per_core=200, seed=1)
+        raw = build_traces("mcf", system, sim, calibrate=False)
+        calibrated = build_traces("mcf", system, sim)
+        assert raw is not calibrated
+
+    def test_builds_mix_recipes(self, system):
+        sim = SimConfig(requests_per_core=300, seed=1)
+        traces = build_traces(MixRecipe(0), system, sim)
+        assert traces is build_traces(MixRecipe(0), system, sim)
+        direct = build_mix_traces(0, system, sim)
+        assert all(np.array_equal(a.row, b.row) and
+                   np.array_equal(a.gap_ps, b.gap_ps)
+                   for a, b in zip(traces, direct))
+
     def test_cache_bounded(self, system):
-        from repro.workloads import builder
         sim = SimConfig(requests_per_core=100, seed=1)
         for name in ("mcf", "add", "blender", "tc", "cc"):
             build_traces(name, system, sim, calibrate=False)
@@ -73,3 +107,23 @@ class TestCalibration:
 
     def test_gap_nonnegative(self, system):
         assert calibrate_gap_ps(profile("tc"), system, seed=3) >= 0
+
+    def test_pilots_once_per_workload_system_seed(self, system,
+                                                  monkeypatch):
+        pilots = []
+        original = builder._pilot_gap_ps
+
+        def counting(*args):
+            pilots.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(builder, "_pilot_gap_ps", counting)
+        for budget in (200, 300, 400):  # three distinct trace sets
+            build_traces("mcf", system,
+                         SimConfig(requests_per_core=budget, seed=3))
+        assert len(pilots) == 1
+        calibrate_gap_ps(profile("mcf"), system, seed=4)
+        assert len(pilots) == 2
+        clear_cache()
+        calibrate_gap_ps(profile("mcf"), system, seed=3)
+        assert len(pilots) == 3

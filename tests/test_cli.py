@@ -256,12 +256,16 @@ class TestExecFlags:
         assert warm == serial
         assert "misses=0" in warm_err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_warm_cache_run_byte_identical_and_all_hits(self, tmp_path,
-                                                        capsys):
+                                                        capsys, jobs):
         cache = str(tmp_path / "runcache")
-        cold, cold_err = self._run_json(capsys, "--cache-dir", cache)
+        cold, cold_err = self._run_json(capsys, "--jobs", jobs,
+                                        "--cache-dir", cache)
         assert "misses=0" not in cold_err
-        warm, warm_err = self._run_json(capsys, "--cache-dir", cache)
+        assert "stores=10" in cold_err
+        warm, warm_err = self._run_json(capsys, "--jobs", jobs,
+                                        "--cache-dir", cache)
         assert warm == cold
         assert "misses=0" in warm_err
         assert "hits=10" in warm_err

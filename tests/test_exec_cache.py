@@ -4,7 +4,9 @@ import dataclasses
 import json
 
 from repro.exec.cache import RunCache
+from repro.exec.executor import StudyCell, SweepExecutor, cell_fingerprint
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION
+from repro.experiments.table7 import measured_abuse_gain
 from repro.sim.results import RunResult
 
 FP = "ab" + "0" * 62
@@ -137,3 +139,33 @@ class TestEntryShape:
         entry = json.loads(cache.path_for(FP).read_text())
         expected = {f.name for f in dataclasses.fields(RunResult)}
         assert set(entry["result"]) == expected
+
+
+class TestStudyEntries:
+    VALUE = {"policy": "fr-fcfs", "avg_latency_ns": 41.123456789012345,
+             "row_hit_rate": 1e-17, "items": [3, -2.5, None, True, "x"],
+             "nested": {"z": 1, "a": [{"k": 0.1}]}}
+
+    def test_study_value_round_trips_byte_exactly(self, tmp_path):
+        RunCache(tmp_path).put(FP, self.VALUE, key={"study": "demo"})
+        cached = RunCache(tmp_path).get(FP)
+        # Key order is part of the value: it orders rendered columns.
+        assert json.dumps(cached) == json.dumps(self.VALUE)
+
+    def test_scalar_study_value_round_trips(self, tmp_path):
+        cache = RunCache(tmp_path)
+        cache.put(FP, 1.7320508075688772)
+        assert cache.get(FP) == 1.7320508075688772
+
+    def test_corrupt_study_entry_is_a_miss_that_recomputes(self, tmp_path):
+        cell = StudyCell.of(measured_abuse_gain, "rmaq-abuse", "W=25",
+                            window=25, seed=1, rounds=2)
+        with SweepExecutor(cache=RunCache(tmp_path)) as cold:
+            (value,) = cold.run_cells([cell])
+        path = RunCache(tmp_path).path_for(cell_fingerprint(cell))
+        path.write_text('{"schema": 1, "study": [')
+        with SweepExecutor(cache=RunCache(tmp_path)) as warm:
+            assert warm.run_cells([cell]) == [value]
+        assert warm.stats.computed == 1
+        assert warm.cache.stats.corrupt == 1
+        assert json.loads(path.read_text())["study"] == value

@@ -13,13 +13,14 @@ import pytest
 from repro.exec import faults
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
-from repro.exec.executor import SweepExecutor, cell_fingerprint
+from repro.exec.executor import StudyCell, SweepExecutor, cell_fingerprint
 from repro.exec.faults import FaultPlan
 from repro.exec.resilience import (CellPolicy, FailedCell, SweepCheckpoint,
                                    SweepFailure, backoff_delay,
                                    validate_result)
 from repro.experiments.common import (DesignSpec, series_rows, sweep_cells,
                                       sweep_designs)
+from repro.experiments.dos import measured_dos_factor
 from repro.mc.mitigation import coupled_para_factory
 from repro.mc.policy import no_mitigation_factory
 from repro.obs import Telemetry
@@ -281,3 +282,50 @@ class TestTelemetryIntegration:
         assert telemetry.registry.counter("exec.retries").value == 1
         assert executor.stats.retries == 1
         assert results == reference
+
+
+def tuple_study() -> tuple:
+    """A study breaking the plain-data rule (a tuple comes back from
+    the cache as a list)."""
+    return (1, 2)
+
+
+def _dos_cells() -> list[StudyCell]:
+    return [StudyCell.of(measured_dos_factor, "gang-dos", f"t_rh={t_rh}",
+                         t_rh=t_rh, seed=1, activations=300)
+            for t_rh in (125, 250)]
+
+
+class TestStudyCells:
+    def test_crash_and_corrupt_retried_identical_values(self):
+        cells = _dos_cells()
+        with SweepExecutor() as clean:
+            reference = clean.run_cells(cells)
+        first, second = (cell_fingerprint(cell) for cell in cells)
+        faults.install(FaultPlan.parse(
+            f"crash:{first[:16]};corrupt:{second[:16]}"))
+        with SweepExecutor(policy=CellPolicy(**FAST)) as executor:
+            assert executor.run_cells(cells) == reference
+        assert executor.stats.retries == 2
+        assert executor.stats.failed == 0
+
+    def test_non_plain_value_fails_as_corrupt(self):
+        cell = StudyCell.of(tuple_study, "demo", "tuple")
+        with SweepExecutor(policy=CellPolicy(retries=0)) as executor:
+            with pytest.raises(SweepFailure) as raised:
+                executor.run_cells([cell])
+        (failure,) = raised.value.failures
+        assert failure.kind == "corrupt"
+        assert "tuple" in failure.error
+
+    def test_telemetry_capture_replays_from_cache(self, tmp_path):
+        cells = _dos_cells()
+        with SweepExecutor(cache=RunCache(tmp_path)) as cold, \
+                obs_runtime.activated(Telemetry()):
+            reference = cold.run_cells(cells)
+        telemetry = Telemetry()
+        with SweepExecutor(cache=RunCache(tmp_path)) as warm, \
+                obs_runtime.activated(telemetry):
+            assert warm.run_cells(cells) == reference
+        assert warm.stats.computed == 0
+        assert warm.cache.stats.hits == len(cells)

@@ -6,10 +6,22 @@ and first-order orderings rather than absolute values; the full sweeps
 live in ``benchmarks/``.
 """
 
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.harness import AttackHarness
+from repro.exec import runtime as exec_runtime
+from repro.exec.cache import RunCache
+from repro.exec.executor import SweepExecutor
 from repro.experiments import registry
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, RunOptions
+from repro.mc.scheduler import QueuedScheduler
+from repro.sim import runner
+from repro.workloads import builder
 from repro.workloads.builder import clear_cache
 
 #: Tiny per-core budget for the smoke runs.
@@ -26,6 +38,13 @@ SIMULATED = ("fig5", "fig9", "fig10", "fig15", "fig17", "fig19", "fig22",
              "ablation-mlp", "ablation-page-policy",
              "ablation-scheduler", "motivation-trr",
              "motivation-prac-extrinsic")
+
+
+#: sha256 of ``to_json()`` at BUDGET on the two-workload subset and the
+#: default seed, for the experiments whose work once ran outside the
+#: executor; taken from the code before they became executor cells.
+PINNED = json.loads((Path(__file__).parent / "data" /
+                     "executor_path_digests.json").read_text())
 
 
 @pytest.fixture(autouse=True)
@@ -109,3 +128,51 @@ class TestResultStructure:
         assert decoded["experiment"] == "table1"
         assert len(decoded["rows"]) == len(result.rows)
         assert decoded["rows"][0]["entries"] == 4800
+
+
+def _run_all(executor: SweepExecutor, names) -> dict[str, str]:
+    with exec_runtime.activated(executor):
+        return {name: registry.run_experiment(
+                    name, RunOptions(requests_per_core=BUDGET)).to_json()
+                for name in names}
+
+
+def _digests(documents: dict[str, str]) -> dict[str, str]:
+    return {name: hashlib.sha256(documents[name].encode()).hexdigest()
+            for name in PINNED}
+
+
+def _forbid(monkeypatch, owner, attr: str) -> None:
+    """Make ``owner.attr`` raise, under every module alias of it too."""
+    original = getattr(owner, attr)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{attr} ran outside the run cache")
+
+    monkeypatch.setattr(owner, attr, refuse)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and \
+                vars(module).get(attr) is original:
+            monkeypatch.setattr(module, attr, refuse)
+
+
+class TestOneExecutionPath:
+    def test_warm_rerun_computes_nothing(self, tmp_path, monkeypatch):
+        with SweepExecutor(cache=RunCache(tmp_path)) as executor:
+            cold = _run_all(executor, registry.names())
+        assert _digests(cold) == PINNED
+        clear_cache()
+        _forbid(monkeypatch, runner, "run_simulation")
+        _forbid(monkeypatch, AttackHarness, "run")
+        _forbid(monkeypatch, QueuedScheduler, "run")
+        _forbid(monkeypatch, builder, "calibrate_gap_ps")
+        with SweepExecutor(cache=RunCache(tmp_path)) as executor:
+            warm = _run_all(executor, registry.names())
+        assert executor.stats.cells > 0
+        assert executor.stats.computed == 0
+        assert warm == cold
+
+    def test_parallel_run_matches_pinned_digests(self):
+        with SweepExecutor(jobs=2) as executor:
+            documents = _run_all(executor, sorted(PINNED))
+        assert _digests(documents) == PINNED

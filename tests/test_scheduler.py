@@ -1,5 +1,6 @@
 """Unit tests for the queued FCFS / FR-FCFS scheduler substrate."""
 
+import numpy as np
 import pytest
 
 from repro.dram.subchannel import SubChannel
@@ -17,6 +18,80 @@ def make_scheduler(timing, organization, policy, reorder_window=16):
 
 def request(arrival, bank, row, tag=0):
     return QueuedRequest(arrival_ps=arrival, bank=bank, row=row, tag=tag)
+
+
+class ReferenceScheduler(QueuedScheduler):
+    """The original rule, kept as the reference: the queue in enqueue
+    order, filtered and sorted on every step."""
+
+    def enqueue(self, request):
+        self.queue.append(request)
+
+    def _arrived(self):
+        arrived = [r for r in self.queue if r.arrival_ps <= self.now_ps]
+        arrived.sort(key=lambda r: r.arrival_ps)
+        return arrived[:self.reorder_window]
+
+    def step(self):
+        if not self.queue:
+            return None
+        candidates = self._arrived()
+        if not candidates:
+            pending = min(r.arrival_ps for r in self.queue)
+            self.now_ps = max(self.now_ps, pending)
+            candidates = self._arrived()
+        chosen = candidates[0]
+        if self.policy is SchedulingPolicy.FR_FCFS:
+            banks = self.controller.subchannel.banks
+            for candidate in candidates:
+                if banks[candidate.bank].open_row == candidate.row:
+                    if candidate is not candidates[0]:
+                        self.stats.reorders += 1
+                    self.stats.row_hit_issues += 1
+                    chosen = candidate
+                    break
+        self.queue.remove(chosen)
+        chosen.issued_ps = self.now_ps
+        chosen.finish_ps = self.controller.service(chosen.bank, chosen.row,
+                                                   self.now_ps)
+        self.now_ps = max(self.now_ps,
+                          chosen.finish_ps - self.controller.timing.t_bus)
+        self.stats.issued += 1
+        self.stats.total_latency_ps += chosen.latency_ps
+        return chosen
+
+
+class TestMatchesReferenceRule:
+    @pytest.mark.parametrize("policy", list(SchedulingPolicy))
+    @pytest.mark.parametrize("seed,window", [(0, 1), (1, 4), (2, 16),
+                                             (3, 16)])
+    def test_random_arrivals_with_ties(self, timing, organization, policy,
+                                       seed, window):
+        rng = np.random.default_rng(seed)
+        count = 400
+        # Few distinct arrival times, banks and rows: many ties, many
+        # equal requests, and enqueue order unrelated to arrival.
+        arrivals = rng.integers(0, 40, count) * 5_000
+        banks = rng.integers(0, 3, count)
+        rows = rng.integers(0, 4, count)
+        schedulers = [cls(SubChannelController(
+                          SubChannel(0, timing, organization.banks,
+                                     organization.banks_per_group),
+                          timing, None), policy, window)
+                      for cls in (QueuedScheduler, ReferenceScheduler)]
+        issued = []
+        for scheduler in schedulers:
+            for i in range(count):
+                scheduler.enqueue(request(int(arrivals[i]), int(banks[i]),
+                                          int(rows[i]),
+                                          tag=i % 7))
+            issued.append([(r.arrival_ps, r.bank, r.row, r.tag,
+                            r.issued_ps, r.finish_ps)
+                           for r in scheduler.run()])
+        fast, reference = schedulers
+        assert issued[0] == issued[1]
+        assert fast.stats == reference.stats
+        assert fast.now_ps == reference.now_ps
 
 
 class TestFCFS:

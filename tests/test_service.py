@@ -139,12 +139,16 @@ class TestScheduler:
 
 
 class TestCoalescing:
-    def test_identical_submissions_share_cell_work(self, scheduler):
-        first = scheduler.submit("ablation-atm", OPTIONS)["job"]
-        second = scheduler.submit("ablation-atm", OPTIONS)["job"]
+    @pytest.mark.parametrize("experiment", ["ablation-atm", "table3",
+                                            "motivation-trr"])
+    def test_identical_submissions_share_cell_work(self, scheduler,
+                                                   experiment):
+        first = scheduler.submit(experiment, OPTIONS)["job"]
+        second = scheduler.submit(experiment, OPTIONS)["job"]
         cold = _wait(scheduler, first)
         warm = _wait(scheduler, second)
         assert cold["counters"]["computed"] == cold["counters"]["cells"]
+        assert warm["counters"]["cells"] > 0
         assert warm["counters"]["computed"] == 0
         assert warm["counters"]["memo_hits"] == warm["counters"]["cells"]
         assert scheduler.result_text(first) == \
