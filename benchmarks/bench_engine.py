@@ -7,13 +7,11 @@ Measures ``run_simulation`` events/sec on two fixed cells:
   configuration ``bench_obs.py`` also uses), which is the cell the
   PR-5 1.5x acceptance criterion is judged on.
 
-PR 7 adds the **whole-sweep** configs the batched backend is judged on
-(``scalar.sweep`` / ``batched.sweep``): a ``SWEEP_CELLS``-cell
-policy-free grid (mcf, seed-varied) run end-to-end through each
-backend, traces prebuilt outside the timed region.  The acceptance
-criterion is ``batched.sweep`` >= 5x ``scalar.sweep`` best events/s;
-both feed the ``repro bench check`` ratchet as ``engine.scalar.sweep``
-and ``engine.batched.sweep``.
+The **whole-sweep** config ``scalar.sweep`` runs a ``SWEEP_CELLS``-cell
+policy-free grid (mcf, seed-varied) of short cells back to back, traces
+prebuilt outside the timed region, so it ratchets the per-cell setup
+cost of many short scalar cells — the reproduction's shape — as
+``engine.scalar.sweep`` in ``repro bench check``.
 
 Each cell runs one untimed warmup round and then ``ROUNDS`` timed
 rounds, reporting **best-of-N** (minimum wall time — the cleanest
@@ -44,7 +42,6 @@ import statistics
 import time
 
 from repro.mc.mitigation import coupled_mint_factory
-from repro.sim.batched import BatchItem, run_batch
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.runner import run_simulation
 from repro.workloads import build_traces
@@ -56,8 +53,8 @@ ROUNDS = 7
 REQUESTS = 4_000
 WORKLOAD = "mcf"
 T_RH = 500
-#: Whole-sweep grid: the largest single batch the planner emits
-#: (``MAX_BATCH_CELLS``), seed-varied so no two cells share traces.
+#: Whole-sweep grid of short cells, seed-varied so no two cells share
+#: traces.
 SWEEP_CELLS = 512
 SWEEP_REQUESTS = 500
 SWEEP_ROUNDS = 3
@@ -117,19 +114,14 @@ def _sweep_members():
     return system, members
 
 
-def _measure_sweep(backend: str, system, members) -> dict:
+def _measure_sweep(system, members) -> dict:
     """Warmup + best/median-of-SWEEP_ROUNDS whole-sweep events/sec."""
     def run_all() -> int:
-        if backend == "batched":
-            results = run_batch(system, [
-                BatchItem(traces=traces, sim=sim)
-                for sim, traces in members])
-        else:
-            results = [run_simulation(system, traces, sim, None, "none")
-                       for sim, traces in members]
-        return sum(result.requests_completed for result in results)
+        return sum(run_simulation(system, traces, sim, None,
+                                  "none").requests_completed
+                   for sim, traces in members)
 
-    run_all()  # warmup: memoizes each engine's trace columns/packings
+    run_all()  # warmup: memoizes each trace's columns
     rates: list[float] = []
     events = 0
     for _ in range(SWEEP_ROUNDS):
@@ -198,10 +190,6 @@ def _update_engine_snapshot(results: dict, profile: list[dict]) -> None:
     current_rate = results["mint"]["events_per_sec"]
     snapshot["speedup"] = (round(current_rate / baseline_rate, 3)
                            if baseline_rate else 0.0)
-    scalar_sweep = results.get("scalar.sweep", {}).get("events_per_sec")
-    batched_sweep = results.get("batched.sweep", {}).get("events_per_sec")
-    if scalar_sweep and batched_sweep:
-        snapshot["sweep_speedup"] = round(batched_sweep / scalar_sweep, 3)
     snapshot["workload"] = WORKLOAD
     snapshot["requests_per_core"] = REQUESTS
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -212,10 +200,7 @@ def _update_engine_snapshot(results: dict, profile: list[dict]) -> None:
 def run_bench(verbose: bool = True) -> dict:
     """Measure every config + the stage profile; persist the snapshot."""
     results = {config: _measure(config) for config in ("none", "mint")}
-    system, members = _sweep_members()
-    for backend in ("scalar", "batched"):
-        results[f"{backend}.sweep"] = _measure_sweep(backend, system,
-                                                     members)
+    results["scalar.sweep"] = _measure_sweep(*_sweep_members())
     profile = _stage_profile()
     _update_engine_snapshot(results, profile)
     if verbose:
@@ -230,9 +215,6 @@ def run_bench(verbose: bool = True) -> dict:
                   f"{stage['calls']:,} calls")
         snapshot = json.loads(ENGINE_SNAPSHOT.read_text())
         print(f"[engine] speedup vs baseline: {snapshot['speedup']}x")
-        if "sweep_speedup" in snapshot:
-            print(f"[engine] whole-sweep batched vs scalar: "
-                  f"{snapshot['sweep_speedup']}x")
     return results
 
 

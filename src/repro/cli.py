@@ -47,19 +47,18 @@ They also accept the sweep-execution flags ``--jobs N`` (fan simulation
 cells over N worker processes; ``0`` = all cores), ``--cache-dir DIR``
 (content-addressed run cache: warm re-runs skip simulation entirely),
 ``--no-cache`` (ignore ``--cache-dir`` for one invocation),
-``--requests N`` (per-core request-budget override for smoke runs),
-``--backend {scalar,batched,auto}`` (engine backend selection; batched
-runs compatible sweep cells through one columnar step loop) and
+``--requests N`` (per-core request-budget override for smoke runs) and
 ``--progress`` (live TTY progress line), plus the resilience flags
 ``--retries N`` (per-cell retry budget) and ``--timeout S``
 (per-attempt wall-clock limit).  Every completed cell reaches the run
 cache before a failure is reported, so rerunning an interrupted sweep
 with the same ``--cache-dir`` computes only the cells it lacks
-(``--resume`` is a deprecated no-op).  Results are byte-identical across
-serial, parallel, cold- and warm-cache executions, and telemetry
-composes with all of them: cells capture per-cell snapshots that are
-merged deterministically in cell order, so the merged metrics/journal
-outputs are byte-identical too (see ``docs/observability.md``).
+(``--resume`` and ``--backend`` are deprecated no-ops).  Results are
+byte-identical across serial, parallel, cold- and warm-cache
+executions, and telemetry composes with all of them: cells capture
+per-cell snapshots that are merged deterministically in cell order, so
+the merged metrics/journal outputs are byte-identical too (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -80,6 +79,7 @@ from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
 from repro.obs.profiling import Stopwatch, render_profile
+from repro.sim.batched import BACKENDS, backend_deprecation
 
 #: Default sweep-service port (``repro serve`` / ``repro submit``).
 DEFAULT_SERVICE_PORT = 8731
@@ -99,15 +99,6 @@ environment variables (command-line flags always win):
   REPRO_FAULTS=SPEC    deterministic fault injection for soak testing,
                        e.g. "crash:*:1;hang:ab@2;corrupt:cd" — see
                        docs/parallel.md for the grammar
-
-engine backends (--backend, results byte-identical across all three):
-  scalar               the reference event loop (default)
-  batched              columnar batch engine: compatible cells of a
-                       sweep advance through one numpy step loop —
-                       ~6x whole-sweep throughput on policy-free grids
-  auto                 batched only where a sweep has >= 4 compatible
-                       policy-free cells (shared baselines); everything
-                       else stays scalar
 
 sweep service workflows (docs/service.md):
   dream-repro serve --cache-dir .svc-cache --access-log access.jsonl
@@ -235,10 +226,8 @@ def _build_executor(args: argparse.Namespace) -> SweepExecutor | None:
         timeout_s=args.timeout,
         retries=args.retries if args.retries is not None
         else defaults.retries)
-    backend = getattr(args, "backend", "scalar")
     wants_executor = (args.retries is not None or
-                      args.timeout is not None or args.progress or
-                      backend != "scalar")
+                      args.timeout is not None or args.progress)
     if jobs == 1 and cache is None and jobs_flag is None and \
             not wants_executor:
         return None
@@ -247,17 +236,23 @@ def _build_executor(args: argparse.Namespace) -> SweepExecutor | None:
         from repro.obs.progress import SweepProgress
         progress = SweepProgress()
     return SweepExecutor(jobs=jobs, cache=cache, policy=policy,
-                         progress=progress, backend=backend)
+                         progress=progress)
 
 
 def _run_options(args: argparse.Namespace) -> RunOptions:
-    """One :class:`RunOptions` record from the normalized CLI flags."""
+    """One :class:`RunOptions` record from the normalized CLI flags.
+
+    A deprecated ``--backend`` value warns here, once, and goes no
+    further: every cell runs on the scalar engine.
+    """
+    if args.backend != "scalar":
+        print(f"warning: {backend_deprecation('--backend')}",
+              file=sys.stderr)
     return RunOptions(mode=_resolve_mode(args),
                       requests_per_core=args.requests,
                       seed=args.seed,
                       retries=args.retries,
-                      timeout_s=args.timeout,
-                      backend=getattr(args, "backend", "scalar"))
+                      timeout_s=args.timeout)
 
 
 def _run_experiments(args: argparse.Namespace, emit,
@@ -600,12 +595,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceError, SweepClient
 
-    options = RunOptions(mode=_resolve_mode(args),
-                         requests_per_core=args.requests,
-                         seed=args.seed,
-                         retries=args.retries,
-                         timeout_s=args.timeout,
-                         backend=args.backend)
+    options = _run_options(args)
     client = SweepClient(_service_url(args))
     failed_error = None
     try:
@@ -720,14 +710,10 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
                         help="per-core request-budget override "
                              "(smoke/CI runs)")
     parser.add_argument("--backend",
-                        choices=("scalar", "batched", "auto"),
+                        choices=BACKENDS,
                         default="scalar",
-                        help="engine backend: scalar (reference event "
-                             "loop), batched (columnar batch engine "
-                             "for compatible cells), or auto (batched "
-                             "only for groups of >= 4 policy-free "
-                             "compatible cells); results are "
-                             "byte-identical either way")
+                        help="deprecated, no effect (3.0 removes it): "
+                             "every cell runs on the scalar engine")
     parser.add_argument("--retries", type=int, metavar="N",
                         help="per-cell retry budget before a cell is "
                              "declared failed (default 2)")
@@ -884,9 +870,10 @@ def build_parser() -> argparse.ArgumentParser:
                                help="per-core request-budget override "
                                     "(smoke/CI runs)")
     submit_parser.add_argument("--backend",
-                               choices=("scalar", "batched", "auto"),
+                               choices=BACKENDS,
                                default="scalar",
-                               help="engine backend for this job")
+                               help="deprecated, no effect (3.0 "
+                                    "removes it)")
     submit_parser.add_argument("--retries", type=int, metavar="N",
                                help="per-cell retry budget")
     submit_parser.add_argument("--timeout", type=float, metavar="S",

@@ -51,7 +51,7 @@ The executor is **thread-safe**: any number of threads may call
 :meth:`SweepExecutor.run_cells` concurrently on one shared instance (the
 sweep service runs up to ``--job-concurrency`` jobs this way).  Shared
 state — memo, stats, the worker pool, the in-flight table — sits behind
-one lock; per-run knobs (cell policy, backend, progress sink) and
+one lock; per-run knobs (cell policy, progress sink) and
 attributed per-run stats bind through :meth:`SweepExecutor.scoped`,
 which is thread-local, so concurrent runs never see each other's
 configuration.  Concurrent runs share the pool fairly: with more than
@@ -105,6 +105,7 @@ from repro.obs.progress import SweepProgress
 from repro.obs.snapshot import (CaptureSpec, TelemetrySnapshot,
                                 capture_snapshot, merge_snapshot)
 from repro.obs.spans import KIND_ATTEMPT, KIND_CELL, KIND_SWEEP
+from repro.sim.batched import check_backend
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.results import RunResult
 from repro.workloads.mixes import MixRecipe
@@ -185,24 +186,13 @@ class StudyCell:
         return resolve_ref(self.ref)(**dict(self.kwargs))
 
 
-def cell_fingerprint(cell: Cell | StudyCell,
-                     backend: str = "scalar") -> str | None:
-    """Content fingerprint of ``cell``, or ``None`` if not spec-backed.
-
-    ``backend`` participates in the fingerprint whenever it deviates
-    from the scalar reference engine: batched results are byte-identical
-    by contract, but keying them separately means a cache can never mask
-    an identity regression — and scalar fingerprints (the historical
-    format) are unchanged.
-    """
+def cell_fingerprint(cell: Cell | StudyCell) -> str | None:
+    """Content fingerprint of ``cell``, or ``None`` if not spec-backed."""
     if isinstance(cell, Cell) and not (
             cell.policy is None or isinstance(cell.policy, PolicySpec)):
         return None
-    parts = cell.key()
-    if backend != "scalar":
-        parts["backend"] = backend
     try:
-        return fingerprint(**parts)
+        return fingerprint(**cell.key())
     except FingerprintError:
         return None
 
@@ -283,76 +273,6 @@ def _problem(cell: Cell | StudyCell, result, snap,
     return problem
 
 
-def _execute_batch(cells: list[Cell], fps: list[str | None],
-                   capture: CaptureSpec | None = None) -> list:
-    """Run one batch-compatible cell group (worker/parent entry point).
-
-    Returns one outcome per cell, in order: either the same
-    ``(result, seconds, snapshot)`` tuple :func:`_execute_cell`
-    produces, or a :class:`~repro.sim.batched.BatchCellError` when that
-    member failed — a failing member never takes its batch-mates down,
-    so the executor caches the survivors and retries only the loser.
-
-    Members are engine-batched through
-    :func:`~repro.sim.batched.run_batch`; under telemetry ``capture``
-    each member instead runs the identity-pinned scalar engine with its
-    own private capture (instrumentation samples per-event state at
-    scalar rate anyway), still inside this single dispatch.  Fault
-    injection stays per-member, keyed on each member's fingerprint at
-    attempt 0.
-    """
-    from repro.sim.batched import BatchCellError, BatchItem, run_batch
-    from repro.workloads.builder import build_traces
-
-    outcomes: list = [None] * len(cells)
-    members: list[int] = []
-    items: list = []
-    for index, cell in enumerate(cells):
-        try:
-            corrupt = faults.inject_before(fps[index], 0)
-        except Exception as exc:  # noqa: BLE001 — isolate the member
-            error = BatchCellError(index, f"{type(exc).__name__}: {exc}")
-            error.cause = exc
-            outcomes[index] = error
-            continue
-        if corrupt is not None:
-            outcomes[index] = (faults.CORRUPT_SENTINEL, 0.0, None)
-            continue
-        if capture is not None:
-            try:
-                outcomes[index] = _execute_cell(cell, capture=capture)
-            except Exception as exc:  # noqa: BLE001
-                error = BatchCellError(index,
-                                       f"{type(exc).__name__}: {exc}")
-                error.cause = exc
-                outcomes[index] = error
-            continue
-        try:
-            traces = build_traces(cell.workload, cell.trace_system,
-                                  cell.sim)
-        except Exception as exc:  # noqa: BLE001
-            error = BatchCellError(index, f"{type(exc).__name__}: {exc}")
-            error.cause = exc
-            outcomes[index] = error
-            continue
-        members.append(index)
-        items.append(BatchItem(traces=traces, sim=cell.sim,
-                               policy_factory=cell.policy,
-                               policy_name=cell.policy_name,
-                               telemetry=None))
-    if items:
-        run_system = cells[members[0]].run_system
-        started = time.perf_counter()
-        results = run_batch(run_system, items, collect_errors=True)
-        share = (time.perf_counter() - started) / len(items)
-        for index, result in zip(members, results):
-            if isinstance(result, BatchCellError):
-                outcomes[index] = BatchCellError(index, result.message)
-            else:
-                outcomes[index] = (result, share, None)
-    return outcomes
-
-
 @dataclass
 class ExecutorStats:
     """Work accounting across one executor's lifetime."""
@@ -360,6 +280,8 @@ class ExecutorStats:
     cells: int = 0
     computed: int = 0
     inline: int = 0
+    #: Always 0: there is one engine.  Kept until 3.0 for the readers of
+    #: the old batched-cell counter (job counters, ``/v1/metrics``).
     batched: int = 0
     memo_hits: int = 0
     #: memo hits that were *raced*: the fingerprint was in flight on
@@ -387,8 +309,6 @@ class ExecutorStats:
         line = (f"cells={self.cells} computed={self.computed} "
                 f"memo_hits={self.memo_hits} inline={self.inline} "
                 f"retries={self.retries} timeouts={self.timeouts}")
-        if self.batched:
-            line += f" batched={self.batched}"
         if self.dedup_hits:
             line += f" dedup_hits={self.dedup_hits}"
         if self.failed:
@@ -430,7 +350,6 @@ class ScopedRun:
     """
 
     policy: CellPolicy | None = None
-    backend: str | None = None
     progress: SweepProgress | None = None
     stats: ExecutorStats = field(default_factory=ExecutorStats)
 
@@ -459,16 +378,9 @@ class SweepExecutor:
         cell-level events (submitted / hit / computed / retried /
         failed) for live reporting.
     backend:
-        Engine backend for computed cells: ``"scalar"`` (reference,
-        default), ``"batched"`` or ``"auto"``.  Non-scalar backends run
-        :func:`~repro.experiments.common.plan_backends` over each
-        submitted cell list and dispatch compatible groups through the
-        columnar batch engine — byte-identical results, one Python
-        dispatch per step for the whole group.  A per-attempt
-        ``timeout_s`` disables batching (the batch engine has no
-        per-member timeout), and a member that fails inside a batch is
-        retried alone on the scalar path while its batch-mates are
-        cached normally.
+        Deprecated and ignored: ``"batched"`` or ``"auto"`` warns once
+        and every cell still runs on the scalar engine; an unknown value
+        is a :class:`ValueError`.  3.0 removes the parameter.
     """
 
     #: Pool breakages tolerated before degrading to serial execution.
@@ -481,17 +393,13 @@ class SweepExecutor:
                  backend: str = "scalar") -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if backend not in ("scalar", "batched", "auto"):
-            raise ValueError("backend must be one of "
-                             "('scalar', 'batched', 'auto'), "
-                             f"got {backend!r}")
+        check_backend(backend, "SweepExecutor(backend=...)")
         self.jobs = jobs
         self.cache = cache
         if checkpoint is not None:
             warn_resume_deprecated("SweepExecutor(checkpoint=...)")
         self._policy = policy if policy is not None else CellPolicy()
         self._progress_sink = progress
-        self._backend = backend
         self.stats = ExecutorStats()
         self.failures: list[FailedCell] = []
         #: fingerprint -> (result, snapshot-or-None); snapshots are kept
@@ -529,15 +437,13 @@ class SweepExecutor:
         the sweep service attributes counters to one job while other
         jobs share the same executor.  ``None`` knobs fall back to the
         executor's defaults.  Bindings nest (the previous one is
-        restored on exit) and never leak across threads.
+        restored on exit) and never leak across threads.  ``backend``
+        is deprecated and ignored, like the constructor's.
         """
-        if backend is not None and backend not in ("scalar", "batched",
-                                                   "auto"):
-            raise ValueError("backend must be one of "
-                             "('scalar', 'batched', 'auto'), "
-                             f"got {backend!r}")
-        binding = ScopedRun(policy=policy, backend=backend,
-                            progress=progress)
+        if backend is not None:
+            # Past the contextlib __enter__ that runs this body.
+            check_backend(backend, "scoped(backend=...)", stacklevel=4)
+        binding = ScopedRun(policy=policy, progress=progress)
         previous = self._binding()
         self._local.binding = binding
         try:
@@ -555,17 +461,6 @@ class SweepExecutor:
     @policy.setter
     def policy(self, value: CellPolicy) -> None:
         self._policy = value
-
-    @property
-    def backend(self) -> str:
-        binding = self._binding()
-        if binding is not None and binding.backend is not None:
-            return binding.backend
-        return self._backend
-
-    @backend.setter
-    def backend(self, value: str) -> None:
-        self._backend = value
 
     @property
     def progress(self) -> SweepProgress | None:
@@ -645,8 +540,7 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_cells(self, cells: list[Cell | StudyCell],
-                  plan=None) -> list:
+    def run_cells(self, cells: list[Cell | StudyCell]) -> list:
         """Execute ``cells`` and return results in submission order: a
         :class:`RunResult` per :class:`Cell`, the plain value per
         :class:`StudyCell`.
@@ -661,10 +555,6 @@ class SweepExecutor:
         from memo/cache) and the snapshots are merged into the ambient
         telemetry here, in submission order — one merged run per cell
         occurrence, whatever the execution mode.
-
-        ``plan`` optionally pre-binds the backend assignment (a
-        :class:`~repro.experiments.common.BatchPlan` for exactly this
-        cell list); by default a non-scalar executor plans here.
         """
         started = time.perf_counter()
         self._stat("cells", len(cells))
@@ -680,8 +570,7 @@ class SweepExecutor:
             self._active_runs += 1
         try:
             try:
-                results, snaps = self._run(cells, failures, capture,
-                                           plan)
+                results, snaps = self._run(cells, failures, capture)
             finally:
                 if self.progress is not None:
                     self.progress.finish()
@@ -725,17 +614,9 @@ class SweepExecutor:
                 tracer.end(span)
 
     def _run(self, cells: list[Cell], failures: list[FailedCell],
-             capture: CaptureSpec | None, plan=None):
+             capture: CaptureSpec | None):
         results: list = [None] * len(cells)
         snaps: list[TelemetrySnapshot | None] = [None] * len(cells)
-        if plan is None and cells and self.backend != "scalar" \
-                and self.policy.timeout_s is None:
-            # Late import: experiments.common builds cells *from* this
-            # module, so the planner cannot be imported at module level.
-            from repro.experiments.common import plan_backends
-            plan = plan_backends(cells, self.backend)
-        backends = None if plan is None else plan.backends
-        fps: list[str | None] = [None] * len(cells)
         #: fingerprint -> indices this run will compute itself (owned).
         pending: dict[str, list[int]] = {}
         #: fingerprint -> indices attached to another run's computation.
@@ -749,10 +630,7 @@ class SweepExecutor:
         # attaches to every cell — never an interleaved split.
         with self._lock:
             for index, cell in enumerate(cells):
-                fp = cell_fingerprint(
-                    cell,
-                    "scalar" if backends is None else backends[index])
-                fps[index] = fp
+                fp = cell_fingerprint(cell)
                 if fp is None:
                     inline.append(index)
                     continue
@@ -774,8 +652,8 @@ class SweepExecutor:
                 pending[fp] = [index]
 
         try:
-            self._run_owned(cells, fps, pending, flights, inline,
-                            results, snaps, failures, capture, plan)
+            self._run_owned(cells, pending, flights, inline, results,
+                            snaps, failures, capture)
             for fp, indices in attached.items():
                 outcome = self._await_flight(fp, cells[indices[0]],
                                              capture)
@@ -794,38 +672,19 @@ class SweepExecutor:
                 self._finish_flight(fp, flight)
         return results, snaps
 
-    def _run_owned(self, cells: list[Cell], fps: list[str | None],
+    def _run_owned(self, cells: list[Cell],
                    pending: dict[str, list[int]],
                    flights: dict[str, "_Flight"], inline: list[int],
                    results: list, snaps: list,
                    failures: list[FailedCell],
-                   capture: CaptureSpec | None, plan) -> None:
+                   capture: CaptureSpec | None) -> None:
         """Compute every fingerprint this run owns (claimed at scan)."""
-        chunks = self._batch_chunks(plan, fps, pending, cells)
-        in_batches = {fp for _, chunk_fps in chunks for fp in chunk_fps}
-        singles = [(fp, indices) for fp, indices in pending.items()
-                   if fp not in in_batches]
-
+        owned = list(pending.items())
         with self._lock:
             shared = self._active_runs > 1
-        use_pool = self._pool_usable() and \
-            (shared or (len(singles) + len(chunks)) > 1)
-        batch_futures: list[tuple[list[Cell], list[str],
-                                  Future | None,
-                                  ProcessPoolExecutor | None]] = []
-        for chunk_cells, chunk_fps in chunks:
-            future = pool = None
-            if use_pool and self._pool_usable():
-                try:
-                    pool = self._pool_handle()
-                    future = pool.submit(_execute_batch, chunk_cells,
-                                         chunk_fps, capture)
-                except Exception:
-                    self._note_pool_failure(self._pool)
-                    future = pool = None
-            batch_futures.append((chunk_cells, chunk_fps, future, pool))
+        use_pool = self._pool_usable() and (shared or len(owned) > 1)
 
-        # Fair-share sliding window: a lone run submits every single
+        # Fair-share sliding window: a lone run submits every cell
         # eagerly (the historical behaviour); with other runs active,
         # each keeps only about jobs/active_runs cells outstanding so
         # one big sweep cannot flood the shared pool and starve its
@@ -836,13 +695,13 @@ class SweepExecutor:
 
         def fill_window() -> None:
             nonlocal cursor
-            while cursor < len(singles):
+            while cursor < len(owned):
                 with self._lock:
                     active = max(1, self._active_runs)
                 if active > 1 and \
                         len(futures) >= -(-self.jobs // active) + 1:
                     return
-                fp, indices = singles[cursor]
+                fp, indices = owned[cursor]
                 submitted = self._submit(cells[indices[0]], fp, 0,
                                          capture)
                 if submitted is None:
@@ -861,7 +720,7 @@ class SweepExecutor:
             results[index] = result
             snaps[index] = snap
 
-        for fp, indices in singles:
+        for fp, indices in owned:
             future, pool = futures.pop(fp, (None, None))
             outcome = self._resolve_cell(fp, cells[indices[0]], future,
                                          pool, capture)
@@ -878,40 +737,6 @@ class SweepExecutor:
             for index in indices:
                 results[index] = result
                 snaps[index] = snap
-
-        for chunk_cells, chunk_fps, future, pool in batch_futures:
-            outcomes = None
-            if future is not None:
-                try:
-                    outcomes = future.result()
-                except BrokenExecutor:
-                    self._note_pool_failure(pool)
-                except Exception:
-                    outcomes = None
-            else:
-                try:
-                    outcomes = _execute_batch(chunk_cells, chunk_fps,
-                                              capture)
-                except Exception:
-                    outcomes = None
-            if outcomes is None or len(outcomes) != len(chunk_fps):
-                # The whole batch dispatch died (broken pool, engine
-                # construction error): every member retries alone.
-                outcomes = [None] * len(chunk_fps)
-            for member, fp in enumerate(chunk_fps):
-                outcome = self._finish_batch_member(
-                    chunk_cells[member], fp, outcomes[member], capture)
-                if isinstance(outcome, FailedCell):
-                    failures.append(outcome)
-                    self._finish_flight(fp, flights[fp], failed=outcome)
-                    continue
-                result, seconds, snap = outcome
-                self._account_computed(result, seconds)
-                self._store(fp, chunk_cells[member], result, snap)
-                self._finish_flight(fp, flights[fp])
-                for index in pending[fp]:
-                    results[index] = result
-                    snaps[index] = snap
 
     # ------------------------------------------------------------------
     # In-flight deduplication (singleflight)
@@ -981,65 +806,6 @@ class SweepExecutor:
         concurrent runs (the ``repro_scheduler_inflight_cells`` gauge)."""
         with self._lock:
             return len(self._inflight)
-
-    def _batch_chunks(self, plan, fps: list[str | None],
-                      pending: dict[str, list[int]],
-                      cells: list[Cell]) \
-            -> list[tuple[list[Cell], list[str]]]:
-        """Batched ``(cells, fingerprints)`` chunks still needing compute.
-
-        Plan groups are filtered to pending fingerprints and deduplicated
-        (one engine lane per unique cell, however often it recurs in the
-        sweep); with a usable pool each chunk is split evenly across the
-        workers so even a lone big batch saturates ``--jobs N``.
-        """
-        if plan is None or not plan.groups:
-            return []
-        chunks: list[tuple[list[Cell], list[str]]] = []
-        seen: set[str] = set()
-        for group in plan.groups:
-            chunk_cells: list[Cell] = []
-            chunk_fps: list[str] = []
-            for index in group:
-                fp = fps[index]
-                if fp is None or fp in seen or fp not in pending:
-                    continue
-                seen.add(fp)
-                chunk_cells.append(cells[index])
-                chunk_fps.append(fp)
-            if chunk_fps:
-                chunks.append((chunk_cells, chunk_fps))
-        if self._pool_usable() and chunks:
-            split: list[tuple[list[Cell], list[str]]] = []
-            for chunk_cells, chunk_fps in chunks:
-                parts = min(self.jobs, len(chunk_fps))
-                size = -(-len(chunk_fps) // parts)
-                for start in range(0, len(chunk_fps), size):
-                    split.append((chunk_cells[start:start + size],
-                                  chunk_fps[start:start + size]))
-            chunks = split
-        return chunks
-
-    def _finish_batch_member(self, cell: Cell, fp: str, outcome,
-                             capture: CaptureSpec | None):
-        """Accept one batch member's outcome, or retry it standalone.
-
-        A valid ``(result, seconds, snapshot)`` tuple is accepted as-is;
-        anything else — a :class:`~repro.sim.batched.BatchCellError`, a
-        corrupt result, a missing snapshot under capture — sends the
-        member through :meth:`_resolve_cell` alone with a fresh attempt
-        budget, so one bad cell never poisons its batch-mates.
-        """
-        if isinstance(outcome, tuple):
-            result, seconds, snap = outcome
-            if _problem(cell, result, snap, capture) is None:
-                self._stat("batched")
-                return result, seconds, snap
-        self._stat("retries")
-        self._obs_inc("exec.retries")
-        self._progress("retried")
-        self._span_event("batch_retry", {"policy": cell.policy_name})
-        return self._resolve_cell(fp, cell, None, None, capture)
 
     # ------------------------------------------------------------------
     # Resilience

@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 
 from repro.analysis.slowdown import SlowdownSeries
 from repro.exec import runtime as exec_runtime
-from repro.exec.executor import (Cell, StudyCell, SweepExecutor,
-                                 cell_fingerprint)
-from repro.exec.fingerprint import fingerprint as _fingerprint
+from repro.exec.executor import Cell, StudyCell, SweepExecutor
 from repro.exec.resilience import warn_resume_deprecated
 from repro.mc.policy import PolicyFactory
+from repro.sim.batched import check_backend
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.results import ComparisonResult
 from repro.workloads.mixes import MixRecipe
@@ -54,20 +53,6 @@ DEFAULT_SEED = 2025
 
 #: Valid sweep modes: the representative subset or all 22 workloads.
 MODES = ("quick", "full")
-
-#: Valid engine backends: the scalar reference loop, the batched
-#: columnar loop, or automatic per-sweep selection.
-BACKENDS = ("scalar", "batched", "auto")
-
-#: ``auto`` engages the batched backend only when a compatible group
-#: has at least this many cells — below that the columnar setup cost
-#: outweighs the amortised dispatch.
-AUTO_BATCH_MIN = 4
-
-#: Largest single engine batch: beyond ~512 cells the stacked state
-#: arrays outgrow cache and per-event cost climbs back up (see
-#: ``benchmarks/bench_engine.py``); bigger groups are chunked.
-MAX_BATCH_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -100,14 +85,9 @@ class RunOptions:
         completed; 3.0 removes the field (it stays in the wire format
         until then).
     backend:
-        Engine backend: ``"scalar"`` (the reference event loop,
-        default), ``"batched"`` (the columnar batch engine for every
-        compatible cell), or ``"auto"`` (batched only where
-        :func:`plan_backends` finds a group of at least
-        :data:`AUTO_BATCH_MIN` policy-free compatible cells).  All
-        backends produce byte-identical results; the choice only
-        affects throughput and cache fingerprints (non-scalar runs are
-        keyed separately).
+        Deprecated and ignored: ``"batched"`` or ``"auto"`` warns once
+        and every cell still runs on the scalar engine.  3.0 removes the
+        field (it stays in the wire format until then).
     """
 
     mode: str = "quick"
@@ -129,12 +109,10 @@ class RunOptions:
             raise ValueError("retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {self.backend!r}")
+        # Both deprecation warnings blame the line that built the record,
+        # past the generated __init__ that calls this hook.
+        check_backend(self.backend, "RunOptions.backend", stacklevel=4)
         if self.resume:
-            # Blame the line that built the record, past the generated
-            # __init__ that calls this hook.
             warn_resume_deprecated("RunOptions.resume", stacklevel=4)
 
     @property
@@ -209,8 +187,6 @@ class RunOptions:
             parts.append(f"retries={self.retries}")
         if self.timeout_s is not None:
             parts.append(f"timeout_s={self.timeout_s:g}")
-        if self.backend != "scalar":
-            parts.append(f"backend={self.backend}")
         return " ".join(parts)
 
 
@@ -356,77 +332,6 @@ def sweep_cells(designs: list[DesignSpec],
                               policy=spec.factory,
                               policy_name=spec.name))
     return cells
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """Resolved backend assignment for one cell list.
-
-    ``backends[i]`` is the engine the *i*-th cell runs on (``"scalar"``
-    or ``"batched"``); ``groups`` are the batched cell indices, one
-    tuple per engine invocation — every member of a group shares a
-    canonically-equal ``run_system`` and no group exceeds
-    :data:`MAX_BATCH_CELLS`.
-    """
-
-    backends: tuple[str, ...]
-    groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def batched_cells(self) -> int:
-        return sum(len(group) for group in self.groups)
-
-
-def plan_backends(cells: list[Cell], backend: str = "scalar",
-                  max_batch: int = MAX_BATCH_CELLS) -> BatchPlan:
-    """Group compatible cells into engine batches.
-
-    A cell is *batchable* when it can cross a process boundary and be
-    cache-keyed (``policy`` is ``None`` or a spec, the cell
-    fingerprints) and its ``run_system`` models a single channel — the
-    batch engine's layout constraint.  Batchable cells are grouped by
-    canonically-equal ``run_system`` (the engine stacks state for one
-    hardware shape per invocation):
-
-    * ``backend="batched"`` batches every batchable cell, mitigation
-      policies included (their misses take the engine's escape hatch);
-    * ``backend="auto"`` batches only *policy-free* cells, and only
-      groups of at least :data:`AUTO_BATCH_MIN` — policy-bearing cells
-      escape on every miss, so batching them buys nothing, and tiny
-      groups don't amortise the columnar setup;
-    * ``backend="scalar"`` batches nothing.
-
-    The plan is a pure function of the cell list, so fingerprints
-    derived from it are stable across serial/parallel/cached runs.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, "
-                         f"got {backend!r}")
-    backends = ["scalar"] * len(cells)
-    if backend == "scalar":
-        return BatchPlan(backends=tuple(backends), groups=())
-    grouped: dict[str, list[int]] = {}
-    for index, cell in enumerate(cells):
-        if not isinstance(cell, Cell):
-            continue  # a study runs no engine
-        if backend == "auto" and cell.policy is not None:
-            continue
-        if cell.run_system.organization.channels != 1:
-            continue
-        if cell_fingerprint(cell, backend="batched") is None:
-            continue
-        grouped.setdefault(_fingerprint(run_system=cell.run_system),
-                           []).append(index)
-    groups: list[tuple[int, ...]] = []
-    for indices in grouped.values():
-        if backend == "auto" and len(indices) < AUTO_BATCH_MIN:
-            continue
-        for start in range(0, len(indices), max_batch):
-            chunk = indices[start:start + max_batch]
-            groups.append(tuple(chunk))
-            for index in chunk:
-                backends[index] = "batched"
-    return BatchPlan(backends=tuple(backends), groups=tuple(groups))
 
 
 def sweep_designs(designs: list[DesignSpec],

@@ -87,10 +87,9 @@ def run_experiment(name: str,
 
     The resilience knobs (``retries``/``timeout_s``) configure the
     ambient sweep executor when the caller activated one; with no
-    ambient executor, a private executor carrying that policy — and the
-    requested engine ``backend`` — is scoped around the run, so library
-    callers get fault tolerance and batched dispatch without touching
-    :mod:`repro.exec.runtime`.
+    ambient executor, a private executor carrying that policy is scoped
+    around the run, so library callers get fault tolerance without
+    touching :mod:`repro.exec.runtime`.
 
     The pre-2.0 ``quick``/``seed``/``requests_per_core`` keyword
     surface was removed after its deprecation cycle; construct a
@@ -109,7 +108,7 @@ def run_experiment(name: str,
     if options.requests_per_core is not None and \
             "requests_per_core" in inspect.signature(runner).parameters:
         kwargs["requests_per_core"] = options.requests_per_core
-    if options.wants_resilience() or options.backend != "scalar":
+    if options.wants_resilience():
         from repro.exec import runtime as exec_runtime
         if exec_runtime.active() is None:
             from repro.exec.executor import SweepExecutor
@@ -120,8 +119,7 @@ def run_experiment(name: str,
                 timeout_s=options.timeout_s,
                 retries=options.retries if options.retries is not None
                 else defaults.retries)
-            with SweepExecutor(policy=policy,
-                               backend=options.backend) as executor, \
+            with SweepExecutor(policy=policy) as executor, \
                     exec_runtime.activated(executor):
                 return runner(**kwargs)
     return runner(**kwargs)

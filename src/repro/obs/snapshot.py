@@ -155,12 +155,16 @@ def _merge_metric(registry: MetricsRegistry, name: str,
 def merge_snapshot(telemetry, snapshot: TelemetrySnapshot) -> None:
     """Fold one cell's snapshot into the parent ``telemetry``.
 
-    Counts this as one run of the parent (``run`` indices in replayed
-    journal records are remapped to the parent's sequence).  The snapshot
-    is never mutated, so the same object can be merged repeatedly — a
-    memoised cell contributes once per occurrence in the sweep.
+    A snapshot whose journal holds a ``run_start`` counts as one run of
+    the parent (``run`` indices in replayed journal records are remapped
+    to the parent's sequence); a study cell's snapshot, which runs no
+    simulation, uses up no index.  The snapshot is never mutated, so the
+    same object can be merged repeatedly — a memoised cell contributes
+    once per occurrence in the sweep.
     """
-    telemetry.run_index += 1
+    if any(record.get("kind") == "run_start"
+           for record in snapshot.journal):
+        telemetry.run_index += 1
     run = telemetry.run_index
     journal = telemetry.journal
     trace = telemetry.trace

@@ -30,9 +30,8 @@ concurrent.
 
 Per-job knobs ride the :class:`~repro.experiments.common.RunOptions`
 wire record: ``retries``/``timeout_s`` become the executor's
-:class:`~repro.exec.resilience.CellPolicy` for that job, ``backend``
-selects the engine backend (batched groups reuse the planner from
-``experiments.common``).  The knobs bind through
+:class:`~repro.exec.resilience.CellPolicy` for that job (the deprecated
+``backend`` field is accepted and ignored).  The knobs bind through
 :meth:`~repro.exec.SweepExecutor.scoped` — thread-local, so concurrent
 jobs never see each other's policy — and the same scope yields the
 job's **attributed counters**: exactly the cells/computed/memo work
@@ -169,7 +168,7 @@ class JobScheduler:
     executor:
         The executor every job runs through.  Its memo (and cache, if
         configured) is the coalescing layer shared across jobs; each
-        job binds its own ``policy``/``backend``/progress sink through
+        job binds its own ``policy`` and progress sink through
         the executor's thread-local :meth:`~SweepExecutor.scoped`
         scope.  Defaults to a serial cacheless executor.
     spans:
@@ -451,7 +450,6 @@ class JobScheduler:
         state, error, result_json = "done", None, None
         spans_json = None
         with executor.scoped(policy=policy,
-                             backend=job.options.backend,
                              progress=_JobProgress(self, job)) as scope:
             try:
                 with exec_runtime.activated(executor), \

@@ -1,84 +1,44 @@
-"""Batched columnar engine backend: many sweep cells, one numpy loop.
+"""Deprecated batch spellings, kept as scalar no-ops until 3.0.
 
-The scalar engine (:func:`repro.sim.runner.run_simulation`) retires one
-event per Python iteration; its profile is pure interpreter dispatch
-spread across ``service``/``bank`` calls.  A sweep, however, is dozens to
-thousands of *independent* cells with identical hardware shape — the
-ideal substrate for columnar execution.  This backend stacks the per-cell
-simulator state into arrays:
-
-* the event heap becomes a ``[cells, slots]`` matrix of packed
-  ``time << shift | sequence`` keys — a row-wise ``argmin`` reproduces
-  the heap's pop-plus-FIFO-tie-break exactly (sequence numbers are
-  unique and monotone per cell, mirroring push order);
-* bank state (``open_row`` / ``busy_until`` / ``last_act``), the
-  per-sub-channel data bus and the lazy-REF deadline live in flat int64
-  arrays indexed by ``(cell, subchannel, bank)``;
-* each step advances *every* cell by one event with a fixed number of
-  vectorised operations (select, REF check, hit/miss split, precharge +
-  activate + bus reservation, completion bookkeeping, next fetch).
-
-Divergent control flow drops to a per-cell **escape hatch**:
-
-* a due REF deadline replays :class:`~repro.dram.refresh.RefreshScheduler`
-  semantics for that one ``(cell, subchannel)`` (vectorised over banks);
-* a row miss in a cell that carries a mitigation policy runs the scalar
-  service path for that one event, with the *real* policy object driving
-  a :class:`_BatchedPort` that implements the
-  :class:`~repro.mc.policy.MitigationPort` protocol directly against the
-  state arrays (DAR registers and policy state stay plain Python — they
-  are touched only on this path);
-* an item that carries telemetry falls back to the scalar engine for
-  that whole cell: instrumentation samples per-event state at scalar
-  rate anyway, and the scalar path is already identity-pinned.  Its
-  snapshot is still captured per cell by the executor, inside the batch.
-
-``run_simulation_reference`` remains the executable specification: every
-cell's :meth:`~repro.sim.results.RunResult.to_json` must be
-**byte-identical** to the scalar engines' (``tests/test_batched_backend``,
-``tests/test_engine_identity.py`` and ``tests/golden_engine.py`` pin
-this across the backend axis).
-
-A cell that raises mid-batch (a policy bug, an injected fault) fails
-*alone*: its slots are parked, the other cells keep streaming, and the
-failure surfaces as a :class:`BatchCellError` for that index only.
-"""
+The batched engine was slower than the scalar event loop on every cell
+group the reproduction forms; each name here now warns once."""
 
 from __future__ import annotations
 
-import gc
+import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from repro.mc.policy import PolicyFactory
+    from repro.sim.config import SimConfig, SystemConfig
+    from repro.sim.results import RunResult
+    from repro.workloads.trace import MemoryTrace
 
-from repro.dram.bank import DARRegister
-from repro.dram.commands import Command, blocking_banks
-from repro.dram.subchannel import MitigationEvent
-from repro.mc.policy import MitigationPolicy, PolicyContext, PolicyFactory
-from repro.obs import runtime as obs_runtime
-from repro.sim.config import SimConfig, SystemConfig
-from repro.sim.results import RunResult
-from repro.sim.runner import run_simulation
-from repro.workloads.trace import MemoryTrace
+#: Accepted ``backend`` spellings; every one runs the scalar engine.
+BACKENDS = ("scalar", "batched", "auto")
 
-#: Slot-key sentinel for "no pending event" (int64 max; never a real key).
-_IDLE = (1 << 63) - 1
 
-#: Matches :class:`repro.dram.bank.Bank` construction (``last_act_ps``).
-_LAST_ACT_INIT = -(1 << 62)
+def backend_deprecation(spelling: str) -> str:
+    """The one message every deprecated backend spelling reports."""
+    return (f"{spelling} is deprecated and has no effect: every cell "
+            f"runs on the scalar engine; 3.0 removes {spelling}")
 
-#: ``open_row`` encoding for "closed" (rows are non-negative).
-_CLOSED = -1
+
+def check_backend(backend: str, spelling: str, stacklevel: int = 3) -> None:
+    """Reject an unknown ``backend``; warn once unless it is scalar.  The
+    default ``stacklevel`` blames the line that called the caller."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, "
+                         f"got {backend!r}")
+    if backend != "scalar":
+        warnings.warn(backend_deprecation(spelling), DeprecationWarning,
+                      stacklevel=stacklevel)
 
 
 class BatchCellError(Exception):
-    """One batch member failed; the rest of the batch is unaffected.
-
-    Carries the member ``index`` within the batch and a one-line
-    ``message`` describing the original exception.  The original
-    exception object (when raised in-process) is attached as ``cause``;
-    it is dropped on pickling so the error crosses process boundaries.
-    """
+    """One :func:`run_batch` item failed (``index``, one-line
+    ``message``); ``cause`` holds the original and is not pickled."""
 
     def __init__(self, index: int, message: str) -> None:
         super().__init__(f"batch member {index}: {message}")
@@ -92,13 +52,7 @@ class BatchCellError(Exception):
 
 @dataclass(frozen=True)
 class BatchItem:
-    """One cell of a batch: the same arguments ``run_simulation`` takes.
-
-    ``telemetry`` behaves exactly like the scalar runner's parameter:
-    ``None`` resolves the ambient instance (:mod:`repro.obs.runtime`);
-    an instrumented item is executed by the identity-pinned scalar
-    engine inside the batch (see the module docstring).
-    """
+    """The arguments of one ``run_simulation`` call."""
 
     traces: list[MemoryTrace]
     sim: SimConfig
@@ -107,731 +61,39 @@ class BatchItem:
     telemetry: object = None
 
 
-class _BatchedPort:
-    """:class:`MitigationPort` for one ``(cell, subchannel)`` of a batch.
-
-    Policies observe exactly the surface
-    :class:`~repro.mc.controller.SubChannelController` gives them —
-    ``timing`` / ``num_banks`` / ``banks_per_group`` plus the five port
-    methods — but every bank access lands in the engine's state arrays.
-    DAR registers are real :class:`DARRegister` objects (escape-path
-    only, never vectorised).
-    """
-
-    def __init__(self, engine: "_BatchEngine", cell: int,
-                 subchannel: int) -> None:
-        self._engine = engine
-        self._cell = cell
-        self._sb = cell * engine.n_sub + subchannel
-        self._base = self._sb * engine.n_banks
-        self.timing = engine.timing
-        self.num_banks = engine.n_banks
-        self.banks_per_group = engine.banks_per_group
-        self.dars = [DARRegister() for _ in range(engine.n_banks)]
-
-    # -- MitigationPort ------------------------------------------------
-    def issue(self, command: Command, bank: int, now_ps: int,
-              row: int | None = None) -> MitigationEvent:
-        engine = self._engine
-        cell = self._cell
-        base = self._base
-        timing = self.timing
-        if command is Command.DRFM_SB:
-            duration = timing.t_drfm_sb
-        elif command is Command.DRFM_AB:
-            duration = timing.t_drfm_ab
-        elif command is Command.NRR:
-            duration = timing.t_nrr
-        else:
-            raise ValueError(f"{command} is not a mitigation command")
-        targets = blocking_banks(command, bank, self.num_banks,
-                                 self.banks_per_group)
-        until = now_ps + duration
-        open_f = engine.open_f
-        busy_f = engine.busy_f
-        mitigated: list[tuple[int, int]] = []
-        if command is Command.NRR:
-            if row is None:
-                raise ValueError("NRR requires an explicit row address")
-            g = base + bank
-            open_f[g] = _CLOSED
-            if until > busy_f[g]:
-                busy_f[g] = until
-            mitigated.append((bank, row))
-        else:
-            for bank_index in targets:
-                g = base + bank_index
-                open_f[g] = _CLOSED
-                mitigated_row = self.dars[bank_index].invalidate()
-                if mitigated_row is not None:
-                    mitigated.append((bank_index, mitigated_row))
-                if until > busy_f[g]:
-                    busy_f[g] = until
-        event = MitigationEvent(
-            time_ps=now_ps,
-            command=command,
-            trigger_bank=bank,
-            blocked_banks=len(targets),
-            mitigated_rows=tuple(mitigated),
-        )
-        engine.mit_cmds_c[cell] += 1
-        engine.rows_mit_c[cell] += event.rlp
-        return event
-
-    def explicit_sample(self, bank: int, row: int, now_ps: int) -> int:
-        engine = self._engine
-        g = self._base + bank
-        if engine.open_f[g] != _CLOSED:
-            engine._pre(g, now_ps)
-        engine._act(self._cell, g, row, now_ps)
-        return engine._pre(g, now_ps, dar=self.dars[bank])
-
-    def dar(self, bank: int) -> DARRegister:
-        return self.dars[bank]
-
-    def block_bank(self, bank: int, until_ps: int) -> None:
-        busy_f = self._engine.busy_f
-        g = self._base + bank
-        if until_ps > busy_f[g]:
-            busy_f[g] = until_ps
-
-    def valid_dar_count(self) -> int:
-        return sum(1 for dar in self.dars if dar.row is not None)
-
-
-class _BatchEngine:
-    """Columnar state + step loop for the engine-eligible batch members."""
-
-    def __init__(self, system: SystemConfig,
-                 members: list[tuple[int, BatchItem]]) -> None:
-        timing = system.timing
-        org = system.organization
-        org.validate()
-        timing.validate()
-        if org.channels != 1:
-            raise NotImplementedError(
-                "the simulator models one channel; run independent "
-                "channels as independent simulations")
-        self.system = system
-        self.timing = timing
-        self.n_sub = org.subchannels
-        self.n_banks = org.banks
-        self.banks_per_group = org.banks_per_group
-        self.members = members
-        self.t_cl = timing.t_cl
-        self.t_bus = timing.t_bus
-        self.t_rc = timing.t_rc
-        self.t_rcd = timing.t_rcd
-        self.t_ras = timing.t_ras
-        self.t_rp = timing.t_rp
-        self.t_refi = timing.t_refi
-        self.t_rfc = timing.t_rfc
-        self.closed_page = system.page_policy.closes_after_access
-        ncores = system.num_cores
-        mlp = system.mlp_per_core
-        self.ncores = ncores
-        self.mlp = mlp
-        count = len(members)
-        self.count = count
-        for _, item in members:
-            if len(item.traces) != ncores:
-                raise ValueError(
-                    f"expected {ncores} traces, got {len(item.traces)}")
-        self.budgets = np.array(
-            [item.sim.requests_per_core for _, item in members], np.int64)
-        # Slot-key packing: sequence numbers stay below 2**shift, so the
-        # int64 key orders by (time, sequence) exactly like the heap.
-        seq_capacity = int(self.budgets.max()) * ncores + ncores * mlp + 1
-        self.shift = max(seq_capacity.bit_length(), 1)
-        if self.shift > 40:
-            raise ValueError("request budget too large for key packing")
-        self.time_limit = 1 << (63 - self.shift)
-
-        # Request-word packing: the three trace columns collapse into one
-        # int64 ``gap << meta_bits | gb << row_bits | row`` so the hot
-        # loop fetches one word (one gather) per retired event, and the
-        # pending-slot metadata is the word's low ``meta_bits``.
-        self.row_bits = max((org.rows_per_bank - 1).bit_length(), 1)
-        gb_bits = max((self.n_sub * self.n_banks - 1).bit_length(), 1)
-        self.meta_bits = self.row_bits + gb_bits
-        self.row_mask = (1 << self.row_bits) - 1
-        self.meta_mask = (1 << self.meta_bits) - 1
-
-        # Flat trace columns, deduplicated by trace object identity (a
-        # batch typically shares trace objects across its cells).
-        segments: dict[int, int] = {}
-        chunks: list[np.ndarray] = []
-        cursor = 0
-        self.offsets_f = np.empty(count * ncores, np.int64)
-        self.lengths_f = np.empty(count * ncores, np.int64)
-        for position, (_, item) in enumerate(members):
-            for core in range(ncores):
-                trace = item.traces[core]
-                start = segments.get(id(trace))
-                if start is None:
-                    segments[id(trace)] = start = cursor
-                    cursor += len(trace)
-                    chunks.append(self._packed_words(trace, org))
-                flat = position * ncores + core
-                self.offsets_f[flat] = start
-                self.lengths_f[flat] = len(trace)
-        self.flat_word = np.concatenate(chunks)
-        gap_limit = min(self.time_limit, 1 << (63 - self.meta_bits))
-        if int(self.flat_word.max(initial=0)) >> self.meta_bits \
-                >= gap_limit:
-            raise ValueError("trace gap too large for key packing")
-
-        # Columnar state.
-        slots = ncores * mlp
-        self.slots = slots
-        self.key = np.full((count, slots), _IDLE, np.int64)
-        self.meta_a = np.zeros((count, slots), np.int64)
-        self.issued_f = np.zeros(count * ncores, np.int64)
-        self.completed_f = np.zeros(count * ncores, np.int64)
-        self.finish_f = np.full(count * ncores, -1, np.int64)
-        banks_total = count * self.n_sub * self.n_banks
-        self.open_f = np.full(banks_total, _CLOSED, np.int64)
-        self.busy_f = np.zeros(banks_total, np.int64)
-        self.last_f = np.full(banks_total, _LAST_ACT_INIT, np.int64)
-        self.bus_f = np.zeros(count * self.n_sub, np.int64)
-        self.ref_f = np.full(count * self.n_sub, self.t_refi, np.int64)
-        self.acts_c = np.zeros(count, np.int64)
-        self.esc_c = np.zeros(count, np.int64)
-        self.hits_c = np.zeros(count, np.int64)
-        self.conflicts_c = np.zeros(count, np.int64)
-        self.mit_cmds_c = np.zeros(count, np.int64)
-        self.rows_mit_c = np.zeros(count, np.int64)
-        self.end_time = np.zeros(count, np.int64)
-        self._cells = np.arange(count)
-
-        self.errors: dict[int, BatchCellError] = {}
-        self.policy_mask = np.zeros(count, bool)
-        self.policies: list[list[MitigationPolicy] | None] = [None] * count
-        self.ports: list[list[_BatchedPort] | None] = [None] * count
-        self._fill_slots()
-        for position, (_, item) in enumerate(members):
-            if item.policy_factory is None:
-                continue
-            try:
-                cell_policies = []
-                cell_ports = []
-                for index in range(self.n_sub):
-                    context = PolicyContext(
-                        subchannel=index,
-                        num_banks=org.banks,
-                        banks_per_group=org.banks_per_group,
-                        rows_per_bank=org.rows_per_bank,
-                        timing=timing,
-                        seed=item.sim.seed,
-                    )
-                    policy = item.policy_factory(context)
-                    port = _BatchedPort(self, position, index)
-                    policy.bind(port)
-                    cell_policies.append(policy)
-                    cell_ports.append(port)
-            except Exception as exc:  # noqa: BLE001 - isolate the cell
-                self._fail_cell(position, exc)
-                continue
-            self.policies[position] = cell_policies
-            self.ports[position] = cell_ports
-            self.policy_mask[position] = True
-
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    def _packed_words(self, trace: MemoryTrace, org) -> np.ndarray:
-        """The trace's request columns as one packed int64 word each.
-
-        Rides the trace's per-dtype column cache (a packing-layout tuple
-        key cannot collide with ``columns()``'s dtype keys), so repeated
-        batches over the same traces — bench rounds, warm sweeps — skip
-        the packing entirely; :meth:`MemoryTrace.invalidate_columns`
-        drops it with the rest.
-        """
-        cache = trace.__dict__.setdefault("_columns_cache", {})
-        key = ("batched-word", self.n_sub, self.n_banks, self.row_bits,
-               self.meta_bits)
-        word = cache.get(key)
-        if word is None:
-            sub_c, bank_c, row_c, gap_c = trace.columns(np.int64)
-            if (int(sub_c.max()) >= self.n_sub
-                    or int(bank_c.max()) >= self.n_banks
-                    or int(row_c.max()) >= org.rows_per_bank):
-                raise ValueError(
-                    f"trace {trace.name!r} addresses outside the "
-                    "configured DRAM organization")
-            if (int(sub_c.min()) < 0 or int(bank_c.min()) < 0
-                    or int(row_c.min()) < 0 or int(gap_c.min()) < 0):
-                raise ValueError(
-                    f"trace {trace.name!r} has negative coordinates "
-                    "or gaps")
-            # (subchannel, bank) packed as one global-bank coordinate
-            # inside the word.
-            gb_c = sub_c * self.n_banks + bank_c
-            word = (gap_c << self.meta_bits) | (gb_c << self.row_bits) \
-                | row_c
-            cache[key] = word
-        return word
-
-    def _fill_slots(self) -> None:
-        """Seed one pending request per MLP slot, in reference push order.
-
-        The key's tie-break field is the slot's position in that fill
-        order (core-major, slot-minor), which reproduces the heap's
-        initial sequence numbers; the step loop continues the numbering
-        from ``slots`` with one global step counter — within any cell at
-        most one push happens per step, so step order *is* per-cell push
-        order.
-        """
-        budgets = self.budgets
-        issued_f = self.issued_f
-        ncores = self.ncores
-        shift = self.shift
-        for core in range(self.ncores):
-            core_f = self._cells * ncores + core
-            for slot in range(self.mlp):
-                can = issued_f[core_f] < budgets
-                cells = np.nonzero(can)[0]
-                if cells.size == 0:
-                    continue
-                flats = core_f[cells]
-                index = issued_f[flats] % self.lengths_f[flats]
-                position = self.offsets_f[flats] + index
-                issued_f[flats] += 1
-                s = core * self.mlp + slot
-                word = self.flat_word[position]
-                self.key[cells, s] = ((word >> self.meta_bits) << shift) | s
-                self.meta_a[cells, s] = word & self.meta_mask
-
-    # ------------------------------------------------------------------
-    # Escape-hatch scalar bank operations (mirror repro.dram.bank.Bank)
-    # ------------------------------------------------------------------
-    def _act(self, cell: int, g: int, row: int, now: int) -> int:
-        open_f = self.open_f
-        if open_f[g] != _CLOSED:
-            raise RuntimeError(
-                f"ACT to row {row} while row {int(open_f[g])} is open")
-        busy = int(self.busy_f[g])
-        if busy < now:
-            busy = now
-        tracked = int(self.last_f[g]) + self.t_rc
-        start = tracked if tracked > busy else busy
-        open_f[g] = row
-        self.last_f[g] = start
-        ready = start + self.t_rcd
-        self.busy_f[g] = ready
-        self.acts_c[cell] += 1
-        return ready
-
-    def _pre(self, g: int, now: int, dar: DARRegister | None = None) -> int:
-        open_f = self.open_f
-        if dar is not None:
-            open_row = int(open_f[g])
-            if open_row == _CLOSED:
-                raise RuntimeError("PRE+Sample with no open row")
-            dar.write(open_row, now)
-        busy = int(self.busy_f[g])
-        if busy < now:
-            busy = now
-        earliest = int(self.last_f[g]) + self.t_ras
-        start = earliest if earliest > busy else busy
-        open_f[g] = _CLOSED
-        done = start + self.t_rp
-        self.busy_f[g] = done
-        return done
-
-    def _reserve_bus(self, sb: int, earliest: int) -> int:
-        bus_f = self.bus_f
-        busy = int(bus_f[sb])
-        start = earliest if earliest > busy else busy
-        done = start + self.t_bus
-        bus_f[sb] = done
-        return done
-
-    def _advance_ref(self, sb: int, now: int) -> None:
-        """Replay RefreshScheduler.advance + SubChannel.refresh for one
-        ``(cell, subchannel)``: close every row, block banks for tRFC."""
-        next_ref = int(self.ref_f[sb])
-        base = sb * self.n_banks
-        bank_open = self.open_f[base:base + self.n_banks]
-        bank_busy = self.busy_f[base:base + self.n_banks]
-        t_refi = self.t_refi
-        t_rfc = self.t_rfc
-        while next_ref <= now:
-            bank_open[:] = _CLOSED
-            np.maximum(bank_busy, next_ref + t_rfc, out=bank_busy)
-            next_ref += t_refi
-        self.ref_f[sb] = next_ref
-
-    def _service_escape(self, cell: int, sub: int, bank: int, row: int,
-                        now: int, g: int, sb: int) -> int:
-        """Scalar service path for one policy-bearing row miss (mirrors
-        SubChannelController.service below the hit fast path)."""
-        self.esc_c[cell] += 1
-        policy = self.policies[cell][sub]
-        sample_after = policy.before_activate(bank, row, now)
-        if self.open_f[g] != _CLOSED:
-            self.conflicts_c[cell] += 1
-            self._pre(g, now)
-        row_ready = self._act(cell, g, row, now)
-        finish = self._reserve_bus(sb, row_ready + self.t_cl)
-        if sample_after:
-            self._pre(g, finish, dar=self.ports[cell][sub].dars[bank])
-            policy.on_sampled(bank, row, finish)
-        elif self.closed_page:
-            self._pre(g, finish)
-        return finish
-
-    def _fail_cell(self, cell: int, exc: BaseException) -> None:
-        error = BatchCellError(
-            self.members[cell][0],
-            f"{type(exc).__name__}: {exc}")
-        error.cause = exc
-        error.__cause__ = exc
-        self.errors[cell] = error
-        self.key[cell, :] = _IDLE
-
-    # ------------------------------------------------------------------
-    # Step loop
-    # ------------------------------------------------------------------
-    def run(self) -> None:
-        # The hot loop allocates only small transient arrays; a cyclic
-        # collection mid-run (triggered by *ambient* heap churn, e.g.
-        # scalar-engine column caches built earlier in the process) can
-        # double step cost.  Pause automatic GC; nothing here creates
-        # reference cycles.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self._run_loop()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _run_loop(self) -> None:
-        key = self.key
-        key_flat = key.reshape(-1)
-        meta_flat = self.meta_a.reshape(-1)
-        open_f = self.open_f
-        busy_f = self.busy_f
-        last_f = self.last_f
-        bus_f = self.bus_f
-        ref_f = self.ref_f
-        issued_f = self.issued_f
-        completed_f = self.completed_f
-        flat_word = self.flat_word
-        offsets_f = self.offsets_f
-        lengths_f = self.lengths_f
-        budgets = self.budgets
-        cells_idx = self._cells
-        n_sub = self.n_sub
-        n_banks = self.n_banks
-        banks_per_cell = n_sub * n_banks
-        ncores = self.ncores
-        mlp = self.mlp
-        slots = self.slots
-        shift = self.shift
-        time_limit = self.time_limit
-        row_bits = self.row_bits
-        row_mask = self.row_mask
-        meta_bits = self.meta_bits
-        meta_mask = self.meta_mask
-        t_cl = self.t_cl
-        t_bus = self.t_bus
-        t_rc = self.t_rc
-        t_rcd = self.t_rcd
-        t_ras = self.t_ras
-        t_rp = self.t_rp
-        closed_page = self.closed_page
-        any_policy = bool(self.policy_mask.any())
-        policy_mask = self.policy_mask
-        hits_c = self.hits_c
-        conflicts_c = self.conflicts_c
-        end_time = self.end_time
-        maximum = np.maximum
-        where = np.where
-        nonzero = np.nonzero
-        # All-live fast-path constants: when every cell retires a lane
-        # the per-lane cell index IS ``arange(count)`` and these
-        # products replace the fancy-indexed forms below.
-        base_slots = cells_idx * slots
-        cells_nsub = cells_idx * n_sub
-        cells_banks = cells_idx * banks_per_cell
-        cells_ncores = cells_idx * ncores
-        step_seq = slots
-        while True:
-            j = key.argmin(axis=1)
-            sidx = base_slots + j
-            kv = key_flat[sidx]
-            if kv.max() != _IDLE:
-                # Common case: every cell still live — skip compaction.
-                full = True
-                cs = cells_idx
-                js = j
-                now = kv >> shift
-            else:
-                cs = nonzero(kv != _IDLE)[0]
-                if cs.size == 0:
-                    break
-                full = False
-                js = j[cs]
-                sidx = sidx[cs]
-                now = kv[cs] >> shift
-            meta = meta_flat[sidx]
-            row = meta & row_mask
-            gb = meta >> row_bits
-            if full:
-                sb = cells_nsub + gb // n_banks
-                g = cells_banks + gb
-            else:
-                sb = cs * n_sub + gb // n_banks
-                g = cs * banks_per_cell + gb
-            # Lazy REF: due deadlines replay the scheduler before the
-            # row-buffer check (a REF closes every row).
-            due = now >= ref_f[sb]
-            if due.any():
-                for lane in nonzero(due)[0]:
-                    self._advance_ref(int(sb[lane]), int(now[lane]))
-            failed = False
-            open_g = open_f[g]
-            hit = open_g == row
-            escapes = None
-            if any_policy:
-                pm = policy_mask if full else policy_mask[cs]
-                escapes = nonzero(~hit & pm)[0]
-                if escapes.size == 0:
-                    escapes = None
-            if escapes is None:
-                # Merged hit/miss service, fully vectorised: one gather
-                # and one scatter per bank column, branch-free via where.
-                busy0 = busy_f[g]
-                la = last_f[g]
-                busy1 = maximum(busy0, now)
-                conflict = ~hit & (open_g != _CLOSED)
-                pre_done = maximum(la + t_ras, busy1) + t_rp
-                busy2 = where(conflict, pre_done, busy1)
-                act_start = maximum(la + t_rc, busy2)
-                row_ready = act_start + t_rcd
-                earliest = where(hit, busy1, row_ready) + t_cl
-                finish = maximum(earliest, bus_f[sb]) + t_bus
-                bus_f[sb] = finish
-                if closed_page:
-                    closed_busy = maximum(act_start + t_ras, finish) + t_rp
-                    busy_f[g] = where(hit, busy0, closed_busy)
-                    open_f[g] = where(hit, row, _CLOSED)
-                else:
-                    busy_f[g] = where(hit, busy0, row_ready)
-                    open_f[g] = row
-                last_f[g] = where(hit, la, act_start)
-                if full:
-                    hits_c += hit
-                    conflicts_c += conflict
-                else:
-                    hits_c[cs] += hit
-                    conflicts_c[cs] += conflict
-            else:
-                # Some lanes carry a policy-bearing miss: service the
-                # vectorisable remainder, then the per-event escapes.
-                finish = np.empty(cs.size, np.int64)
-                keep_mask = np.ones(cs.size, bool)
-                keep_mask[escapes] = False
-                v = nonzero(keep_mask)[0]
-                if v.size:
-                    gv = g[v]
-                    now_v = now[v]
-                    row_v = row[v]
-                    open_gv = open_g[v]
-                    hit_v = hit[v]
-                    busy0 = busy_f[gv]
-                    la = last_f[gv]
-                    busy1 = maximum(busy0, now_v)
-                    conflict = ~hit_v & (open_gv != _CLOSED)
-                    pre_done = maximum(la + t_ras, busy1) + t_rp
-                    busy2 = where(conflict, pre_done, busy1)
-                    act_start = maximum(la + t_rc, busy2)
-                    row_ready = act_start + t_rcd
-                    earliest = where(hit_v, busy1, row_ready) + t_cl
-                    sb_v = sb[v]
-                    done = maximum(earliest, bus_f[sb_v]) + t_bus
-                    bus_f[sb_v] = done
-                    finish[v] = done
-                    if closed_page:
-                        closed_busy = maximum(act_start + t_ras,
-                                              done) + t_rp
-                        busy_f[gv] = where(hit_v, busy0, closed_busy)
-                        open_f[gv] = where(hit_v, row_v, _CLOSED)
-                    else:
-                        busy_f[gv] = where(hit_v, busy0, row_ready)
-                        open_f[gv] = row_v
-                    last_f[gv] = where(hit_v, la, act_start)
-                    hits_c[cs[v]] += hit_v
-                    conflicts_c[cs[v]] += conflict
-                for lane in escapes:
-                    cell = int(cs[lane])
-                    gb_l = int(gb[lane])
-                    try:
-                        finish[lane] = self._service_escape(
-                            cell, gb_l // n_banks, gb_l % n_banks,
-                            int(row[lane]), int(now[lane]), int(g[lane]),
-                            int(sb[lane]))
-                    except Exception as exc:  # noqa: BLE001
-                        self._fail_cell(cell, exc)
-                        finish[lane] = -1
-                        failed = True
-            if failed:
-                keep = finish >= 0
-                cs = cs[keep]
-                js = js[keep]
-                finish = finish[keep]
-                full = False
-                if cs.size == 0:
-                    step_seq += 1
-                    continue
-                sidx = cs * slots + js
-            # Completion bookkeeping + next fetch per retired slot.
-            if full:
-                fc = cells_ncores + js // mlp
-                completed_f[fc] += 1
-                maximum(end_time, finish, out=end_time)
-                can = issued_f[fc] < budgets
-            else:
-                fc = cs * ncores + js // mlp
-                completed_f[fc] += 1
-                end_time[cs] = maximum(end_time[cs], finish)
-                can = issued_f[fc] < budgets[cs]
-            if can.all():
-                flats = fc
-                kidx = sidx
-                finish_b = finish
-            else:
-                fi = nonzero(can)[0]
-                flats = fc[fi]
-                kidx = sidx[fi]
-                finish_b = finish[fi]
-                ni = nonzero(~can)[0]
-                key_flat[sidx[ni]] = _IDLE
-                done_mask = completed_f[fc[ni]] >= budgets[cs[ni]]
-                di = ni[done_mask]
-                if di.size:
-                    self.finish_f[fc[di]] = finish[di]
-            if flats.size:
-                index = issued_f[flats] % lengths_f[flats]
-                position = offsets_f[flats] + index
-                issued_f[flats] += 1
-                word = flat_word[position]
-                next_time = finish_b + (word >> meta_bits)
-                if int(next_time.max()) >= time_limit:
-                    raise OverflowError(
-                        "simulated time exceeds key-packing range")
-                key_flat[kidx] = (next_time << shift) | step_seq
-                meta_flat[kidx] = word & meta_mask
-            step_seq += 1
-
-    # ------------------------------------------------------------------
-    # Result assembly (mirrors repro.sim.runner._finish)
-    # ------------------------------------------------------------------
-    def result(self, position: int) -> RunResult:
-        item = self.members[position][1]
-        ncores = self.ncores
-        end_time = int(self.end_time[position])
-        finish_times = []
-        for core in range(ncores):
-            finish = int(self.finish_f[position * ncores + core])
-            finish_times.append(finish if finish >= 0 else end_time)
-        completed = int(self.completed_f[position * ncores:
-                                         (position + 1) * ncores].sum())
-        commands = int(self.mit_cmds_c[position])
-        rows_mitigated = int(self.rows_mit_c[position])
-        cell_policies = self.policies[position]
-        # Every vector-path miss is exactly one ACT; the escape path
-        # counts its own ACTs (service + explicit samples) in acts_c.
-        hits = int(self.hits_c[position])
-        activations = (completed - hits - int(self.esc_c[position])
-                       + int(self.acts_c[position]))
-        return RunResult(
-            workload=item.traces[0].name if item.traces else "empty",
-            policy=item.policy_name,
-            finish_times_ps=finish_times,
-            end_time_ps=end_time,
-            requests_completed=completed,
-            activations=activations,
-            row_hits=int(self.hits_c[position]),
-            row_conflicts=int(self.conflicts_c[position]),
-            mitigation_commands=commands,
-            rows_mitigated=rows_mitigated,
-            average_rlp=rows_mitigated / commands if commands else 0.0,
-            bus_busy_ps=completed * self.t_bus,
-            subchannels=self.n_sub,
-            policy_summaries=([policy.summary()
-                               for policy in cell_policies]
-                              if cell_policies is not None else []),
-        )
-
-
 def run_batch(system: SystemConfig, items: list[BatchItem],
               collect_errors: bool = False
               ) -> list[RunResult | BatchCellError]:
-    """Run a batch of cells sharing one :class:`SystemConfig`.
+    """Run each item through ``run_simulation``, in order.  With
+    ``collect_errors`` a failing item yields a :class:`BatchCellError`
+    in its slot instead of raising."""
+    from repro.sim.runner import run_simulation
 
-    Returns one outcome per item, in order.  With
-    ``collect_errors=False`` (the default) the first failing cell's
-    original exception is raised; with ``collect_errors=True`` a failing
-    cell yields a :class:`BatchCellError` in its slot and every other
-    cell still completes — the executor uses this to retry failed
-    members individually while caching the survivors.
-
-    Items carrying telemetry (explicit or ambient) run on the scalar
-    engine inside the batch; everything else streams through the
-    columnar step loop.  Either way each cell's
-    :meth:`RunResult.to_json` is byte-identical to
-    ``run_simulation_reference``.
-    """
-    outcomes: list[RunResult | BatchCellError | None] = [None] * len(items)
-    engine_members: list[tuple[int, BatchItem]] = []
-    ambient = obs_runtime.active()
+    warnings.warn(backend_deprecation("run_batch"), DeprecationWarning,
+                  stacklevel=2)
+    outcomes: list[RunResult | BatchCellError] = []
     for index, item in enumerate(items):
-        telemetry = item.telemetry if item.telemetry is not None else ambient
-        if telemetry is not None:
-            try:
-                outcomes[index] = run_simulation(
-                    system, item.traces, item.sim, item.policy_factory,
-                    item.policy_name, telemetry=telemetry)
-            except Exception as exc:  # noqa: BLE001 - isolate the cell
-                error = BatchCellError(index,
-                                       f"{type(exc).__name__}: {exc}")
-                error.cause = exc
-                error.__cause__ = exc
-                outcomes[index] = error
-        else:
-            engine_members.append((index, item))
-    if engine_members:
-        engine = _BatchEngine(system, engine_members)
-        engine.run()
-        for position, (index, _) in enumerate(engine_members):
-            error = engine.errors.get(position)
-            outcomes[index] = (error if error is not None
-                               else engine.result(position))
-    if not collect_errors:
-        for outcome in outcomes:
-            if isinstance(outcome, BatchCellError):
-                raise (outcome.cause if outcome.cause is not None
-                       else outcome)
-    return outcomes  # type: ignore[return-value]
+        try:
+            outcomes.append(run_simulation(
+                system, item.traces, item.sim, item.policy_factory,
+                item.policy_name, telemetry=item.telemetry))
+        except Exception as exc:  # noqa: BLE001 - isolate the item
+            if not collect_errors:
+                raise
+            error = BatchCellError(index, f"{type(exc).__name__}: {exc}")
+            error.cause = exc
+            outcomes.append(error)
+    return outcomes
 
 
-def run_simulation_batched(system: SystemConfig,
-                           traces: list[MemoryTrace],
+def run_simulation_batched(system: SystemConfig, traces: list[MemoryTrace],
                            sim: SimConfig,
                            policy_factory: PolicyFactory | None = None,
                            policy_name: str = "none",
                            telemetry=None) -> RunResult:
-    """Single-cell convenience wrapper over :func:`run_batch`.
-
-    Signature-compatible with :func:`repro.sim.runner.run_simulation`,
-    which lets the identity tests sweep the backend axis uniformly.
-    """
-    outcome = run_batch(system, [BatchItem(
-        traces=traces, sim=sim, policy_factory=policy_factory,
-        policy_name=policy_name, telemetry=telemetry)])[0]
-    return outcome  # type: ignore[return-value]
+    """Alias of :func:`repro.sim.runner.run_simulation`."""
+    from repro.sim.runner import run_simulation
+    warnings.warn(backend_deprecation("run_simulation_batched"),
+                  DeprecationWarning, stacklevel=2)
+    return run_simulation(system, traces, sim, policy_factory,
+                          policy_name, telemetry=telemetry)

@@ -50,43 +50,27 @@ class MemoryTrace:
     def __len__(self) -> int:
         return len(self.row)
 
-    def columns(self, dtype=None) -> tuple:
-        """``(subchannel, bank, row, gap_ps)`` in hot-loop-friendly form.
+    def columns(self) -> tuple:
+        """``(subchannel, bank, row, gap_ps)`` as flat Python-int lists.
 
-        With ``dtype=None`` (the scalar engine) the columns are flat
-        Python-int lists: the hot loop indexes one element per fetched
-        request, and indexing the numpy arrays directly would allocate a
-        numpy scalar (and force an ``int()`` round-trip) on every
-        access.  With a numpy ``dtype`` (the batched engine) the columns
-        are C-contiguous arrays of that dtype, ready for vectorised
-        gathers; they may share memory with the trace's own arrays and
-        must be treated as read-only.
-
-        Results are memoized *per dtype key*, so engines with different
-        needs can share one trace without silently rebuilding each
-        other's columns; every :class:`~repro.cpu.core.Core` / batch
-        member sharing this trace reuses them.  Call
-        :meth:`invalidate_columns` after mutating the underlying arrays
-        (tests only — traces are immutable in normal operation).
+        The hot loop indexes one element per fetched request, and
+        indexing the numpy arrays directly would allocate a numpy scalar
+        (and force an ``int()`` round-trip) on every access.  The lists
+        are memoized, so every :class:`~repro.cpu.core.Core` sharing
+        this trace reuses them.  Call :meth:`invalidate_columns` after
+        mutating the underlying arrays (tests only — traces are
+        immutable in normal operation).
         """
-        cache = self.__dict__.get("_columns_cache")
-        if cache is None:
-            cache = {}
-            self._columns_cache = cache
-        key = None if dtype is None else np.dtype(dtype)
-        cached = cache.get(key)
+        cached = self.__dict__.get("_columns_cache")
         if cached is None:
-            source = (self.subchannel, self.bank, self.row, self.gap_ps)
-            if key is None:
-                cached = tuple(column.tolist() for column in source)
-            else:
-                cached = tuple(np.ascontiguousarray(column, dtype=key)
-                               for column in source)
-            cache[key] = cached
+            cached = tuple(column.tolist() for column in
+                           (self.subchannel, self.bank, self.row,
+                            self.gap_ps))
+            self._columns_cache = cached
         return cached
 
     def invalidate_columns(self) -> None:
-        """Drop every memoized column set (after mutating the arrays)."""
+        """Drop the memoized columns (after mutating the arrays)."""
         self.__dict__.pop("_columns_cache", None)
 
     @classmethod

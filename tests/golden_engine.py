@@ -25,13 +25,6 @@ is *meant* to change — with::
 
 and review the diff like any other behavioural change.  ``--check``
 exits non-zero on the first mismatch (used by CI).
-
-Since PR 7 the check carries a **backend axis**: every backend must
-reproduce the *same* golden bytes, so ``--check`` runs the grid through
-both the scalar engine and the batched columnar engine
-(:mod:`repro.sim.batched`), and ``--check --backend batched`` restricts
-to one backend (the CI ``batched-identity-smoke`` job).  ``--write``
-always writes from the scalar reference path.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ import sys
 from repro.dram.commands import Command
 from repro.mc.mitigation import coupled_mint_factory, coupled_para_factory
 from repro.obs import Telemetry
-from repro.sim.batched import run_simulation_batched
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.runner import run_simulation
 from repro.workloads.builder import build_traces
@@ -61,9 +53,6 @@ SEEDS = (7, 11)
 REQUESTS_PER_CORE = 1_200
 #: The instrumented cell whose journal/metrics are pinned.
 JOURNAL_CELL = ("mcf", "mint-drfmsb", 7)
-#: Engine backends under the identity contract; all must reproduce the
-#: same golden bytes.
-BACKENDS = ("scalar", "batched")
 
 
 def designs() -> dict[str, object]:
@@ -82,19 +71,18 @@ def _system() -> SystemConfig:
 
 def _run_cell(workload: str, design: str, factory, seed: int,
               telemetry: Telemetry | None = None,
-              backend: str = "scalar") -> str:
+              runner=run_simulation) -> str:
     system = _system()
     sim = SimConfig(requests_per_core=REQUESTS_PER_CORE, seed=seed)
     traces = build_traces(workload, system, sim, calibrate=False)
-    runner = run_simulation_batched if backend == "batched" \
-        else run_simulation
     result = runner(system, traces, sim, factory, design,
                     telemetry=telemetry)
     return result.to_json()
 
 
-def compute_results(backend: str = "scalar") -> list[dict]:
-    """Run the full grid; one record per cell with its raw JSON."""
+def compute_results(runner=run_simulation) -> list[dict]:
+    """Run the full grid through ``runner`` (``run_simulation``'s
+    signature); one record per cell with its raw JSON."""
     records = []
     for workload in WORKLOADS:
         for design, factory in designs().items():
@@ -102,17 +90,17 @@ def compute_results(backend: str = "scalar") -> list[dict]:
                 records.append({
                     "cell": f"{workload}/{design}/seed{seed}",
                     "result_json": _run_cell(workload, design, factory,
-                                             seed, backend=backend),
+                                             seed, runner=runner),
                 })
     return records
 
 
-def compute_journal(backend: str = "scalar") -> tuple[list[str], dict]:
+def compute_journal(runner=run_simulation) -> tuple[list[str], dict]:
     """Journal lines + metrics section of the instrumented cell."""
     workload, design, seed = JOURNAL_CELL
     telemetry = Telemetry(journal_memory=True, sample_every_refi=4)
     _run_cell(workload, design, designs()[design], seed,
-              telemetry=telemetry, backend=backend)
+              telemetry=telemetry, runner=runner)
     lines = [json.dumps(record, sort_keys=True)
              for record in telemetry.journal.records]
     metrics = telemetry.snapshot()["metrics"]
@@ -142,29 +130,21 @@ def load_goldens() -> tuple[list[dict], list[str], dict]:
     return records, lines, metrics
 
 
-def check_goldens(backends: tuple[str, ...] = BACKENDS) -> list[str]:
-    """Compare live code against the goldens; returns mismatch notes.
-
-    Every backend in ``backends`` must reproduce the same golden bytes
-    — the identity contract has one source of truth, whatever engine
-    computed the result.
-    """
+def check_goldens() -> list[str]:
+    """Compare live code against the goldens; returns mismatch notes."""
     problems: list[str] = []
     golden_records, golden_lines, golden_metrics = load_goldens()
-    for backend in backends:
-        live = {record["cell"]: record["result_json"]
-                for record in compute_results(backend=backend)}
-        for record in golden_records:
-            cell = record["cell"]
-            if live.get(cell) != record["result_json"]:
-                problems.append(f"result mismatch [{backend}]: {cell}")
-        lines, metrics = compute_journal(backend=backend)
-        if lines != golden_lines:
-            problems.append(f"telemetry journal diverges from golden "
-                            f"[{backend}]")
-        if metrics != golden_metrics:
-            problems.append(f"telemetry metrics diverge from golden "
-                            f"[{backend}]")
+    live = {record["cell"]: record["result_json"]
+            for record in compute_results()}
+    for record in golden_records:
+        cell = record["cell"]
+        if live.get(cell) != record["result_json"]:
+            problems.append(f"result mismatch: {cell}")
+    lines, metrics = compute_journal()
+    if lines != golden_lines:
+        problems.append("telemetry journal diverges from golden")
+    if metrics != golden_metrics:
+        problems.append("telemetry metrics diverge from golden")
     return problems
 
 
@@ -172,22 +152,12 @@ def main(argv: list[str]) -> int:
     if argv == ["--write"]:
         write_goldens()
         return 0
-    backends = BACKENDS
-    if len(argv) >= 2 and argv[-2] == "--backend":
-        if argv[-1] not in BACKENDS:
-            print(f"unknown backend {argv[-1]!r} "
-                  f"(expected one of {', '.join(BACKENDS)})",
-                  file=sys.stderr)
-            return 2
-        backends = (argv[-1],)
-        argv = argv[:-2]
     if argv in ([], ["--check"]):
-        problems = check_goldens(backends=backends)
+        problems = check_goldens()
         for problem in problems:
             print(f"GOLDEN MISMATCH: {problem}", file=sys.stderr)
         if not problems:
-            print(f"engine goldens: byte-identical "
-                  f"({', '.join(backends)})")
+            print("engine goldens: byte-identical")
         return 1 if problems else 0
     print(__doc__)
     return 2

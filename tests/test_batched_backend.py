@@ -1,29 +1,26 @@
-"""The batched columnar engine backend (:mod:`repro.sim.batched`).
+"""The deprecated batch API (:mod:`repro.sim.batched`), until 3.0.
 
-Byte-identity against :func:`~repro.sim.runner.run_simulation_reference`
-is pinned by ``test_engine_identity.py``; this module covers the batch
-machinery itself — multi-cell batches, per-member fault isolation
-(``collect_errors``), telemetry routing, edge-shaped cells — and the
-batching planner (:func:`~repro.experiments.common.plan_backends`).
+``run_batch`` runs each item through the scalar engine: results match
+the reference loop item by item, ``collect_errors`` isolates a failing
+item, and telemetry-carrying items record as a scalar run does.
 """
 
 import pytest
 
 from tests import golden_engine
-from repro.exec.executor import Cell, StudyCell, cell_fingerprint
-from repro.mc.mitigation import coupled_mint_factory
+from repro.exec.executor import Cell, cell_fingerprint
 from repro.mc.policy import PolicyStats
 from repro.obs import Telemetry
 from repro.sim.batched import (BatchCellError, BatchItem, run_batch,
                                run_simulation_batched)
-from repro.sim.config import SimConfig, SystemConfig
+from repro.sim.config import SimConfig
 from repro.sim.runner import run_simulation_reference
 from repro.workloads.builder import build_traces
 from repro.workloads.profiles import profile
 
-from repro.experiments.common import (AUTO_BATCH_MIN, MAX_BATCH_CELLS,
-                                      plan_backends)
-from repro.experiments.dos import measured_dos_factor
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:run_batch is deprecated:DeprecationWarning",
+    "ignore:run_simulation_batched is deprecated:DeprecationWarning")
 
 
 def _grid_items(system):
@@ -61,7 +58,13 @@ class TestRunBatch:
         system = golden_engine._system()
         sim = SimConfig(requests_per_core=400, seed=3)
         traces = build_traces("mcf", system, sim, calibrate=False)
-        [result] = run_batch(system, [BatchItem(traces=traces, sim=sim)])
+        with pytest.warns(DeprecationWarning) as record:
+            [result] = run_batch(system, [BatchItem(traces=traces,
+                                                    sim=sim)])
+        assert len(record) == 1
+        assert str(record[0].message).startswith(
+            "run_batch is deprecated and has no effect")
+        assert record[0].filename == __file__  # blames the caller
         reference = run_simulation_reference(system, traces, sim, None,
                                              "none")
         assert result.to_json() == reference.to_json()
@@ -70,8 +73,7 @@ class TestRunBatch:
         assert run_batch(golden_engine._system(), []) == []
 
     def test_budget_below_mlp(self):
-        """Fewer requests than MLP slots: slots beyond the budget stay
-        idle and the result still matches the reference."""
+        """Fewer requests than MLP slots still match the reference."""
         system = golden_engine._system()
         sim = SimConfig(requests_per_core=2, seed=5)
         traces = build_traces("mcf", system, sim, calibrate=False)
@@ -81,7 +83,7 @@ class TestRunBatch:
         assert result.to_json() == reference.to_json()
 
     def test_mixed_seeds_share_one_engine(self):
-        """Members with different budgets/seeds coexist in one batch."""
+        """Items with different budgets and seeds share one call."""
         system = golden_engine._system()
         items = []
         for seed, budget in ((1, 300), (2, 500), (3, 700)):
@@ -96,7 +98,7 @@ class TestRunBatch:
 
 
 class _ExplodingPolicy:
-    """Detonates after ``fuse`` activations (escape-path crash)."""
+    """Detonates after ``fuse`` activations."""
 
     def __init__(self, fuse: int) -> None:
         self.fuse = fuse
@@ -164,8 +166,8 @@ class TestFaultIsolation:
 
 class TestTelemetryRouting:
     def test_instrumented_member_matches_scalar(self):
-        """A telemetry-carrying member routes through the scalar engine
-        and produces the scalar journal/metrics byte-for-byte."""
+        """A telemetry-carrying item produces the golden journal and
+        metrics byte-for-byte."""
         import json
         system = golden_engine._system()
         workload, design, seed = golden_engine.JOURNAL_CELL
@@ -204,106 +206,15 @@ class TestTelemetryRouting:
         assert telemetry.journal.records  # only member 0 recorded
 
 
-class TestMultiChannelRejected:
-    def test_channels_must_be_one(self):
-        from dataclasses import replace
-        system = golden_engine._system()
-        multi = replace(system, organization=replace(
-            system.organization, channels=2))
-        sim = SimConfig(requests_per_core=100, seed=1)
-        traces = build_traces("mcf", system, sim, calibrate=False)
-        with pytest.raises(NotImplementedError, match="one channel"):
-            run_batch(multi, [BatchItem(traces=traces, sim=sim)])
-
-
-def _planner_cells(count, policy=None, policy_name="none", system=None):
-    system = system or golden_engine._system()
-    cells = []
-    for seed in range(count):
-        sim = SimConfig(requests_per_core=100, seed=seed)
-        cells.append(Cell(workload=profile("mcf"), trace_system=system,
-                          run_system=system, sim=sim, policy=policy,
-                          policy_name=policy_name))
-    return cells
-
-
-class TestPlanner:
-    def test_scalar_plans_nothing(self):
-        plan = plan_backends(_planner_cells(8), "scalar")
-        assert plan.groups == ()
-        assert set(plan.backends) == {"scalar"}
-        assert plan.batched_cells == 0
-
-    def test_batched_groups_compatible_cells(self):
-        cells = _planner_cells(6)
-        plan = plan_backends(cells, "batched")
-        assert plan.batched_cells == 6
-        assert set(plan.backends) == {"batched"}
-        assert sorted(i for g in plan.groups for i in g) == list(range(6))
-
-    def test_batched_includes_policy_cells(self):
-        cells = _planner_cells(3, policy=coupled_mint_factory(500),
-                               policy_name="mint")
-        plan = plan_backends(cells, "batched")
-        assert plan.batched_cells == 3
-
-    def test_auto_excludes_policy_cells(self):
-        cells = _planner_cells(6) + _planner_cells(
-            6, policy=coupled_mint_factory(500), policy_name="mint")
-        plan = plan_backends(cells, "auto")
-        assert plan.batched_cells == 6
-        assert all(plan.backends[i] == "scalar" for i in range(6, 12))
-
-    def test_auto_needs_minimum_group(self):
-        plan = plan_backends(_planner_cells(AUTO_BATCH_MIN - 1), "auto")
-        assert plan.batched_cells == 0
-        plan = plan_backends(_planner_cells(AUTO_BATCH_MIN), "auto")
-        assert plan.batched_cells == AUTO_BATCH_MIN
-
-    def test_groups_split_by_run_system(self):
-        base = golden_engine._system()
-        other = SystemConfig.baseline(refs_per_window=32, num_cores=4)
-        cells = _planner_cells(4, system=base) + \
-            _planner_cells(4, system=other)
-        plan = plan_backends(cells, "batched")
-        assert len(plan.groups) == 2
-        assert plan.batched_cells == 8
-
-    def test_groups_capped_at_max_batch(self):
-        cells = _planner_cells(5)
-        plan = plan_backends(cells, "batched", max_batch=2)
-        assert [len(group) for group in plan.groups] == [2, 2, 1]
-        assert MAX_BATCH_CELLS >= 2  # the default cap is sane
-
-    def test_unfingerprintable_cells_stay_scalar(self):
-        cells = _planner_cells(4, policy=lambda context: None,
-                               policy_name="closure")
-        plan = plan_backends(cells, "batched")
-        assert plan.batched_cells == 0
-
-    @pytest.mark.parametrize("backend", ["batched", "auto"])
-    def test_study_cells_stay_scalar(self, backend):
-        study = StudyCell.of(measured_dos_factor, "gang-dos", "t_rh=125",
-                             t_rh=125, seed=1)
-        plan = plan_backends(_planner_cells(4) + [study], backend)
-        assert plan.batched_cells == 4
-        assert plan.backends[4] == "scalar"
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            plan_backends(_planner_cells(2), "gpu")
-
-
 class TestBackendFingerprint:
-    def test_batched_fingerprint_differs_from_scalar(self):
-        [cell] = _planner_cells(1)
-        scalar = cell_fingerprint(cell)
-        batched = cell_fingerprint(cell, backend="batched")
-        assert scalar is not None and batched is not None
-        assert scalar != batched
-
     def test_scalar_fingerprint_is_historical(self):
-        """``backend="scalar"`` must not perturb existing cache keys."""
-        [cell] = _planner_cells(1)
-        assert cell_fingerprint(cell) == \
-            cell_fingerprint(cell, backend="scalar")
+        """A cell's fingerprint has no backend axis and still has its
+        historical value, so every warm cache stays warm."""
+        system = golden_engine._system()
+        cell = Cell(workload=profile("mcf"), trace_system=system,
+                    run_system=system,
+                    sim=SimConfig(requests_per_core=100, seed=0),
+                    policy=None, policy_name="none")
+        assert cell_fingerprint(cell) == ("0ac82bb418b9085109dd2605ee6404"
+                                          "5c1f22e31e4761d81b2a3eb4e73092"
+                                          "f677")

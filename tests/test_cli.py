@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -212,12 +215,6 @@ class TestExecFlags:
             build_parser().parse_args(
                 ["run", "--backend", "gpu", "table1"])
 
-    def test_help_epilog_documents_backends(self):
-        from repro.cli import ENV_HELP
-        assert "engine backends" in ENV_HELP
-        assert "batched" in ENV_HELP
-        assert "auto" in ENV_HELP
-
     def test_report_accepts_flags_too(self):
         args = build_parser().parse_args(
             ["report", "--jobs", "2", "table1"])
@@ -235,26 +232,59 @@ class TestExecFlags:
         assert parallel == serial
         assert "executor[jobs=2]" in err
 
+    @staticmethod
+    def _backend_notice(err):
+        notices = [line for line in err.splitlines()
+                   if "deprecated" in line]
+        assert notices == ["warning: --backend is deprecated and has no "
+                           "effect: every cell runs on the scalar "
+                           "engine; 3.0 removes --backend"]
+
     def test_batched_backend_byte_identical_to_serial(self, capsys):
+        # The deprecated flag warns once and changes nothing: not even
+        # an executor is built for it.
         serial, _ = self._run_json(capsys)
         for backend in ("batched", "auto"):
             routed, err = self._run_json(capsys, "--backend", backend)
             assert routed == serial
-            assert "executor[jobs=1]" in err
+            self._backend_notice(err)
+            assert "executor[" not in err
 
     def test_batched_backend_composes_with_jobs_and_cache(self, tmp_path,
                                                           capsys):
-        serial, _ = self._run_json(capsys)
+        # A cache filled by a scalar run serves a --backend batched run.
         cache = str(tmp_path / "runcache")
-        routed, err = self._run_json(capsys, "--backend", "batched",
-                                     "--jobs", "2",
-                                     "--cache-dir", cache)
-        assert routed == serial
+        serial, _ = self._run_json(capsys, "--cache-dir", cache)
         warm, warm_err = self._run_json(capsys, "--backend", "batched",
                                         "--jobs", "2",
                                         "--cache-dir", cache)
         assert warm == serial
-        assert "misses=0" in warm_err
+        self._backend_notice(warm_err)
+        assert " computed=0 " in warm_err and "misses=0" in warm_err
+        assert "batched=" not in warm_err
+
+    def test_telemetry_files_identical_across_modes(self, tmp_path,
+                                                    capsys):
+        """Serial, ``--jobs 2`` on a cold cache and its warm replay
+        write the same stdout, journal and ``metrics`` section."""
+        cache = str(tmp_path / "runcache")
+        modes = {"serial": (),
+                 "cold": ("--jobs", "2", "--cache-dir", cache),
+                 "warm": ("--jobs", "2", "--cache-dir", cache)}
+        outputs, errs = {}, {}
+        for mode, flags in modes.items():
+            journal = tmp_path / f"{mode}.jsonl"
+            metrics = tmp_path / f"{mode}-metrics.json"
+            out, errs[mode] = self._run_json(
+                capsys, *flags, "--journal", str(journal),
+                "--metrics-out", str(metrics))
+            outputs[mode] = (out, journal.read_text(), json.loads(
+                metrics.read_text())["metrics"])
+        assert outputs["cold"] == outputs["serial"]
+        assert outputs["warm"] == outputs["serial"]
+        assert outputs["serial"][2]["sim.runs"] > 0
+        assert re.search(r" stores=[1-9]", errs["cold"])
+        assert "misses=0" in errs["warm"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_warm_cache_run_byte_identical_and_all_hits(self, tmp_path,

@@ -1,4 +1,4 @@
-"""Byte-identity contract of the engine hot paths, across backends.
+"""Byte-identity contract of the engine hot paths.
 
 The PR-5 overhaul (packed heap tuples, inlined fetch, row-hit fast
 path, cached refresh deadline) must be invisible in simulated output:
@@ -8,9 +8,8 @@ byte-identical :meth:`~repro.sim.results.RunResult.to_json`, journals
 and metrics, and both must match the checked-in goldens generated by
 the seed code (``tests/data/goldens/``, see ``tests/golden_engine.py``).
 
-PR 7 adds a **backend axis**: the batched columnar engine
-(:func:`~repro.sim.batched.run_simulation_batched`) joins the same
-contract — one set of goldens, every backend reproduces it exactly.
+The deprecated alias :func:`~repro.sim.batched.run_simulation_batched`
+stays under the same contract until 3.0 removes it.
 """
 
 import json
@@ -34,6 +33,9 @@ GRID = [(workload, design, seed)
 #: Engine entry points under test, against the reference loop.
 BACKEND_RUNNERS = {"optimized": run_simulation,
                    "batched": run_simulation_batched}
+
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:run_simulation_batched is deprecated:DeprecationWarning")
 
 
 def _run(runner, workload, design, seed, telemetry=None):
@@ -79,21 +81,22 @@ class TestBackendsMatchReference:
 class TestGoldens:
     """Live code versus the goldens the seed commit generated."""
 
-    @pytest.mark.parametrize("backend", golden_engine.BACKENDS)
-    def test_results_match_goldens(self, backend):
+    @pytest.mark.parametrize("runner", list(BACKEND_RUNNERS.values()),
+                             ids=["scalar", "batched"])
+    def test_results_match_goldens(self, runner):
         golden_records, _, _ = golden_engine.load_goldens()
         live = {record["cell"]: record["result_json"]
-                for record in golden_engine.compute_results(
-                    backend=backend)}
+                for record in golden_engine.compute_results(runner)}
         for record in golden_records:
             assert live[record["cell"]] == record["result_json"], \
-                f"engine output diverged on {record['cell']} [{backend}]"
+                f"engine output diverged on {record['cell']}"
         assert len(live) == len(golden_records)
 
-    @pytest.mark.parametrize("backend", golden_engine.BACKENDS)
-    def test_journal_and_metrics_match_goldens(self, backend):
+    @pytest.mark.parametrize("runner", list(BACKEND_RUNNERS.values()),
+                             ids=["scalar", "batched"])
+    def test_journal_and_metrics_match_goldens(self, runner):
         _, golden_lines, golden_metrics = golden_engine.load_goldens()
-        lines, metrics = golden_engine.compute_journal(backend=backend)
+        lines, metrics = golden_engine.compute_journal(runner)
         assert lines == golden_lines
         assert metrics == golden_metrics
 

@@ -1,22 +1,24 @@
-"""Batched backend through :class:`~repro.exec.executor.SweepExecutor`.
+"""The deprecated ``SweepExecutor(backend=...)`` spelling, until 3.0.
 
-The executor must produce byte-identical results whatever the backend
-(``scalar`` / ``batched`` / ``auto``), serial or pooled, with batched
-fingerprints keyed separately from scalar ones, and a member that dies
-inside a batch failing alone while its batch-mates are cached.
+``"batched"`` and ``"auto"`` warn once and change nothing: serial or
+pooled, memoised or faulted, every cell runs the scalar path under the
+scalar fingerprint.
 """
 
 import pytest
 
 from tests import golden_engine
 from repro.exec import faults
-from repro.exec.cache import RunCache
 from repro.exec.executor import Cell, SweepExecutor, cell_fingerprint
 from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.sim.config import SimConfig
 from repro.workloads.profiles import profile
 
 REQUESTS = 400
+
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:SweepExecutor\\(backend=...\\) is deprecated"
+    ":DeprecationWarning")
 
 
 def _cells(designs=("none", "mint-drfmsb"), seeds=(1, 2),
@@ -52,62 +54,26 @@ class TestBackendIdentity:
                                               ("auto", 1)])
     def test_results_byte_identical(self, backend, jobs,
                                     scalar_reference):
-        with SweepExecutor(jobs=jobs, backend=backend) as executor:
+        with pytest.warns(DeprecationWarning) as record:
+            executor = SweepExecutor(jobs=jobs, backend=backend)
+        assert len(record) == 1
+        assert record[0].filename == __file__  # blames the caller
+        with executor:
             got = _jsons(executor.run_cells(_cells()))
+            assert executor.stats.batched == 0
+            assert "batched=" not in executor.stats.describe()
         assert got == scalar_reference
-
-    def test_batched_counts_in_stats(self):
-        with SweepExecutor(backend="batched") as executor:
-            executor.run_cells(_cells())
-            assert executor.stats.batched == len(_cells())
-            assert "batched=" in executor.stats.describe()
-
-    def test_auto_batches_only_policy_free_groups(self):
-        cells = _cells(designs=("none", "mint-drfmsb"), seeds=(1, 2, 3, 4))
-        with SweepExecutor(backend="auto") as executor:
-            executor.run_cells(cells)
-            # 4 policy-free baselines batch; 4 mint cells stay scalar.
-            assert executor.stats.batched == 4
-            assert executor.stats.computed == 8
 
     def test_bad_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             SweepExecutor(backend="gpu")
-
-    def test_timeout_disables_batching(self):
-        """A per-attempt timeout cannot be enforced inside a batch, so
-        the executor silently falls back to scalar dispatch."""
-        cells = _cells(designs=("none",), seeds=(1, 2, 3, 4))
-        with SweepExecutor(backend="batched",
-                           policy=CellPolicy(timeout_s=120)) as executor:
-            executor.run_cells(cells)
-            assert executor.stats.batched == 0
-            assert executor.stats.computed == len(cells)
+        with SweepExecutor() as executor, \
+                pytest.raises(ValueError, match="backend"), \
+                executor.scoped(backend="gpu"):
+            pass
 
 
 class TestBackendCaching:
-    def test_batched_results_cached_under_batched_key(self, tmp_path):
-        cells = _cells(designs=("none",), seeds=(1, 2))
-        with SweepExecutor(cache=RunCache(tmp_path / "cache"),
-                           backend="batched") as executor:
-            first = _jsons(executor.run_cells(cells))
-        with SweepExecutor(cache=RunCache(tmp_path / "cache"),
-                           backend="batched") as executor:
-            second = _jsons(executor.run_cells(cells))
-            assert executor.stats.computed == 0  # warm cache served all
-        assert first == second
-
-    def test_scalar_cache_not_shared_with_batched(self, tmp_path):
-        """Batched runs are keyed separately: a warm scalar cache can
-        never mask a batched-engine identity regression."""
-        cells = _cells(designs=("none",), seeds=(1,))
-        with SweepExecutor(cache=RunCache(tmp_path / "cache")) as executor:
-            executor.run_cells(cells)
-        with SweepExecutor(cache=RunCache(tmp_path / "cache"),
-                           backend="batched") as executor:
-            executor.run_cells(cells)
-            assert executor.stats.computed == len(cells)
-
     def test_memo_serves_repeated_batched_cells(self):
         cells = _cells(designs=("none",), seeds=(1, 2))
         with SweepExecutor(backend="batched") as executor:
@@ -117,6 +83,7 @@ class TestBackendCaching:
             assert executor.stats.memo_hits == len(cells)
 
     def test_duplicate_cells_computed_once_per_batch(self):
+        # Duplicates share one fingerprint, so the memo computes once.
         cells = _cells(designs=("none",), seeds=(1,))
         with SweepExecutor(backend="batched") as executor:
             results = executor.run_cells(cells * 3)
@@ -127,8 +94,7 @@ class TestBackendCaching:
 class TestBatchFaultIsolation:
     def test_crashing_member_fails_alone(self):
         cells = _cells(designs=("none",), seeds=(1, 2, 3, 4))
-        fps = [cell_fingerprint(cell, backend="batched")
-               for cell in cells]
+        fps = [cell_fingerprint(cell) for cell in cells]
         victim = fps[1]
         faults.install(faults.FaultPlan.parse(f"crash:{victim[:12]}:99"))
         try:
@@ -138,7 +104,7 @@ class TestBatchFaultIsolation:
                     executor.run_cells(cells)
                 assert len(excinfo.value.failures) == 1
                 assert excinfo.value.failures[0].fingerprint == victim
-                # Batch-mates survived and are memoised.
+                # The other cells survived and are memoised.
                 for fp in fps:
                     assert (fp in executor._memo) == (fp != victim)
         finally:
@@ -146,8 +112,7 @@ class TestBatchFaultIsolation:
 
     def test_crash_once_recovers_via_scalar_retry(self):
         cells = _cells(designs=("none",), seeds=(1, 2, 3))
-        fps = [cell_fingerprint(cell, backend="batched")
-               for cell in cells]
+        fps = [cell_fingerprint(cell) for cell in cells]
         faults.install(faults.FaultPlan.parse(f"crash:{fps[0][:12]}:1"))
         try:
             with SweepExecutor(backend="batched") as executor:
@@ -162,8 +127,7 @@ class TestBatchFaultIsolation:
 
     def test_corrupt_member_recovers_alone(self):
         cells = _cells(designs=("none",), seeds=(1, 2, 3))
-        fps = [cell_fingerprint(cell, backend="batched")
-               for cell in cells]
+        fps = [cell_fingerprint(cell) for cell in cells]
         faults.install(faults.FaultPlan.parse(f"corrupt:{fps[2][:12]}:1"))
         try:
             with SweepExecutor(backend="batched") as executor:

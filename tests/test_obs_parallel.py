@@ -196,3 +196,29 @@ class TestByteIdenticalAcrossModes:
         plain = results(None)
         instrumented = results(Telemetry(journal_memory=True))
         assert instrumented == plain
+
+
+class TestJournalRunIndices:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_study_cells_use_up_no_run_index(self, monkeypatch, jobs):
+        """dos runs study cells, which start no simulation: the journal
+        numbers its ``run_start`` records 0..n-1 all the same."""
+        from repro.experiments import registry
+        from repro.experiments.common import RunOptions
+
+        monkeypatch.setattr("repro.workloads.profiles.QUICK_SUBSET",
+                            ("blender", "add"))
+        telemetry = Telemetry(journal_memory=True)
+        options = RunOptions(requests_per_core=200)
+        with SweepExecutor(jobs=jobs) as executor, \
+                obs_runtime.activated(telemetry), \
+                exec_runtime.activated(executor):
+            for name in ("dos", "ablation-atm", "dos"):
+                registry.run_experiment(name, options)
+        runs = [record["run"] for record in telemetry.journal.records
+                if record["kind"] == "run_start"]
+        assert runs == list(range(len(runs)))
+        assert len(runs) == telemetry.registry.counter("sim.runs").value
+        summaries = [record["run"] for record in telemetry.journal.records
+                     if record["kind"] == "summary"]
+        assert summaries == runs

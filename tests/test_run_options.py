@@ -2,12 +2,17 @@
 (:class:`RunOptions` is the *only* way to parameterise
 ``run_experiment`` — the pre-2.0 legacy-kwargs shim is gone)."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.exec import runtime as exec_runtime
+from repro.exec.cache import RunCache
+from repro.exec.executor import SweepExecutor
 from repro.experiments import registry
 from repro.experiments.common import (DEFAULT_SEED, MODES, RunOptions)
+from repro.service import JobScheduler
 from repro.workloads.builder import clear_cache
 
 #: Small per-core budget for the sim-backed checks.
@@ -64,11 +69,13 @@ class TestRecord:
         assert "retries=3" in text
 
     def test_backend_defaults_scalar_and_describes(self):
+        # The deprecated field no longer describes: it changes nothing.
         assert RunOptions().backend == "scalar"
         assert "backend" not in RunOptions().describe()
-        options = RunOptions(backend="batched")
+        with pytest.warns(DeprecationWarning):
+            options = RunOptions(backend="batched")
         assert not options.wants_resilience()  # backend is not a knob
-        assert "backend=batched" in options.describe()
+        assert "backend" not in options.describe()
 
 
 class TestWireFormat:
@@ -134,18 +141,27 @@ class TestRunExperimentV2:
             registry.run_experiment("table4", quick=True, seed=3)
         assert not hasattr(registry, "_merge_legacy")
 
-    @pytest.mark.parametrize("backend", ["batched", "auto"])
-    def test_backend_byte_identical(self, tiny_quick_subset, backend):
-        """The registry scopes a batched-backend executor around the
-        run and the output is byte-identical to scalar."""
-        scalar = registry.run_experiment(
-            "ablation-atm", RunOptions(seed=11,
-                                       requests_per_core=BUDGET))
+    @pytest.mark.parametrize("spelling", ["batched", "auto", "executor",
+                                          "scoped", "service"])
+    def test_backend_byte_identical(self, tiny_quick_subset, tmp_path,
+                                    spelling):
+        """Every deprecated backend spelling warns once and changes
+        nothing: scalar's bytes, no batched cell, and a cache a scalar
+        run filled serves every cell."""
+        options = RunOptions(seed=11, requests_per_core=BUDGET)
+        cache = RunCache(tmp_path / "cache")
+        with SweepExecutor(cache=cache) as executor, \
+                exec_runtime.activated(executor):
+            scalar = registry.run_experiment("ablation-atm", options)
         clear_cache()
-        routed = registry.run_experiment(
-            "ablation-atm", RunOptions(seed=11, requests_per_core=BUDGET,
-                                       backend=backend))
-        assert routed.to_json() == scalar.to_json()
+        with pytest.warns(DeprecationWarning) as record:
+            routed, stats = _DEPRECATED_SPELLINGS[spelling](options, cache)
+        assert len(record) == 1
+        assert "is deprecated and has no effect" in str(record[0].message)
+        assert routed == scalar.to_json()
+        assert stats["batched"] == 0
+        assert stats["computed"] == 0
+        assert stats["cells"] == 10
 
     def test_deprecated_resume_warns_once_and_changes_nothing(
             self, tiny_quick_subset):
@@ -178,3 +194,51 @@ class TestRunExperimentV2:
         wired = registry.run_experiment(
             "ablation-atm", RunOptions.from_json(options.to_json()))
         assert wired.to_json() == direct.to_json()
+
+
+def _run_options_spelling(backend):
+    def run(options, cache):
+        options = dataclasses.replace(options, backend=backend)
+        with SweepExecutor(cache=cache) as executor, \
+                exec_runtime.activated(executor):
+            text = registry.run_experiment("ablation-atm",
+                                           options).to_json()
+        return text, vars(executor.stats)
+    return run
+
+
+def _executor_spelling(options, cache):
+    with SweepExecutor(cache=cache, backend="batched") as executor, \
+            exec_runtime.activated(executor):
+        text = registry.run_experiment("ablation-atm", options).to_json()
+    return text, vars(executor.stats)
+
+
+def _scoped_spelling(options, cache):
+    with SweepExecutor(cache=cache) as executor, \
+            executor.scoped(backend="auto") as scope, \
+            exec_runtime.activated(executor):
+        text = registry.run_experiment("ablation-atm", options).to_json()
+    return text, vars(scope.stats)
+
+
+def _service_spelling(options, cache):
+    wire = dict(options.to_dict(), backend="auto")
+    # Without per-job telemetry a cached result needs no snapshot.
+    with JobScheduler(SweepExecutor(cache=cache),
+                      spans=False) as scheduler:
+        job = scheduler.submit("ablation-atm",
+                               RunOptions.from_dict(wire))["job"]
+    assert scheduler.get(job)["state"] == "done"
+    return scheduler.result_text(job), scheduler.get(job)["counters"]
+
+
+#: Each deprecated ``backend`` spelling, run over a scalar-filled cache;
+#: returns the result JSON and the run's executor counters.
+_DEPRECATED_SPELLINGS = {
+    "batched": _run_options_spelling("batched"),
+    "auto": _run_options_spelling("auto"),
+    "executor": _executor_spelling,
+    "scoped": _scoped_spelling,
+    "service": _service_spelling,
+}

@@ -80,7 +80,7 @@ class TestHelpers:
 
 
 class TestColumnsMemoization:
-    """Per-dtype memoization of :meth:`MemoryTrace.columns` (PR 7)."""
+    """Memoization of :meth:`MemoryTrace.columns`."""
 
     def _trace(self):
         return MemoryTrace("t",
@@ -95,57 +95,11 @@ class TestColumnsMemoization:
         assert columns[2] == [5, 6, 7, 8]
         assert all(isinstance(value, int) for value in columns[2])
 
-    def test_dtype_columns_are_contiguous_arrays(self):
-        columns = self._trace().columns(dtype=np.int64)
-        assert all(isinstance(column, np.ndarray) for column in columns)
-        assert all(column.dtype == np.int64 for column in columns)
-        assert all(column.flags["C_CONTIGUOUS"] for column in columns)
-
-    def test_each_dtype_memoized_independently(self):
-        """The scalar and batched engines must not rebuild (or clobber)
-        each other's columns on alternating calls."""
-        trace = self._trace()
-        plain = trace.columns()
-        wide = trace.columns(dtype=np.int64)
-        assert trace.columns() is plain
-        assert trace.columns(dtype=np.int64) is wide
-        # Alternating access keeps both cached (the pre-PR-7 one-slot
-        # cache silently rebuilt on every dtype switch).
-        assert trace.columns() is plain
-        assert trace.columns(dtype="int64") is wide  # dtype-key, not str
-
     def test_invalidate_drops_every_dtype(self):
         trace = self._trace()
         plain = trace.columns()
-        wide = trace.columns(dtype=np.int64)
+        assert trace.columns() is plain
         trace.row[0] = 99
         trace.invalidate_columns()
         assert trace.columns() is not plain
         assert trace.columns()[2][0] == 99
-        fresh = trace.columns(dtype=np.int64)
-        assert fresh is not wide
-        assert fresh[2][0] == 99
-
-    def test_invalidate_drops_batched_word_packing(self):
-        """The batched engine memoizes its packed trace words on the
-        same cache, so invalidation covers them too."""
-        from repro.sim.batched import run_simulation_batched
-        from repro.sim.config import SimConfig, SystemConfig
-        from repro.sim.runner import run_simulation_reference
-        from repro.workloads.builder import build_traces
-
-        system = SystemConfig.baseline(refs_per_window=32)
-        sim = SimConfig(requests_per_core=50, seed=1)
-        traces = build_traces("mcf", system, sim, calibrate=False)
-        run_simulation_batched(system, traces, sim, None, "none")
-        assert any("_columns_cache" in trace.__dict__
-                   for trace in traces)
-        for trace in traces:
-            trace.invalidate_columns()
-            assert "_columns_cache" not in trace.__dict__
-        # Still byte-identical after the caches were dropped.
-        batched = run_simulation_batched(system, traces, sim, None,
-                                         "none")
-        reference = run_simulation_reference(system, traces, sim, None,
-                                             "none")
-        assert batched.to_json() == reference.to_json()
