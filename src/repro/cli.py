@@ -73,8 +73,7 @@ from repro.core.storage import compare_storage
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import (CellPolicy, SweepFailure,
-                                   resume_deprecation)
+from repro.exec.resilience import SweepFailure, resume_deprecation
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
@@ -190,29 +189,33 @@ def _resolve_mode(args: argparse.Namespace) -> str:
     return "full" if os.environ.get("REPRO_FULL", "") == "1" else "quick"
 
 
-def _env_jobs() -> int | None:
-    """Worker count from ``REPRO_JOBS``, or ``None`` when unset/bad."""
-    raw = os.environ.get("REPRO_JOBS", "")
-    try:
-        return int(raw) if raw else None
-    except ValueError:
-        return None
-
-
-def _build_executor(args: argparse.Namespace) -> SweepExecutor | None:
-    """Construct a SweepExecutor from CLI flags, or ``None`` if all off.
-
-    Flags beat the ``REPRO_JOBS``/``REPRO_CACHE_DIR`` environment
-    defaults.
-    """
-    jobs_flag = args.jobs if args.jobs is not None else _env_jobs()
-    jobs = jobs_flag if jobs_flag is not None else 1
+def _executor_resources(args: argparse.Namespace) \
+        -> tuple[int, RunCache | None]:
+    """Worker count and run cache from ``--jobs``/``--cache-dir``, with
+    the ``REPRO_JOBS``/``REPRO_CACHE_DIR`` environment as defaults
+    (``run``, ``report`` and ``serve`` alike; only the first two have
+    ``--no-cache``)."""
+    jobs = args.jobs
+    if jobs is None:
+        try:
+            jobs = int(os.environ.get("REPRO_JOBS", "") or 1)
+        except ValueError:
+            jobs = 1
     if jobs == 0:
         jobs = os.cpu_count() or 1
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR", "")
-    cache = None
-    if cache_dir and not args.no_cache:
-        cache = RunCache(cache_dir)
+    if not cache_dir or getattr(args, "no_cache", False):
+        return jobs, None
+    return jobs, RunCache(cache_dir)
+
+
+def _build_executor(args: argparse.Namespace) -> SweepExecutor:
+    """The invocation's one :class:`SweepExecutor`, from CLI flags.
+
+    It carries no cell policy of its own: ``--retries``/``--timeout``
+    reach the cells through :class:`RunOptions`.
+    """
+    jobs, cache = _executor_resources(args)
     if args.resume:
         if cache is None:
             print("error: --resume needs a run cache (--cache-dir DIR or "
@@ -221,22 +224,11 @@ def _build_executor(args: argparse.Namespace) -> SweepExecutor | None:
             raise SystemExit(2)
         print(f"warning: {resume_deprecation('--resume')}",
               file=sys.stderr)
-    defaults = CellPolicy()
-    policy = CellPolicy(
-        timeout_s=args.timeout,
-        retries=args.retries if args.retries is not None
-        else defaults.retries)
-    wants_executor = (args.retries is not None or
-                      args.timeout is not None or args.progress)
-    if jobs == 1 and cache is None and jobs_flag is None and \
-            not wants_executor:
-        return None
     progress = None
     if args.progress:
         from repro.obs.progress import SweepProgress
         progress = SweepProgress()
-    return SweepExecutor(jobs=jobs, cache=cache, policy=policy,
-                         progress=progress)
+    return SweepExecutor(jobs=jobs, cache=cache, progress=progress)
 
 
 def _run_options(args: argparse.Namespace) -> RunOptions:
@@ -280,16 +272,14 @@ def _run_experiments(args: argparse.Namespace, emit,
                     continue
                 emit(name, result, watch)
         finally:
-            if executor is not None:
-                executor.close()
+            executor.close()
     if finish is not None:
         finish()
-    if executor is not None:
-        print(f"[repro.exec] {executor.describe()}", file=sys.stderr)
+    print(f"[repro.exec] {executor.describe()}", file=sys.stderr)
     _emit_telemetry(args, telemetry)
     if not failed:
         return 0
-    cache = executor.cache if executor is not None else None
+    cache = executor.cache
     if cache is not None:
         hint = (f"completed cells are cached in {cache.root}; rerun with "
                 f"the same --cache-dir to retry only the failures")
@@ -531,12 +521,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.jobs import JobScheduler
     from repro.service.server import AccessLog, SweepService
 
-    jobs_flag = args.jobs if args.jobs is not None else _env_jobs()
-    jobs = jobs_flag if jobs_flag is not None else 1
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR", "")
-    cache = RunCache(cache_dir) if cache_dir else None
+    jobs, cache = _executor_resources(args)
     concurrency = args.job_concurrency \
         if args.job_concurrency is not None \
         else int(os.environ.get("REPRO_JOB_CONCURRENCY", "1") or "1")

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +39,7 @@ from pathlib import Path
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION
 from repro.exec.resilience import warn_resume_deprecated
 from repro.obs import runtime as obs_runtime
+from repro.obs.atomic import atomic_writer
 from repro.obs.snapshot import (TelemetrySnapshot, snapshot_from_doc,
                                 snapshot_to_doc)
 from repro.sim.results import RunResult
@@ -268,20 +268,9 @@ class RunCache:
     def _write_atomic(self, path: Path, fingerprint: str,
                       entry: dict, sort_keys: bool = True) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=path.parent,
-            prefix=f".{fingerprint[:8]}.", suffix=".tmp", delete=False)
-        try:
-            with handle:
-                json.dump(entry, handle, sort_keys=sort_keys)
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        with atomic_writer(path, f".{fingerprint[:8]}.") as handle:
+            json.dump(entry, handle, sort_keys=sort_keys)
+            handle.write("\n")
 
     def describe(self) -> str:
         """One-line summary (root plus hit/miss counters)."""

@@ -344,14 +344,18 @@ class ScopedRun:
     Produced by :meth:`SweepExecutor.scoped`: while the binding is
     active on a thread, that thread's ``run_cells`` calls use these
     knobs (``None`` falls back to the executor default) and every stat
-    the run generates is *additionally* accumulated into ``stats`` —
-    attributed deltas, with no snapshot arithmetic against the global
-    counters that concurrent runs are mutating at the same time.
+    the run generates is *additionally* accumulated into ``stats``, and
+    into the ``stats`` of every enclosing binding — attributed deltas,
+    with no snapshot arithmetic against the global counters that
+    concurrent runs are mutating at the same time.
     """
 
     policy: CellPolicy | None = None
     progress: SweepProgress | None = None
     stats: ExecutorStats = field(default_factory=ExecutorStats)
+    #: The binding this one nests in, or ``None`` at the outermost.
+    parent: "ScopedRun | None" = field(default=None, init=False,
+                                       repr=False)
 
 
 class SweepExecutor:
@@ -435,52 +439,56 @@ class SweepExecutor:
         Yields a :class:`ScopedRun` whose ``stats`` accumulate exactly
         the work this thread's ``run_cells`` calls generate — the way
         the sweep service attributes counters to one job while other
-        jobs share the same executor.  ``None`` knobs fall back to the
-        executor's defaults.  Bindings nest (the previous one is
-        restored on exit) and never leak across threads.  ``backend``
-        is deprecated and ignored, like the constructor's.
+        jobs share the same executor.  Bindings nest: a knob left
+        ``None`` inherits the enclosing binding's value (the executor's
+        own at the outermost), every stat also accumulates into each
+        enclosing binding, and the enclosing binding is restored on
+        exit.  Bindings never leak across threads.  ``backend`` is
+        deprecated and ignored, like the constructor's.
         """
         if backend is not None:
             # Past the contextlib __enter__ that runs this body.
             check_backend(backend, "scoped(backend=...)", stacklevel=4)
+        outer = self._binding()
+        if outer is not None:
+            policy = policy if policy is not None else outer.policy
+            progress = progress if progress is not None \
+                else outer.progress
         binding = ScopedRun(policy=policy, progress=progress)
-        previous = self._binding()
+        binding.parent = outer
         self._local.binding = binding
         try:
             yield binding
         finally:
-            self._local.binding = previous
+            self._local.binding = outer
 
     @property
     def policy(self) -> CellPolicy:
+        """This thread's cell policy: its binding's, else the
+        executor's own."""
         binding = self._binding()
         if binding is not None and binding.policy is not None:
             return binding.policy
         return self._policy
 
-    @policy.setter
-    def policy(self, value: CellPolicy) -> None:
-        self._policy = value
-
     @property
     def progress(self) -> SweepProgress | None:
+        """This thread's progress sink: its binding's, else the
+        executor's own."""
         binding = self._binding()
         if binding is not None and binding.progress is not None:
             return binding.progress
         return self._progress_sink
 
-    @progress.setter
-    def progress(self, value: SweepProgress | None) -> None:
-        self._progress_sink = value
-
     def _stat(self, name: str, amount=1) -> None:
-        """Bump one stat globally and on the thread's binding, if any."""
+        """Bump one stat globally and on the thread's bindings, if any."""
         with self._lock:
             setattr(self.stats, name, getattr(self.stats, name) + amount)
         binding = self._binding()
-        if binding is not None:
+        while binding is not None:
             setattr(binding.stats, name,
                     getattr(binding.stats, name) + amount)
+            binding = binding.parent
 
     # ------------------------------------------------------------------
     # Lifecycle

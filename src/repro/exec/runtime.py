@@ -5,9 +5,11 @@ Experiment runners are invoked through a registry with a fixed
 through every call chain (the same constraint that shaped
 :mod:`repro.obs.runtime`).  The CLI (or a test/benchmark harness)
 *activates* an executor here and
-:func:`repro.experiments.common.sweep_designs` picks it up — which is
-what lets one executor's memo and cache span every experiment of an
-invocation.
+:func:`repro.experiments.registry.run_experiment` runs every experiment
+under it — which is what lets one executor's memo and cache span every
+experiment of an invocation.  With nothing activated,
+``run_experiment`` opens one private executor for its call and
+activates it for the runner's cells.
 
 Activation is **thread-local**: every activate/read pair in the codebase
 happens on one thread (the CLI main thread, a service job worker, a test
@@ -20,9 +22,9 @@ concurrent case exactly as isolated as the serial one.  Note that the
 service activates the same :class:`~repro.exec.SweepExecutor` on every
 worker, which is what makes its memo/cache/in-flight dedup span jobs.
 
-With nothing activated on the current thread, ``sweep_designs`` falls
-back to a private serial executor per sweep, which preserves the
-historical baseline-sharing behaviour exactly.
+A runner or :func:`~repro.experiments.common.sweep_designs` called
+directly, with nothing activated on the current thread, falls back to a
+private serial executor per sweep.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.analysis.slowdown import SlowdownSeries
 from repro.exec import runtime as exec_runtime
 from repro.exec.executor import Cell, StudyCell, SweepExecutor
-from repro.exec.resilience import warn_resume_deprecated
+from repro.exec.resilience import CellPolicy, warn_resume_deprecated
 from repro.mc.policy import PolicyFactory
 from repro.sim.batched import check_backend
 from repro.sim.config import SimConfig, SystemConfig
@@ -75,10 +75,10 @@ class RunOptions:
     seed:
         Master seed deriving every per-cell seed.
     retries:
-        Per-cell retry budget for the sweep executor (``None`` keeps the
-        executor's default).
+        Per-cell retry budget (``None`` keeps the executor's).
     timeout_s:
-        Per-attempt wall-clock timeout in seconds (``None`` = no limit).
+        Per-attempt wall-clock timeout in seconds (``None`` keeps the
+        executor's, which is unlimited by default).
     resume:
         Deprecated and ignored: ``True`` warns once.  A cache-backed
         executor already serves every cell an interrupted run
@@ -175,9 +175,14 @@ class RunOptions:
                 from None
         return cls.from_dict(data)
 
-    def wants_resilience(self) -> bool:
-        """Whether any executor-facing knob deviates from the default."""
-        return self.retries is not None or self.timeout_s is not None
+    def cell_policy(self, base: CellPolicy) -> CellPolicy:
+        """``base`` with the fields this record's knobs set replaced:
+        ``retries`` and ``timeout_s`` override it field by field, and a
+        knob left ``None`` keeps ``base``'s value."""
+        knobs = {"retries": self.retries, "timeout_s": self.timeout_s}
+        return dataclasses.replace(base, **{
+            name: value for name, value in knobs.items()
+            if value is not None})
 
     def describe(self) -> str:
         parts = [f"mode={self.mode}", f"seed={self.seed}"]
@@ -303,10 +308,11 @@ def _fmt(value) -> str:
 
 def run_cells(cells: list[Cell | StudyCell]) -> list:
     """Run ``cells`` through the ambient
-    :class:`~repro.exec.SweepExecutor` when one is activated
-    (``repro.exec.runtime``), which brings cross-experiment sharing, the
-    run cache and ``--jobs N`` fan-out; otherwise through a private
-    serial executor.  Results come back in submission order."""
+    :class:`~repro.exec.SweepExecutor` (``repro.exec.runtime``), which
+    :func:`~repro.experiments.registry.run_experiment` always activates;
+    a runner or :func:`sweep_designs` called directly, with none active,
+    gets a private serial executor.  Results come back in submission
+    order."""
     executor = exec_runtime.active()
     if executor is None:
         executor = SweepExecutor()

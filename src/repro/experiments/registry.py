@@ -9,8 +9,11 @@ every experiment an invocation touches.
 from __future__ import annotations
 
 import inspect
+from contextlib import nullcontext
 from typing import Callable
 
+from repro.exec import runtime as exec_runtime
+from repro.exec.executor import SweepExecutor
 from repro.experiments import (ablations, dos, fig5, fig9, fig10, fig11,
                                fig15, fig17, fig19, fig22, fig23,
                                motivation, table1, table3, table4, table5,
@@ -85,11 +88,11 @@ def run_experiment(name: str,
     (all simulation-driven experiments do); analytic experiments
     without the parameter ignore the override.
 
-    The resilience knobs (``retries``/``timeout_s``) configure the
-    ambient sweep executor when the caller activated one; with no
-    ambient executor, a private executor carrying that policy is scoped
-    around the run, so library callers get fault tolerance without
-    touching :mod:`repro.exec.runtime`.
+    The run executes under this thread's ambient sweep executor
+    (:mod:`repro.exec.runtime`), or one private
+    :class:`~repro.exec.SweepExecutor` opened for the call, with the
+    knobs ``options`` sets overriding that executor's cell policy field
+    by field for this run only (:meth:`RunOptions.cell_policy`).
 
     The pre-2.0 ``quick``/``seed``/``requests_per_core`` keyword
     surface was removed after its deprecation cycle; construct a
@@ -108,18 +111,9 @@ def run_experiment(name: str,
     if options.requests_per_core is not None and \
             "requests_per_core" in inspect.signature(runner).parameters:
         kwargs["requests_per_core"] = options.requests_per_core
-    if options.wants_resilience():
-        from repro.exec import runtime as exec_runtime
-        if exec_runtime.active() is None:
-            from repro.exec.executor import SweepExecutor
-            from repro.exec.resilience import CellPolicy
-
-            defaults = CellPolicy()
-            policy = CellPolicy(
-                timeout_s=options.timeout_s,
-                retries=options.retries if options.retries is not None
-                else defaults.retries)
-            with SweepExecutor(policy=policy) as executor, \
-                    exec_runtime.activated(executor):
-                return runner(**kwargs)
-    return runner(**kwargs)
+    ambient = exec_runtime.active()
+    with (SweepExecutor() if ambient is None
+          else nullcontext(ambient)) as executor, \
+            exec_runtime.activated(executor), \
+            executor.scoped(policy=options.cell_policy(executor.policy)):
+        return runner(**kwargs)

@@ -40,12 +40,11 @@ merged metrics and journals (``tests/test_obs_parallel.py``).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
 
 from repro.dram.commands import Command
 from repro.obs import runtime
+from repro.obs.atomic import atomic_writer
 from repro.obs.journal import (RunJournal, SCHEMA_VERSION, load_journal,
                                read_journal)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -302,27 +301,12 @@ class Telemetry:
         }
 
     def write_metrics(self, path: str) -> None:
-        """Dump :meth:`snapshot` as pretty JSON to ``path``, atomically.
-
-        Temp file + ``os.replace`` (the :class:`RunCache` pattern), so a
-        killed run never leaves a half-written metrics file behind.
-        """
-        directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=directory,
-            prefix=".metrics.", suffix=".tmp", delete=False)
-        try:
-            with handle:
-                json.dump(self.snapshot(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        """Dump :meth:`snapshot` as pretty JSON to ``path``, atomically
+        (:func:`~repro.obs.atomic.atomic_writer`), so a killed run never
+        leaves a half-written metrics file behind."""
+        with atomic_writer(path, ".metrics.") as handle:
+            json.dump(self.snapshot(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
     def spans_doc(self) -> dict:
         """The span forest, JSON-serialisable.
@@ -335,21 +319,9 @@ class Telemetry:
 
     def write_spans(self, path: str) -> None:
         """Dump :meth:`spans_doc` as JSON to ``path``, atomically."""
-        directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=directory,
-            prefix=".spans.", suffix=".tmp", delete=False)
-        try:
-            with handle:
-                json.dump(self.spans_doc(), handle, indent=2)
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        with atomic_writer(path, ".spans.") as handle:
+            json.dump(self.spans_doc(), handle, indent=2)
+            handle.write("\n")
 
     def finalize(self) -> None:
         """Write the closing profile record and close the journal."""

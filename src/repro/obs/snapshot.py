@@ -152,6 +152,15 @@ def _merge_metric(registry: MetricsRegistry, name: str,
         raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
 
 
+def merge_registry(target: MetricsRegistry,
+                   source: MetricsRegistry) -> None:
+    """Fold every instrument of ``source`` into ``target`` with the
+    snapshot merge: counters add, gauges take ``source``'s value,
+    histograms add bucket-wise (bounds must match)."""
+    for name in source.names():
+        _merge_metric(target, name, _metric_state(source.get(name)))
+
+
 def merge_snapshot(telemetry, snapshot: TelemetrySnapshot) -> None:
     """Fold one cell's snapshot into the parent ``telemetry``.
 

@@ -20,8 +20,8 @@ subcommand); this module is only the collection surface.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
+
+from repro.obs.atomic import atomic_writer
 
 #: Default event capacity (~a few hundred MB of records at worst).
 DEFAULT_TRACE_LIMIT = 200_000
@@ -55,19 +55,7 @@ class EventTrace:
 
     def write_jsonl(self, path: str) -> None:
         """Write the trace as JSONL, atomically (temp file + rename)."""
-        directory = os.path.dirname(os.path.abspath(path))
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=directory,
-            prefix=".trace.", suffix=".tmp", delete=False)
-        try:
-            with handle:
-                for record in self.events:
-                    handle.write(json.dumps(record))
-                    handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        with atomic_writer(path, ".trace.") as handle:
+            for record in self.events:
+                handle.write(json.dumps(record))
+                handle.write("\n")

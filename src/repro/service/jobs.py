@@ -29,16 +29,15 @@ fixed cell order, a job's result JSON is byte-identical to a local
 concurrent.
 
 Per-job knobs ride the :class:`~repro.experiments.common.RunOptions`
-wire record: ``retries``/``timeout_s`` become the executor's
-:class:`~repro.exec.resilience.CellPolicy` for that job (the deprecated
-``backend`` field is accepted and ignored).  The knobs bind through
-:meth:`~repro.exec.SweepExecutor.scoped` — thread-local, so concurrent
-jobs never see each other's policy — and the same scope yields the
-job's **attributed counters**: exactly the cells/computed/memo work
-this job generated, with no snapshot arithmetic against global totals
-that neighbouring jobs are mutating.  Resubmitting an interrupted job
-needs no option: the shared memo and cache serve its completed cells
-warm.
+wire record (the deprecated ``backend`` field is accepted and ignored)
+into :func:`~repro.experiments.registry.run_experiment`, which
+overrides the executor's cell policy with them for that job only,
+through the thread-local :meth:`~repro.exec.SweepExecutor.scoped`.  The
+job's own enclosing scope yields its **attributed counters**: exactly
+the cells/computed/memo work this job generated, with no snapshot
+arithmetic against global totals that neighbouring jobs are mutating.
+Resubmitting an interrupted job needs no option: the shared memo and
+cache serve its completed cells warm.
 
 Every cell-level event the executor reports (submitted / computed /
 memo or cache hit / retried / failed) is appended to the
@@ -71,12 +70,13 @@ from dataclasses import dataclass, field
 
 from repro.exec import runtime as exec_runtime
 from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import CellPolicy, SweepFailure
+from repro.exec.resilience import SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import Telemetry
 from repro.obs import runtime as obs_runtime
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.snapshot import merge_registry
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -167,10 +167,11 @@ class JobScheduler:
     ----------
     executor:
         The executor every job runs through.  Its memo (and cache, if
-        configured) is the coalescing layer shared across jobs; each
-        job binds its own ``policy`` and progress sink through
-        the executor's thread-local :meth:`~SweepExecutor.scoped`
-        scope.  Defaults to a serial cacheless executor.
+        configured) is the coalescing layer shared across jobs, and its
+        policy is every job's, overridden by the job's own knobs; each
+        job binds its progress sink through the executor's
+        thread-local :meth:`~SweepExecutor.scoped` scope.  Defaults to
+        a serial cacheless executor.
     spans:
         Run each job under a per-job span-tracing telemetry (default).
         The finished job keeps its span document for the
@@ -393,25 +394,6 @@ class JobScheduler:
         with self._lock:
             collect_registry(exposition, self.registry, prefix=prefix)
 
-    def _fold_registry_locked(self, source: MetricsRegistry) -> None:
-        """Accumulate one job's telemetry registry into the scheduler's
-        lifetime registry (counters add, gauges last-write, histograms
-        merge bucket-wise)."""
-        for name in source.names():
-            instrument = source.get(name)
-            if isinstance(instrument, Histogram):
-                merged = self.registry.histogram(name, instrument.bounds)
-                if merged.bounds == instrument.bounds:
-                    for index, count in enumerate(instrument.counts):
-                        merged.counts[index] += count
-                merged.overflow += instrument.overflow
-                merged.count += instrument.count
-                merged.total += instrument.total
-            elif isinstance(instrument, Counter):
-                self.registry.counter(name).inc(instrument.value)
-            elif isinstance(instrument, Gauge):
-                self.registry.gauge(name).set(instrument.value)
-
     # ------------------------------------------------------------------
     # Event log
     # ------------------------------------------------------------------
@@ -441,16 +423,10 @@ class JobScheduler:
 
     def _run_job(self, job: Job) -> None:
         executor = self.executor
-        defaults = CellPolicy()
-        policy = CellPolicy(
-            timeout_s=job.options.timeout_s,
-            retries=job.options.retries
-            if job.options.retries is not None else defaults.retries)
         telemetry = Telemetry() if self.spans_enabled else None
         state, error, result_json = "done", None, None
         spans_json = None
-        with executor.scoped(policy=policy,
-                             progress=_JobProgress(self, job)) as scope:
+        with executor.scoped(progress=_JobProgress(self, job)) as scope:
             try:
                 with exec_runtime.activated(executor), \
                         obs_runtime.activated(telemetry):
@@ -474,7 +450,7 @@ class JobScheduler:
             job.result_json = result_json
             job.spans_json = spans_json
             if telemetry is not None:
-                self._fold_registry_locked(telemetry.registry)
+                merge_registry(self.registry, telemetry.registry)
             fields = {"state": state}
             if error is not None:
                 fields["error"] = error

@@ -1,11 +1,23 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.analysis import load_spans
 from repro.cli import build_parser, main
+from repro.experiments import registry
+from repro.experiments.common import RunOptions
+from repro.obs.spans import normalized_tree
+from repro.service import SweepClient
 
 
 @pytest.fixture(autouse=True)
@@ -241,14 +253,16 @@ class TestExecFlags:
                            "engine; 3.0 removes --backend"]
 
     def test_batched_backend_byte_identical_to_serial(self, capsys):
-        # The deprecated flag warns once and changes nothing: not even
-        # an executor is built for it.
+        # The deprecated flag warns once and changes nothing: the
+        # executor's summary line names no batched work.
         serial, _ = self._run_json(capsys)
         for backend in ("batched", "auto"):
             routed, err = self._run_json(capsys, "--backend", backend)
             assert routed == serial
             self._backend_notice(err)
-            assert "executor[" not in err
+            [summary] = [line for line in err.splitlines()
+                         if "executor[" in line]
+            assert "batched" not in summary
 
     def test_batched_backend_composes_with_jobs_and_cache(self, tmp_path,
                                                           capsys):
@@ -266,7 +280,8 @@ class TestExecFlags:
     def test_telemetry_files_identical_across_modes(self, tmp_path,
                                                     capsys):
         """Serial, ``--jobs 2`` on a cold cache and its warm replay
-        write the same stdout, journal and ``metrics`` section."""
+        write the same stdout, journal, ``metrics`` section and
+        normalized span tree."""
         cache = str(tmp_path / "runcache")
         modes = {"serial": (),
                  "cold": ("--jobs", "2", "--cache-dir", cache),
@@ -275,14 +290,19 @@ class TestExecFlags:
         for mode, flags in modes.items():
             journal = tmp_path / f"{mode}.jsonl"
             metrics = tmp_path / f"{mode}-metrics.json"
+            spans = tmp_path / f"{mode}-spans.json"
             out, errs[mode] = self._run_json(
                 capsys, *flags, "--journal", str(journal),
-                "--metrics-out", str(metrics))
+                "--metrics-out", str(metrics), "--spans", str(spans))
+            tree = normalized_tree(load_spans(str(spans)).roots)
             outputs[mode] = (out, journal.read_text(), json.loads(
-                metrics.read_text())["metrics"])
+                metrics.read_text())["metrics"],
+                json.dumps(tree, sort_keys=True))
         assert outputs["cold"] == outputs["serial"]
         assert outputs["warm"] == outputs["serial"]
         assert outputs["serial"][2]["sim.runs"] > 0
+        assert load_spans(str(tmp_path / "serial-spans.json")) \
+            .cell_count() == 10
         assert re.search(r" stores=[1-9]", errs["cold"])
         assert "misses=0" in errs["warm"]
 
@@ -322,6 +342,17 @@ class TestExecFlags:
         # Telemetry artifacts land next to the cached result entries.
         artifacts = list((tmp_path / "runcache").rglob("*.obs.json"))
         assert len(artifacts) == 10
+
+    def test_one_executor_without_flags_shares_cells(self, capsys):
+        # fig9 and fig10 share 9 cells: even with no executor flag, the
+        # invocation's one executor computes them once.
+        argv = ["run", "fig9", "fig10", "--requests", "200", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert "executor[jobs=1]: cells=144 computed=135 memo_hits=9 " \
+            in plain.err
+        assert main([*argv, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == plain.out
 
     def test_env_defaults_used_when_flags_absent(self, tmp_path,
                                                  monkeypatch, capsys):
@@ -368,6 +399,22 @@ class TestResilienceFlags:
         assert code == 0
         assert faulted == clean
         assert "retries=10" in err
+
+    def test_hung_cell_times_out_and_retries_identically(self, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+        # One cell hangs far past --timeout on its first attempt: the
+        # attempt is abandoned and the retry matches a clean run.
+        reference = tmp_path / "reference"
+        code, clean, _ = self._run_json(capsys, "--cache-dir",
+                                        str(reference))
+        assert code == 0
+        hung = sorted(reference.rglob("*.json"))[0].stem
+        monkeypatch.setenv("REPRO_FAULTS", f"hang:{hung[:16]}@600")
+        code, out, err = self._run_json(capsys, "--timeout", "0.5")
+        assert code == 0
+        assert out == clean
+        assert " timeouts=1 " in err
 
     def test_failed_cells_exit_1_then_resume_recovers(self, tmp_path,
                                                       monkeypatch,
@@ -442,6 +489,41 @@ class TestResilienceFlags:
         assert warm == cold
         assert " computed=0 " in err and "hits=10 misses=0 " in err
         assert journal.read_text() == text
+
+
+class TestServeCommand:
+    def test_serve_subprocess_round_trip(self, tmp_path):
+        """``repro serve`` as a real process: a submitted job's result is
+        byte-identical to a local run, and SIGINT exits 0."""
+        port_file = tmp_path / "port.txt"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--port-file", str(port_file)],
+            env=env, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not port_file.exists() or \
+                    not port_file.read_text().endswith("\n"):
+                assert server.poll() is None, server.stderr.read()
+                assert time.monotonic() < deadline, "no port line"
+                time.sleep(0.05)
+            client = SweepClient(
+                f"http://127.0.0.1:{port_file.read_text().strip()}")
+            options = RunOptions(requests_per_core=300)
+            job_id = client.submit("ablation-atm", options)
+            served = client.result(job_id)
+            record = client.job(job_id)
+        finally:
+            server.send_signal(signal.SIGINT)
+            code = server.wait(30)
+            stderr = server.stderr.read()
+        assert code == 0, stderr
+        assert served == registry.run_experiment("ablation-atm",
+                                                 options).to_json()
+        assert record["counters"]["computed"] > 0
 
 
 class TestStats:
@@ -613,6 +695,10 @@ class TestSpansCommand:
         trace = json.loads(target.read_text())
         assert {event["ph"] for event in trace["traceEvents"]} >= \
             {"X", "M"}
+        for event in trace["traceEvents"]:
+            assert isinstance(event["pid"], int)
+            if event["ph"] in ("X", "i"):
+                assert event["ts"] >= 0
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,19 +5,24 @@ The guarantee under test throughout: execution mode (serial, pooled,
 memoised, cached) never changes a single simulated number.
 """
 
+import io
 import json
 
 import pytest
 
+from repro.exec import faults
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import Cell, SweepExecutor, cell_fingerprint
+from repro.exec.faults import FaultPlan
+from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.experiments.common import (DesignSpec, series_rows,
                                       sweep_cells, sweep_designs)
 from repro.mc.mitigation import coupled_para_factory
 from repro.mc.policy import NoMitigation, no_mitigation_factory
 from repro.obs import Telemetry
 from repro.obs import runtime as obs_runtime
+from repro.obs.progress import SweepProgress
 from repro.sim.config import SimConfig, SystemConfig
 from repro.workloads.builder import clear_cache
 from repro.workloads.profiles import profiles_for
@@ -279,3 +284,28 @@ class TestRuntime:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             SweepExecutor(jobs=0)
+
+
+class TestScopedBindings:
+    def test_nested_scope_inherits_and_accumulates_outward(
+            self, small_system, small_sim, designs, workloads):
+        """An inner ``scoped(policy=...)`` inside an outer
+        ``scoped(progress=...)`` runs under the inner policy, feeds the
+        outer sink, and counts into both bindings' stats."""
+        executor = SweepExecutor()
+        cells = sweep_cells(designs, small_system, small_sim, workloads)
+        sink = SweepProgress(stream=io.StringIO())
+        # Every cell's first attempt crashes: the executor's default
+        # budget retries that away, the inner policy's zero does not.
+        faults.install(FaultPlan.parse("crash:*:1"))
+        try:
+            with executor.scoped(progress=sink) as outer:
+                with executor.scoped(policy=CellPolicy(retries=0)) \
+                        as inner, pytest.raises(SweepFailure):
+                    executor.run_cells(cells)
+        finally:
+            faults.install(None)
+        assert inner.stats.cells == outer.stats.cells == len(cells)
+        assert inner.stats.failed == outer.stats.failed == len(cells)
+        assert outer.stats.retries == 0
+        assert sink.total == sink.counts["failed"] == len(cells)

@@ -15,9 +15,11 @@ import pytest
 from repro.analysis import rlp
 from repro.analysis.harness import AttackHarness
 from repro.analysis.trace import analyze_trace, render_trace
+from repro.exec.cache import RunCache
 from repro.mc.mitigation import coupled_mint_factory
 from repro.obs import Telemetry
 from repro.obs.journal import load_journal
+from repro.obs.snapshot import TelemetrySnapshot
 from repro.obs.trace import EventTrace
 
 
@@ -86,6 +88,66 @@ class TestWriteJsonl:
         leftovers = [p for p in tmp_path.iterdir()
                      if p.name != "events.jsonl"]
         assert leftovers == []
+
+
+#: Serialises to nothing: a write that reaches it fails midway, after
+#: earlier keys or lines are already in the temp file.
+_UNSERIALIZABLE = object()
+
+
+def _failing_metrics_dump(tmp_path):
+    telemetry = Telemetry()
+    telemetry.snapshot = lambda: {"a": 1, "z": _UNSERIALIZABLE}
+    target = tmp_path / "metrics.json"
+    return target, lambda: telemetry.write_metrics(str(target))
+
+
+def _failing_spans_dump(tmp_path):
+    telemetry = Telemetry()
+    telemetry.spans_doc = lambda: {"schema": 1,
+                                   "spans": [{}, _UNSERIALIZABLE]}
+    target = tmp_path / "spans.json"
+    return target, lambda: telemetry.write_spans(str(target))
+
+
+def _failing_trace_dump(tmp_path):
+    trace = EventTrace()
+    trace.record({"kind": "mitigation", "rlp": 1})
+    trace.record({"kind": "mitigation", "rlp": _UNSERIALIZABLE})
+    target = tmp_path / "events.jsonl"
+    return target, lambda: trace.write_jsonl(str(target))
+
+
+def _failing_cache_entry(tmp_path):
+    cache = RunCache(tmp_path / "cache")
+    fingerprint = "ab" * 32
+    snapshot = TelemetrySnapshot(
+        journal=[{"kind": "run_start"}, {"kind": _UNSERIALIZABLE}])
+    return (cache.telemetry_path_for(fingerprint),
+            lambda: cache.put_telemetry(fingerprint, snapshot))
+
+
+#: Every artifact writer, as ``tmp_path -> (target, failing write)``.
+_FAILING_WRITES = {
+    "metrics": _failing_metrics_dump,
+    "spans": _failing_spans_dump,
+    "trace": _failing_trace_dump,
+    "cache": _failing_cache_entry,
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", list(_FAILING_WRITES))
+    def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path,
+                                                          writer):
+        target, write = _FAILING_WRITES[writer](tmp_path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(b"previous contents\n")
+        with pytest.raises(TypeError):
+            write()
+        assert target.read_bytes() == b"previous contents\n"
+        assert [path.name for path in target.parent.iterdir()] == \
+            [target.name]
 
 
 class TestEventTraceBounds:

@@ -10,6 +10,7 @@ import pytest
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
+from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import (DEFAULT_SEED, MODES, RunOptions)
 from repro.service import JobScheduler
@@ -38,7 +39,7 @@ class TestRecord:
         assert options.mode == "quick"
         assert options.quick is True
         assert options.seed == DEFAULT_SEED
-        assert not options.wants_resilience()
+        assert options.cell_policy(CellPolicy()) == CellPolicy()
 
     def test_modes(self):
         assert MODES == ("quick", "full")
@@ -60,8 +61,14 @@ class TestRecord:
             RunOptions(**kwargs)
 
     def test_resilience_knobs_detected(self):
-        assert RunOptions(retries=3).wants_resilience()
-        assert RunOptions(timeout_s=10.0).wants_resilience()
+        # Each knob set replaces its one field of the base policy.
+        base = CellPolicy(retries=5, timeout_s=30.0, backoff_s=0.0)
+        assert RunOptions(retries=3).cell_policy(base) == \
+            dataclasses.replace(base, retries=3)
+        assert RunOptions(timeout_s=10.0).cell_policy(base) == \
+            dataclasses.replace(base, timeout_s=10.0)
+        assert RunOptions(retries=0, timeout_s=1.0).cell_policy(base) == \
+            CellPolicy(retries=0, timeout_s=1.0, backoff_s=0.0)
 
     def test_describe_names_the_knobs(self):
         text = RunOptions(mode="full", retries=3).describe()
@@ -74,7 +81,8 @@ class TestRecord:
         assert "backend" not in RunOptions().describe()
         with pytest.warns(DeprecationWarning):
             options = RunOptions(backend="batched")
-        assert not options.wants_resilience()  # backend is not a knob
+        # backend is not a knob
+        assert options.cell_policy(CellPolicy()) == CellPolicy()
         assert "backend" not in options.describe()
 
 
@@ -163,6 +171,23 @@ class TestRunExperimentV2:
         assert stats["computed"] == 0
         assert stats["cells"] == 10
 
+    def test_knobs_override_an_ambient_executor(self, tiny_quick_subset,
+                                                 monkeypatch):
+        """``retries=0`` replaces the ambient executor's budget of two,
+        so every cell's one injected crash is terminal; with the knob
+        unset the same executor retries each crash away."""
+        monkeypatch.setenv("REPRO_FAULTS", "crash:*:1")
+        with SweepExecutor() as executor, \
+                exec_runtime.activated(executor):
+            with pytest.raises(SweepFailure):
+                registry.run_experiment(
+                    "ablation-atm",
+                    RunOptions(requests_per_core=300, retries=0))
+            assert executor.stats.retries == 0
+            registry.run_experiment("ablation-atm",
+                                    RunOptions(requests_per_core=300))
+        assert executor.stats.retries == 10
+
     def test_deprecated_resume_warns_once_and_changes_nothing(
             self, tiny_quick_subset):
         plain = registry.run_experiment(
@@ -182,7 +207,7 @@ class TestRunExperimentV2:
         assert list(options.to_dict()) == [
             "mode", "requests_per_core", "seed", "retries", "timeout_s",
             "resume", "backend"]
-        assert not options.wants_resilience()
+        assert options.cell_policy(CellPolicy()) == CellPolicy()
         assert "resume" not in options.describe()
 
     def test_wire_round_trip_runs_identically(self, tiny_quick_subset):

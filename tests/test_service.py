@@ -8,6 +8,7 @@ import urllib.request
 import pytest
 
 from repro.exec.executor import SweepExecutor
+from repro.exec.resilience import CellPolicy
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.service import (BadSubmission, JobScheduler, ServiceThread,
@@ -136,6 +137,19 @@ class TestScheduler:
         # The scheduler survives: a clean job still runs afterwards.
         ok = scheduler.submit("table4", RunOptions())["job"]
         assert _wait(scheduler, ok)["state"] == "done"
+
+    def test_job_without_knobs_keeps_the_executor_policy(self,
+                                                         monkeypatch):
+        # The executor's retries=0 is the job's policy, so every cell's
+        # one injected crash is terminal.
+        monkeypatch.setenv("REPRO_FAULTS", "crash:*:1")
+        with JobScheduler(SweepExecutor(policy=CellPolicy(retries=0))) \
+                as scheduler:
+            job_id = scheduler.submit(
+                "ablation-atm", RunOptions(requests_per_core=300))["job"]
+            record = _wait(scheduler, job_id)
+        assert record["state"] == "failed"
+        assert record["counters"]["retries"] == 0
 
 
 class TestCoalescing:
