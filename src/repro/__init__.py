@@ -50,14 +50,12 @@ from repro.trackers import (abacus_factory, graphene_factory, moat_factory)
 from repro.workloads import (PROFILES, MemoryTrace, WorkloadProfile,
                              build_traces, profile, profiles_for)
 
-__version__ = "2.5.0"
+__version__ = "3.0.0"
 
 #: Harness-level names resolved lazily: importing the experiment
 #: registry pulls in the whole experiment suite, and the executor would
 #: cycle back through ``repro.sim`` while this module is initialising.
 _LAZY = {
-    "BatchCellError": ("repro.sim.batched", "BatchCellError"),
-    "BatchItem": ("repro.sim.batched", "BatchItem"),
     "CellPolicy": ("repro.exec.resilience", "CellPolicy"),
     "ExperimentResult": ("repro.experiments.common", "ExperimentResult"),
     "FailedCell": ("repro.exec.resilience", "FailedCell"),
@@ -66,7 +64,6 @@ _LAZY = {
     "RunCache": ("repro.exec.cache", "RunCache"),
     "RunOptions": ("repro.experiments.common", "RunOptions"),
     "ServiceError": ("repro.service.client", "ServiceError"),
-    "SweepCheckpoint": ("repro.exec.resilience", "SweepCheckpoint"),
     "SweepClient": ("repro.service.client", "SweepClient"),
     "SweepExecutor": ("repro.exec.executor", "SweepExecutor"),
     "SweepFailure": ("repro.exec.resilience", "SweepFailure"),
@@ -78,10 +75,7 @@ _LAZY = {
     "EventTrace": ("repro.obs.trace", "EventTrace"),
     "exec_runtime": ("repro.exec.runtime", None),
     "obs_runtime": ("repro.obs.runtime", None),
-    "run_batch": ("repro.sim.batched", "run_batch"),
     "run_experiment": ("repro.experiments.registry", "run_experiment"),
-    "run_simulation_batched": ("repro.sim.batched",
-                               "run_simulation_batched"),
 }
 
 
@@ -105,8 +99,6 @@ def __dir__():
 
 __all__ = [
     "ActiveTargetMonitor",
-    "BatchCellError",
-    "BatchItem",
     "CellPolicy",
     "Command",
     "ComparisonResult",
@@ -135,7 +127,6 @@ __all__ = [
     "SimConfig",
     "SpanTracer",
     "SubChannel",
-    "SweepCheckpoint",
     "SweepClient",
     "SweepExecutor",
     "SweepFailure",
@@ -163,9 +154,7 @@ __all__ = [
     "profile",
     "profiles_for",
     "revised_parameters",
-    "run_batch",
     "run_comparison",
     "run_experiment",
     "run_simulation",
-    "run_simulation_batched",
 ]

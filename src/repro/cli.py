@@ -33,7 +33,9 @@ Subcommands that consume an artifact (``stats``/``trace``/``spans``/
 taxonomy (:mod:`repro.analysis.artifacts`): an unusable artifact or an
 unreachable service prints ``error: ...`` and exits 2; a loadable
 artifact whose check fails (empty journal, regression, failed job)
-exits 1.
+exits 1.  Bad input to any subcommand (an unknown experiment, or a flag
+or environment value out of range) also exits 2 with one ``error:``
+line, before any work starts.
 
 ``run`` and ``report`` accept the telemetry flags ``--journal FILE``
 (JSONL run journal), ``--metrics-out FILE`` (metrics snapshot JSON),
@@ -52,9 +54,8 @@ cells over N worker processes; ``0`` = all cores), ``--cache-dir DIR``
 ``--retries N`` (per-cell retry budget) and ``--timeout S``
 (per-attempt wall-clock limit).  Every completed cell reaches the run
 cache before a failure is reported, so rerunning an interrupted sweep
-with the same ``--cache-dir`` computes only the cells it lacks
-(``--resume`` and ``--backend`` are deprecated no-ops).  Results are
-byte-identical across serial, parallel, cold- and warm-cache
+with the same ``--cache-dir`` computes only the cells it lacks.
+Results are byte-identical across serial, parallel, cold- and warm-cache
 executions, and telemetry composes with all of them: cells capture
 per-cell snapshots that are merged deterministically in cell order, so
 the merged metrics/journal outputs are byte-identical too (see
@@ -66,6 +67,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 from repro.analysis.artifacts import ArtifactError
 from repro.core.security import revised_parameters
@@ -73,12 +75,11 @@ from repro.core.storage import compare_storage
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
-from repro.exec.resilience import SweepFailure, resume_deprecation
+from repro.exec.resilience import SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
 from repro.obs.profiling import Stopwatch, render_profile
-from repro.sim.batched import BACKENDS, backend_deprecation
 
 #: Default sweep-service port (``repro serve`` / ``repro submit``).
 DEFAULT_SERVICE_PORT = 8731
@@ -124,6 +125,52 @@ observability workflows:
   dream-repro bench record --note "..."        append current numbers to
                                                BENCH_history.jsonl
 """
+
+
+def _at_least(low: int):
+    """An argparse ``type`` (and environment parser): an integer
+    ``>= low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, "
+                                             f"got {value}")
+        return value
+    return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """An argparse ``type``: a number of seconds ``> 0``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _input_error(message: str) -> NoReturn:
+    """Bad input: one ``error:`` line on stderr, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _env_value(name: str, parse, default: int) -> int:
+    """Environment variable ``name`` read through ``parse`` (unset or
+    empty gives ``default``); a bad value is an input error."""
+    text = os.environ.get(name, "")
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except argparse.ArgumentTypeError as error:
+        _input_error(f"{name}: {error}")
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -197,10 +244,7 @@ def _executor_resources(args: argparse.Namespace) \
     ``--no-cache``)."""
     jobs = args.jobs
     if jobs is None:
-        try:
-            jobs = int(os.environ.get("REPRO_JOBS", "") or 1)
-        except ValueError:
-            jobs = 1
+        jobs = _env_value("REPRO_JOBS", _at_least(0), 1)
     if jobs == 0:
         jobs = os.cpu_count() or 1
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR", "")
@@ -216,14 +260,6 @@ def _build_executor(args: argparse.Namespace) -> SweepExecutor:
     reach the cells through :class:`RunOptions`.
     """
     jobs, cache = _executor_resources(args)
-    if args.resume:
-        if cache is None:
-            print("error: --resume needs a run cache (--cache-dir DIR or "
-                  "REPRO_CACHE_DIR) holding the interrupted sweep's "
-                  "results", file=sys.stderr)
-            raise SystemExit(2)
-        print(f"warning: {resume_deprecation('--resume')}",
-              file=sys.stderr)
     progress = None
     if args.progress:
         from repro.obs.progress import SweepProgress
@@ -232,14 +268,7 @@ def _build_executor(args: argparse.Namespace) -> SweepExecutor:
 
 
 def _run_options(args: argparse.Namespace) -> RunOptions:
-    """One :class:`RunOptions` record from the normalized CLI flags.
-
-    A deprecated ``--backend`` value warns here, once, and goes no
-    further: every cell runs on the scalar engine.
-    """
-    if args.backend != "scalar":
-        print(f"warning: {backend_deprecation('--backend')}",
-              file=sys.stderr)
+    """One :class:`RunOptions` record from the normalized CLI flags."""
     return RunOptions(mode=_resolve_mode(args),
                       requests_per_core=args.requests,
                       seed=args.seed,
@@ -253,7 +282,12 @@ def _run_experiments(args: argparse.Namespace, emit,
     to ``emit(name, result, stopwatch)``, reports failed sweeps on
     stderr, calls ``finish()`` before the executor and telemetry
     summaries, and returns 1 if any experiment had failed cells."""
-    names = args.experiments or registry.names()
+    known = registry.names()
+    names = args.experiments or known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        _input_error(f"unknown experiment {', '.join(unknown)} (see "
+                     f"'dream-repro list')")
     telemetry = _build_telemetry(args)
     executor = _build_executor(args)
     options = _run_options(args)
@@ -522,12 +556,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import AccessLog, SweepService
 
     jobs, cache = _executor_resources(args)
-    concurrency = args.job_concurrency \
-        if args.job_concurrency is not None \
-        else int(os.environ.get("REPRO_JOB_CONCURRENCY", "1") or "1")
-    if concurrency < 1:
-        print("error: --job-concurrency must be >= 1", file=sys.stderr)
-        return 2
+    concurrency = args.job_concurrency
+    if concurrency is None:
+        concurrency = _env_value("REPRO_JOB_CONCURRENCY", _at_least(1), 1)
     executor = SweepExecutor(jobs=jobs, cache=cache)
     scheduler = JobScheduler(executor, spans=not args.no_spans,
                              concurrency=concurrency)
@@ -681,7 +712,7 @@ def _add_mode_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, metavar="N",
+    parser.add_argument("--jobs", type=_at_least(0), metavar="N",
                         help="fan simulation cells over N worker "
                              "processes (0 = all cores; default serial, "
                              "or REPRO_JOBS)")
@@ -691,24 +722,15 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
                              "near-instant; default REPRO_CACHE_DIR)")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore --cache-dir for this invocation")
-    parser.add_argument("--requests", type=int, metavar="N",
+    parser.add_argument("--requests", type=_at_least(1), metavar="N",
                         help="per-core request-budget override "
                              "(smoke/CI runs)")
-    parser.add_argument("--backend",
-                        choices=BACKENDS,
-                        default="scalar",
-                        help="deprecated, no effect (3.0 removes it): "
-                             "every cell runs on the scalar engine")
-    parser.add_argument("--retries", type=int, metavar="N",
+    parser.add_argument("--retries", type=_at_least(0), metavar="N",
                         help="per-cell retry budget before a cell is "
                              "declared failed (default 2)")
-    parser.add_argument("--timeout", type=float, metavar="S",
+    parser.add_argument("--timeout", type=_positive_seconds, metavar="S",
                         help="per-attempt wall-clock limit in seconds "
                              "(default unlimited)")
-    parser.add_argument("--resume", action="store_true",
-                        help="deprecated, no effect (3.0 removes it): "
-                             "rerun with the same --cache-dir to "
-                             "resume an interrupted sweep")
     parser.add_argument("--progress", action="store_true",
                         help="live sweep progress line on stderr (TTY); "
                              "mirrored into exec.progress.* metrics "
@@ -726,7 +748,7 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="FILE",
                         help="write a bounded JSONL mitigation event "
                              "trace for the `trace` subcommand")
-    parser.add_argument("--sample-every", type=int, metavar="N",
+    parser.add_argument("--sample-every", type=_at_least(1), metavar="N",
                         help="timeline sampling period in tREFI "
                              "(default 8)")
     parser.add_argument("--spans", metavar="FILE",
@@ -791,11 +813,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the bound port to FILE once "
                                    "listening (for scripts using "
                                    "--port 0)")
-    serve_parser.add_argument("--jobs", type=int, metavar="N",
+    serve_parser.add_argument("--jobs", type=_at_least(0), metavar="N",
                               help="worker processes for each sweep "
                                    "(0 = all cores; default serial, or "
                                    "REPRO_JOBS)")
-    serve_parser.add_argument("--job-concurrency", type=int,
+    serve_parser.add_argument("--job-concurrency", type=_at_least(1),
                               default=None, metavar="N",
                               help="jobs executing at once over the "
                                    "shared executor pool (default 1, or"
@@ -851,17 +873,15 @@ def build_parser() -> argparse.ArgumentParser:
                                     f"{DEFAULT_SERVICE_PORT})")
     _add_mode_flags(submit_parser)
     submit_parser.add_argument("--seed", type=int, default=2025)
-    submit_parser.add_argument("--requests", type=int, metavar="N",
+    submit_parser.add_argument("--requests", type=_at_least(1),
+                               metavar="N",
                                help="per-core request-budget override "
                                     "(smoke/CI runs)")
-    submit_parser.add_argument("--backend",
-                               choices=BACKENDS,
-                               default="scalar",
-                               help="deprecated, no effect (3.0 "
-                                    "removes it)")
-    submit_parser.add_argument("--retries", type=int, metavar="N",
+    submit_parser.add_argument("--retries", type=_at_least(0),
+                               metavar="N",
                                help="per-cell retry budget")
-    submit_parser.add_argument("--timeout", type=float, metavar="S",
+    submit_parser.add_argument("--timeout", type=_positive_seconds,
+                               metavar="S",
                                help="per-attempt wall-clock limit")
     submit_parser.add_argument("--quiet", action="store_true",
                                help="suppress the per-event progress "

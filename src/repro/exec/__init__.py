@@ -13,8 +13,7 @@ Public surface:
   fingerprintable policy factories (:mod:`repro.exec.spec`);
 * :class:`CellPolicy` / :class:`FailedCell` / :class:`SweepFailure` —
   per-cell retry policy and terminal failure records
-  (:mod:`repro.exec.resilience`; :class:`SweepCheckpoint` there is a
-  deprecated no-op kept until 3.0);
+  (:mod:`repro.exec.resilience`);
 * :class:`FaultPlan` — deterministic fault injection for soak runs and
   tests (:mod:`repro.exec.faults`, ``REPRO_FAULTS``);
 * :mod:`repro.exec.runtime` — the ambient executor the CLI activates.
@@ -40,7 +39,6 @@ _LAZY = {
     "CellPolicy": ("repro.exec.resilience", "CellPolicy"),
     "CellTimeout": ("repro.exec.resilience", "CellTimeout"),
     "FailedCell": ("repro.exec.resilience", "FailedCell"),
-    "SweepCheckpoint": ("repro.exec.resilience", "SweepCheckpoint"),
     "SweepFailure": ("repro.exec.resilience", "SweepFailure"),
     "backoff_delay": ("repro.exec.resilience", "backoff_delay"),
     "validate_result": ("repro.exec.resilience", "validate_result"),

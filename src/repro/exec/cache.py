@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION
-from repro.exec.resilience import warn_resume_deprecated
 from repro.obs import runtime as obs_runtime
 from repro.obs.atomic import atomic_writer
 from repro.obs.snapshot import (TelemetrySnapshot, snapshot_from_doc,
@@ -100,16 +99,6 @@ class RunCache:
     def telemetry_path_for(self, fingerprint: str) -> Path:
         """Telemetry-artifact path for ``fingerprint``."""
         return self.root / fingerprint[:2] / f"{fingerprint}.obs.json"
-
-    def checkpoint_path(self) -> Path:
-        """Deprecated: path of the 2.0 sweep checkpoint journal.
-
-        Warns once.  Nothing reads or writes that file (the cache
-        entries alone resume a sweep), so a leftover one can be
-        deleted; 3.0 removes this method.
-        """
-        warn_resume_deprecated("RunCache.checkpoint_path()")
-        return self.root / "checkpoint.jsonl"
 
     # ------------------------------------------------------------------
     # Lookup

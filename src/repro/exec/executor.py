@@ -97,8 +97,7 @@ from repro.exec.fingerprint import (FingerprintError, canonical,
                                     fingerprint)
 from repro.exec.resilience import (CellPolicy, CellTimeout, FailedCell,
                                    SweepFailure, validate_result,
-                                   validate_snapshot, validate_study_value,
-                                   warn_resume_deprecated)
+                                   validate_snapshot, validate_study_value)
 from repro.exec.spec import PolicySpec, resolve_ref
 from repro.obs import runtime as obs_runtime
 from repro.obs.progress import SweepProgress
@@ -280,8 +279,8 @@ class ExecutorStats:
     cells: int = 0
     computed: int = 0
     inline: int = 0
-    #: Always 0: there is one engine.  Kept until 3.0 for the readers of
-    #: the old batched-cell counter (job counters, ``/v1/metrics``).
+    #: Always 0: there is one engine.  Kept only because the e2e
+    #: benchmark's tracer still reads it (see :mod:`repro.sim.batched`).
     batched: int = 0
     memo_hits: int = 0
     #: memo hits that were *raced*: the fingerprint was in flight on
@@ -373,10 +372,6 @@ class SweepExecutor:
         Per-cell :class:`CellPolicy` (timeout, retries, backoff).  The
         default retries twice with no timeout — a clean run is a single
         attempt with zero overhead.
-    checkpoint:
-        Deprecated and ignored: a non-``None`` value warns once.  The
-        ``cache`` alone resumes an interrupted sweep; 3.0 removes the
-        parameter.
     progress:
         Optional :class:`~repro.obs.progress.SweepProgress` fed with
         cell-level events (submitted / hit / computed / retried /
@@ -384,7 +379,8 @@ class SweepExecutor:
     backend:
         Deprecated and ignored: ``"batched"`` or ``"auto"`` warns once
         and every cell still runs on the scalar engine; an unknown value
-        is a :class:`ValueError`.  3.0 removes the parameter.
+        is a :class:`ValueError`.  Kept only for the e2e benchmark (see
+        :mod:`repro.sim.batched`).
     """
 
     #: Pool breakages tolerated before degrading to serial execution.
@@ -392,7 +388,6 @@ class SweepExecutor:
 
     def __init__(self, jobs: int = 1, cache: RunCache | None = None,
                  policy: CellPolicy | None = None,
-                 checkpoint: object | None = None,
                  progress: SweepProgress | None = None,
                  backend: str = "scalar") -> None:
         if jobs < 1:
@@ -400,8 +395,6 @@ class SweepExecutor:
         check_backend(backend, "SweepExecutor(backend=...)")
         self.jobs = jobs
         self.cache = cache
-        if checkpoint is not None:
-            warn_resume_deprecated("SweepExecutor(checkpoint=...)")
         self._policy = policy if policy is not None else CellPolicy()
         self._progress_sink = progress
         self.stats = ExecutorStats()
@@ -431,7 +424,6 @@ class SweepExecutor:
 
     @contextmanager
     def scoped(self, policy: CellPolicy | None = None,
-               backend: str | None = None,
                progress: SweepProgress | None = None):
         """Bind per-thread knobs and attributed stats for a ``with``
         block.
@@ -443,12 +435,8 @@ class SweepExecutor:
         ``None`` inherits the enclosing binding's value (the executor's
         own at the outermost), every stat also accumulates into each
         enclosing binding, and the enclosing binding is restored on
-        exit.  Bindings never leak across threads.  ``backend`` is
-        deprecated and ignored, like the constructor's.
+        exit.  Bindings never leak across threads.
         """
-        if backend is not None:
-            # Past the contextlib __enter__ that runs this body.
-            check_backend(backend, "scoped(backend=...)", stacklevel=4)
         outer = self._binding()
         if outer is not None:
             policy = policy if policy is not None else outer.policy

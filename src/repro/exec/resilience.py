@@ -19,15 +19,12 @@ make :class:`~repro.exec.executor.SweepExecutor` fault-tolerant:
   rendered into a table.
 
 Resuming needs nothing here: every completed cell was cached, so a
-relaunch over the same cache computes only the rest.  The 2.0 resume
-spellings stay accepted without effect until 3.0, each warning once.
+relaunch over the same cache computes only the rest.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import warnings
 from dataclasses import dataclass
 
 from repro.sim.results import RunResult
@@ -38,21 +35,6 @@ DEFAULT_RETRIES = 2
 #: Default backoff base / cap (seconds) between attempts of one cell.
 DEFAULT_BACKOFF_S = 0.05
 DEFAULT_BACKOFF_CAP_S = 2.0
-
-
-def resume_deprecation(spelling: str) -> str:
-    """The one message every deprecated resume spelling reports."""
-    return (f"{spelling} is deprecated and has no effect: the run cache "
-            f"already serves every completed cell, so rerun with the "
-            f"same --cache-dir to resume an interrupted sweep; 3.0 "
-            f"removes {spelling}")
-
-
-def warn_resume_deprecated(spelling: str, stacklevel: int = 3) -> None:
-    """Warn that ``spelling`` is deprecated; the default ``stacklevel``
-    blames the line that called the caller."""
-    warnings.warn(resume_deprecation(spelling), DeprecationWarning,
-                  stacklevel=stacklevel)
 
 
 class CellTimeout(RuntimeError):
@@ -208,18 +190,3 @@ def validate_snapshot(snapshot) -> str | None:
                 f"{type(snapshot.spans).__name__}, expected list")
     return None
 
-
-class SweepCheckpoint:
-    """Deprecated no-op until 3.0: the run cache alone resumes a sweep.
-
-    The constructor warns once; the instance records nothing and
-    touches no file.
-    """
-
-    def __init__(self, path: str | os.PathLike,
-                 resume: bool = False) -> None:
-        del path, resume
-        warn_resume_deprecated("SweepCheckpoint")
-
-    def close(self) -> None:
-        """No-op, kept so 2.0 callers that close their checkpoint work."""

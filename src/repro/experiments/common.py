@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 from repro.analysis.slowdown import SlowdownSeries
 from repro.exec import runtime as exec_runtime
 from repro.exec.executor import Cell, StudyCell, SweepExecutor
-from repro.exec.resilience import CellPolicy, warn_resume_deprecated
+from repro.exec.resilience import CellPolicy
 from repro.mc.policy import PolicyFactory
-from repro.sim.batched import check_backend
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.results import ComparisonResult
 from repro.workloads.mixes import MixRecipe
@@ -79,15 +78,6 @@ class RunOptions:
     timeout_s:
         Per-attempt wall-clock timeout in seconds (``None`` keeps the
         executor's, which is unlimited by default).
-    resume:
-        Deprecated and ignored: ``True`` warns once.  A cache-backed
-        executor already serves every cell an interrupted run
-        completed; 3.0 removes the field (it stays in the wire format
-        until then).
-    backend:
-        Deprecated and ignored: ``"batched"`` or ``"auto"`` warns once
-        and every cell still runs on the scalar engine.  3.0 removes the
-        field (it stays in the wire format until then).
     """
 
     mode: str = "quick"
@@ -95,8 +85,6 @@ class RunOptions:
     seed: int = DEFAULT_SEED
     retries: int | None = None
     timeout_s: float | None = None
-    resume: bool = False
-    backend: str = "scalar"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -109,11 +97,6 @@ class RunOptions:
             raise ValueError("retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        # Both deprecation warnings blame the line that built the record,
-        # past the generated __init__ that calls this hook.
-        check_backend(self.backend, "RunOptions.backend", stacklevel=4)
-        if self.resume:
-            warn_resume_deprecated("RunOptions.resume", stacklevel=4)
 
     @property
     def quick(self) -> bool:
@@ -204,8 +187,6 @@ _WIRE_TYPES = {
     "seed": (int, False),
     "retries": (int, True),
     "timeout_s": ((int, float), True),
-    "resume": (bool, False),
-    "backend": (str, False),
 }
 
 

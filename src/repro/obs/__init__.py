@@ -6,7 +6,7 @@ for) a simulation.  Every instrumented hot-path site in the simulator
 guards on a single ``is None`` check, so the disabled path costs one
 pointer comparison.
 
-The facade wires four independent pieces together:
+The :class:`Telemetry` facade ties eight modules together:
 
 * :mod:`repro.obs.metrics`   — counters / gauges / histograms with
   hierarchical names (``mc.sc0.drfm_sb_issued``);
@@ -40,7 +40,6 @@ merged metrics and journals (``tests/test_obs_parallel.py``).
 from __future__ import annotations
 
 import json
-import warnings
 
 from repro.dram.commands import Command
 from repro.obs import runtime
@@ -151,11 +150,6 @@ class SubchannelTelemetry:
                 self.trace.record(record)
 
 
-#: Default of the deprecated ``Telemetry(spans=...)`` parameter; any
-#: explicit value warns.
-_UNSET = object()
-
-
 class Telemetry:
     """Facade bundling registry, timeline sampler, journal and span tracer.
 
@@ -180,11 +174,10 @@ class Telemetry:
         individual mitigation events for the ``repro trace`` analyzer.
     trace_limit:
         Event capacity of that trace.
-    spans:
-        Deprecated no-op: :attr:`spans`, a hierarchical
-        :class:`~repro.obs.spans.SpanTracer` of sweep execution
-        (exported by ``repro spans``), is always recorded.  Any explicit
-        value warns once; 3.0 removes the parameter.
+
+    :attr:`spans`, a hierarchical :class:`~repro.obs.spans.SpanTracer`
+    of sweep execution (exported by ``repro spans``), is always
+    recorded.
     """
 
     def __init__(self, journal_path: str | None = None,
@@ -192,11 +185,7 @@ class Telemetry:
                  sample_every_refi: int = DEFAULT_SAMPLE_EVERY_REFI,
                  profile: bool = False,
                  trace: bool = False,
-                 trace_limit: int = DEFAULT_TRACE_LIMIT,
-                 spans: object = _UNSET) -> None:
-        if spans is not _UNSET:
-            warnings.warn("spans are always recorded; 3.0 removes the "
-                          "parameter", DeprecationWarning, stacklevel=2)
+                 trace_limit: int = DEFAULT_TRACE_LIMIT) -> None:
         self.registry = MetricsRegistry()
         self.journal: RunJournal | None = None
         if journal_path is not None:

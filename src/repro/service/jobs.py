@@ -29,8 +29,7 @@ fixed cell order, a job's result JSON is byte-identical to a local
 concurrent.
 
 Per-job knobs ride the :class:`~repro.experiments.common.RunOptions`
-wire record (the deprecated ``backend`` field is accepted and ignored)
-into :func:`~repro.experiments.registry.run_experiment`, which
+wire record into :func:`~repro.experiments.registry.run_experiment`, which
 overrides the executor's cell policy with them for that job only,
 through the thread-local :meth:`~repro.exec.SweepExecutor.scoped`.  The
 job's own enclosing scope yields its **attributed counters**: exactly
@@ -87,7 +86,7 @@ TERMINAL_STATES = ("done", "failed")
 #: Executor counters mirrored into each job record (the same counters
 #: the executor mirrors into the obs metrics registry as ``exec.*``).
 COUNTER_FIELDS = ("cells", "computed", "memo_hits", "dedup_hits",
-                  "retries", "timeouts", "failed", "batched", "inline")
+                  "retries", "timeouts", "failed", "inline")
 
 
 class UnknownJob(KeyError):

@@ -446,10 +446,9 @@ class SweepService:
         executor = self.scheduler.executor
         exec_stats = getattr(executor, "stats", None)
         if exec_stats is not None:
-            for field in ("cells", "computed", "inline", "batched",
-                          "memo_hits", "dedup_hits", "retries",
-                          "timeouts", "failed", "fallbacks",
-                          "engine_events"):
+            for field in ("cells", "computed", "inline", "memo_hits",
+                          "dedup_hits", "retries", "timeouts", "failed",
+                          "fallbacks", "engine_events"):
                 expo.counter(f"repro_executor_{field}",
                              getattr(exec_stats, field),
                              help_text=f"Executor lifetime "

@@ -1,7 +1,12 @@
-"""Deprecated batch spellings, kept as scalar no-ops until 3.0.
+"""The last batch spellings, scalar no-ops kept only for the e2e harness.
 
 The batched engine was slower than the scalar event loop on every cell
-group the reproduction forms; each name here now warns once."""
+group the reproduction forms, and 3.0 removed its public names.  Two
+remain because the end-to-end benchmark (``benchmarks/e2e``) still uses
+them: :func:`check_backend` backs the deprecated
+``SweepExecutor(backend=...)`` its child process passes, and its tracer
+wraps :func:`run_batch`.  Both warn once.  The change that next
+redefines that benchmark removes this module (see ``ROADMAP.md``)."""
 
 from __future__ import annotations
 
@@ -22,18 +27,19 @@ BACKENDS = ("scalar", "batched", "auto")
 def backend_deprecation(spelling: str) -> str:
     """The one message every deprecated backend spelling reports."""
     return (f"{spelling} is deprecated and has no effect: every cell "
-            f"runs on the scalar engine; 3.0 removes {spelling}")
+            f"runs on the scalar engine; a later release removes "
+            f"{spelling}")
 
 
-def check_backend(backend: str, spelling: str, stacklevel: int = 3) -> None:
-    """Reject an unknown ``backend``; warn once unless it is scalar.  The
-    default ``stacklevel`` blames the line that called the caller."""
+def check_backend(backend: str, spelling: str) -> None:
+    """Reject an unknown ``backend``; warn once unless it is scalar,
+    blaming the line that called the caller."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, "
                          f"got {backend!r}")
     if backend != "scalar":
         warnings.warn(backend_deprecation(spelling), DeprecationWarning,
-                      stacklevel=stacklevel)
+                      stacklevel=3)
 
 
 class BatchCellError(Exception):
@@ -85,15 +91,3 @@ def run_batch(system: SystemConfig, items: list[BatchItem],
             outcomes.append(error)
     return outcomes
 
-
-def run_simulation_batched(system: SystemConfig, traces: list[MemoryTrace],
-                           sim: SimConfig,
-                           policy_factory: PolicyFactory | None = None,
-                           policy_name: str = "none",
-                           telemetry=None) -> RunResult:
-    """Alias of :func:`repro.sim.runner.run_simulation`."""
-    from repro.sim.runner import run_simulation
-    warnings.warn(backend_deprecation("run_simulation_batched"),
-                  DeprecationWarning, stacklevel=2)
-    return run_simulation(system, traces, sim, policy_factory,
-                          policy_name, telemetry=telemetry)

@@ -16,15 +16,15 @@ Three goldens are kept:
   that cell's telemetry snapshot.
 
 The goldens were generated by the pre-overhaul code path (seed-commit
-semantics); ``tests/test_engine_identity.py`` and the CI
-``engine-identity-smoke`` job compare every optimized run against them
-byte-for-byte.  Regenerate deliberately — only when simulated behaviour
-is *meant* to change — with::
+semantics); ``tests/test_engine_identity.py`` compares every
+optimized run against them byte-for-byte in the tier-1 suite.
+Regenerate deliberately — only when simulated behaviour is *meant* to
+change — with::
 
     PYTHONPATH=src python tests/golden_engine.py --write
 
 and review the diff like any other behavioural change.  ``--check``
-exits non-zero on the first mismatch (used by CI).
+exits non-zero on the first mismatch.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""The deprecated batch API (:mod:`repro.sim.batched`), until 3.0.
+"""``run_batch``, the deprecated batch call the e2e benchmark traces.
 
-``run_batch`` runs each item through the scalar engine: results match
-the reference loop item by item, ``collect_errors`` isolates a failing
-item, and telemetry-carrying items record as a scalar run does.
+3.0 dropped it from the top-level API; :mod:`repro.sim.batched` keeps
+it until the benchmark stops wrapping it.  It runs each item through
+the scalar engine: results match the reference loop item by item,
+``collect_errors`` isolates a failing item, and telemetry-carrying
+items record as a scalar run does.
 """
 
 import pytest
@@ -11,16 +13,14 @@ from tests import golden_engine
 from repro.exec.executor import Cell, cell_fingerprint
 from repro.mc.policy import PolicyStats
 from repro.obs import Telemetry
-from repro.sim.batched import (BatchCellError, BatchItem, run_batch,
-                               run_simulation_batched)
+from repro.sim.batched import BatchCellError, BatchItem, run_batch
 from repro.sim.config import SimConfig
 from repro.sim.runner import run_simulation_reference
 from repro.workloads.builder import build_traces
 from repro.workloads.profiles import profile
 
 pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_batch is deprecated:DeprecationWarning",
-    "ignore:run_simulation_batched is deprecated:DeprecationWarning")
+    "ignore:run_batch is deprecated:DeprecationWarning")
 
 
 def _grid_items(system):
@@ -179,8 +179,9 @@ class TestTelemetryRouting:
         for _ in range(2):
             telemetry = Telemetry(journal_memory=True,
                                   sample_every_refi=4)
-            result = run_simulation_batched(system, traces, sim, factory,
-                                            design, telemetry=telemetry)
+            [result] = run_batch(system, [BatchItem(
+                traces=traces, sim=sim, policy_factory=factory,
+                policy_name=design, telemetry=telemetry)])
             lines = [json.dumps(record, sort_keys=True)
                      for record in telemetry.journal.records]
             outputs.append((result.to_json(), lines,

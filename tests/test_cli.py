@@ -3,10 +3,12 @@
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from repro.analysis import load_spans
 from repro.cli import build_parser, main
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
+from repro.obs.exporter import parse_exposition, sample_value
 from repro.obs.spans import normalized_tree
 from repro.service import SweepClient
 
@@ -114,9 +117,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "1/100" in out
 
-    def test_run_unknown_experiment(self):
-        with pytest.raises(KeyError):
+    def test_run_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "fig99"])
+        assert excinfo.value.code == 2
+        assert "unknown experiment fig99" in capsys.readouterr().err
 
     def test_run_json(self, capsys):
         assert main(["run", "--json", "table6"]) == 0
@@ -212,20 +217,14 @@ class TestExecFlags:
         assert args.requests == 500
         assert args.progress
 
-    def test_backend_flag_parses(self):
-        args = build_parser().parse_args(["run", "table1"])
-        assert args.backend == "scalar"
-        args = build_parser().parse_args(
-            ["run", "fig9", "--backend", "batched"])
-        assert args.backend == "batched"
-        args = build_parser().parse_args(
-            ["report", "--backend", "auto", "table1"])
-        assert args.backend == "auto"
-
-    def test_backend_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--backend", "gpu", "table1"])
+    def test_backend_rejects_unknown(self, capsys):
+        # 3.0 removed --backend: every value is an unknown argument.
+        for value in ("auto", "gpu"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "table1", "--backend", value])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --backend" in \
+                capsys.readouterr().err
 
     def test_report_accepts_flags_too(self):
         args = build_parser().parse_args(
@@ -243,39 +242,6 @@ class TestExecFlags:
         parallel, err = self._run_json(capsys, "--jobs", "2")
         assert parallel == serial
         assert "executor[jobs=2]" in err
-
-    @staticmethod
-    def _backend_notice(err):
-        notices = [line for line in err.splitlines()
-                   if "deprecated" in line]
-        assert notices == ["warning: --backend is deprecated and has no "
-                           "effect: every cell runs on the scalar "
-                           "engine; 3.0 removes --backend"]
-
-    def test_batched_backend_byte_identical_to_serial(self, capsys):
-        # The deprecated flag warns once and changes nothing: the
-        # executor's summary line names no batched work.
-        serial, _ = self._run_json(capsys)
-        for backend in ("batched", "auto"):
-            routed, err = self._run_json(capsys, "--backend", backend)
-            assert routed == serial
-            self._backend_notice(err)
-            [summary] = [line for line in err.splitlines()
-                         if "executor[" in line]
-            assert "batched" not in summary
-
-    def test_batched_backend_composes_with_jobs_and_cache(self, tmp_path,
-                                                          capsys):
-        # A cache filled by a scalar run serves a --backend batched run.
-        cache = str(tmp_path / "runcache")
-        serial, _ = self._run_json(capsys, "--cache-dir", cache)
-        warm, warm_err = self._run_json(capsys, "--backend", "batched",
-                                        "--jobs", "2",
-                                        "--cache-dir", cache)
-        assert warm == serial
-        self._backend_notice(warm_err)
-        assert " computed=0 " in warm_err and "misses=0" in warm_err
-        assert "batched=" not in warm_err
 
     def test_telemetry_files_identical_across_modes(self, tmp_path,
                                                     capsys):
@@ -368,21 +334,22 @@ class TestResilienceFlags:
         args = build_parser().parse_args(["run", "table1"])
         assert args.retries is None
         assert args.timeout is None
-        assert not args.resume
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
             ["run", "fig9", "--retries", "4", "--timeout", "2.5",
-             "--resume", "--cache-dir", ".runcache"])
+             "--cache-dir", ".runcache"])
         assert args.retries == 4
         assert args.timeout == 2.5
-        assert args.resume
 
     def test_resume_without_cache_exits_2(self, capsys):
+        # 3.0 removed --resume: rerunning over the same --cache-dir is
+        # the only way to resume, so the flag is an unknown argument.
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "ablation-atm", "--resume"])
         assert excinfo.value.code == 2
-        assert "--resume needs a run cache" in capsys.readouterr().err
+        assert "unrecognized arguments: --resume" in \
+            capsys.readouterr().err
 
     def _run_json(self, capsys, *flags):
         code = main(["run", "ablation-atm", "--json",
@@ -457,23 +424,6 @@ class TestResilienceFlags:
         else:
             assert "nothing was cached; rerun with --cache-dir DIR" in hint
 
-    def test_resume_flag_warns_once_and_changes_nothing(self, tmp_path,
-                                                        capsys):
-        cache = tmp_path / "runcache"
-        code, cold, _ = self._run_json(capsys, "--cache-dir", str(cache))
-        assert code == 0
-        code, warm, err = self._run_json(capsys, "--cache-dir",
-                                         str(cache), "--resume")
-        assert code == 0
-        assert warm == cold
-        notices = [line for line in err.splitlines()
-                   if "deprecated" in line]
-        assert len(notices) == 1
-        assert notices[0].startswith("warning: --resume is deprecated")
-        assert "same --cache-dir" in notices[0] and "3.0" in notices[0]
-        assert " computed=0 " in err
-        assert not (cache / "checkpoint.jsonl").exists()
-
     def test_leftover_checkpoint_journal_is_ignored(self, tmp_path,
                                                     capsys):
         # A 2.0 sweep's journal (torn tail included) left in a full
@@ -491,18 +441,67 @@ class TestResilienceFlags:
         assert journal.read_text() == text
 
 
+#: Bad input, one case per way in: ``(argv, environment)``.
+BAD_INPUT = {
+    "unknown-experiment": (["run", "table1", "nosuch"], {}),
+    "jobs-flag": (["run", "table1", "--jobs", "-1"], {}),
+    "jobs-env-negative": (["run", "table1"], {"REPRO_JOBS": "-2"}),
+    "jobs-env-not-a-number": (["run", "table1"], {"REPRO_JOBS": "x"}),
+    "serve-jobs-flag": (["serve", "--port", "0", "--jobs", "-1"], {}),
+    "serve-concurrency-env": (["serve", "--port", "0"],
+                              {"REPRO_JOB_CONCURRENCY": "x"}),
+    "sample-every-negative": (["run", "table1", "--sample-every", "-3",
+                               "--journal", "run.jsonl"], {}),
+    "sample-every-zero": (["run", "table1", "--sample-every", "0"], {}),
+    **{f"{command}-{flag[2:]}": ([command, "table1", flag, value], {})
+       for command in ("run", "report", "submit")
+       for flag, value in (("--requests", "0"), ("--retries", "-1"),
+                           ("--timeout", "0"))},
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv,env", list(BAD_INPUT.values()),
+                             ids=list(BAD_INPUT))
+    def test_exits_2_with_one_error_line(self, argv, env, tmp_path,
+                                         monkeypatch, capsys):
+        """Bad input stops before any work: exit 2, one ``error:`` line
+        on stderr, no traceback, nothing on stdout."""
+        monkeypatch.chdir(tmp_path)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert len([line for line in captured.err.splitlines()
+                    if "error:" in line]) == 1, captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestServeCommand:
-    def test_serve_subprocess_round_trip(self, tmp_path):
-        """``repro serve`` as a real process: a submitted job's result is
-        byte-identical to a local run, and SIGINT exits 0."""
+    def test_serve_subprocess_round_trip(self, tmp_path, capsys):
+        """``repro serve --job-concurrency 2`` as a real process.
+
+        Two identical jobs and one with another seed: every result is
+        byte-identical to a local run, and the twins do the cell work
+        once, whether they overlap (in-flight dedup) or not (memo).  The
+        metrics endpoint and the access log record all three jobs, and
+        SIGINT exits 0."""
         port_file = tmp_path / "port.txt"
+        access_log = tmp_path / "access.jsonl"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(repro.__file__).parents[1]),
              os.environ.get("PYTHONPATH", "")]))
         server = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--port-file", str(port_file)],
+             "--port-file", str(port_file), "--job-concurrency", "2",
+             "--cache-dir", str(tmp_path / "cache"),
+             "--access-log", str(access_log)],
             env=env, stderr=subprocess.PIPE, text=True)
+        twin = RunOptions(requests_per_core=300)
+        other = RunOptions(requests_per_core=300, seed=7)
         try:
             deadline = time.monotonic() + 60
             while not port_file.exists() or \
@@ -510,20 +509,31 @@ class TestServeCommand:
                 assert server.poll() is None, server.stderr.read()
                 assert time.monotonic() < deadline, "no port line"
                 time.sleep(0.05)
-            client = SweepClient(
-                f"http://127.0.0.1:{port_file.read_text().strip()}")
-            options = RunOptions(requests_per_core=300)
-            job_id = client.submit("ablation-atm", options)
-            served = client.result(job_id)
-            record = client.job(job_id)
+            url = f"http://127.0.0.1:{port_file.read_text().strip()}"
+            client = SweepClient(url)
+            jobs = [client.submit("ablation-atm", options)
+                    for options in (twin, twin, other)]
+            served = [client.result(job_id) for job_id in jobs]
+            counters = [client.job(job_id)["counters"] for job_id in jobs]
+            with urllib.request.urlopen(f"{url}/v1/metrics") as response:
+                metrics = parse_exposition(response.read().decode())
         finally:
             server.send_signal(signal.SIGINT)
             code = server.wait(30)
             stderr = server.stderr.read()
         assert code == 0, stderr
-        assert served == registry.run_experiment("ablation-atm",
-                                                 options).to_json()
-        assert record["counters"]["computed"] > 0
+        local = {options: registry.run_experiment(
+            "ablation-atm", options).to_json() for options in (twin, other)}
+        assert served == [local[twin], local[twin], local[other]]
+        cold, warm = sorted(counters[:2], key=lambda c: -c["computed"])
+        assert cold["computed"] == cold["cells"] > 0
+        assert warm["computed"] == 0
+        assert warm["memo_hits"] == warm["cells"] == cold["cells"]
+        assert counters[2]["computed"] == counters[2]["cells"] > 0
+        assert sample_value(metrics, "repro_scheduler_concurrency") == 2
+        assert sample_value(metrics, "repro_jobs_total") == 3
+        assert main(["stats", "--access-log", str(access_log)]) == 0
+        assert "POST /v1/jobs" in capsys.readouterr().out
 
 
 class TestStats:
@@ -782,6 +792,31 @@ class TestBench:
         # The untouched metric stays quiet.
         assert main(["bench", "check", "--results-dir", results_dir,
                      "--threshold", "60"]) == 0
+
+    def test_committed_figures_cut_30pct_fail_the_gate(self, tmp_path,
+                                                       capsys):
+        """Negative control on the committed files: a 30 % collapse of
+        every engine figure and of the service speedup fails the gate
+        and names the regressed metrics."""
+        committed = Path(__file__).parents[1] / "benchmarks" / "results"
+        for name in ("BENCH_engine.json", "BENCH_obs.json",
+                     "BENCH_service.json", "BENCH_history.jsonl"):
+            shutil.copy(committed / name, tmp_path / name)
+        engine = json.loads((tmp_path / "BENCH_engine.json").read_text())
+        for config in engine["current"]["configs"].values():
+            for key in ("events_per_sec", "median_events_per_sec"):
+                config[key] = round(config[key] * 0.7)
+        (tmp_path / "BENCH_engine.json").write_text(json.dumps(engine))
+        service = json.loads(
+            (tmp_path / "BENCH_service.json").read_text())
+        for key in ("speedup", "median_speedup"):
+            service[key] = round(service[key] * 0.7, 3)
+        (tmp_path / "BENCH_service.json").write_text(json.dumps(service))
+        assert main(["bench", "check",
+                     "--results-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSIONS:" in out
+        assert "engine.mint" in out and "service.speedup" in out
 
     def test_committed_repo_baselines_pass(self, capsys):
         # The in-repo gate: frozen snapshots vs the recorded history.

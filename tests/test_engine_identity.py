@@ -8,8 +8,9 @@ byte-identical :meth:`~repro.sim.results.RunResult.to_json`, journals
 and metrics, and both must match the checked-in goldens generated by
 the seed code (``tests/data/goldens/``, see ``tests/golden_engine.py``).
 
-The deprecated alias :func:`~repro.sim.batched.run_simulation_batched`
-stays under the same contract until 3.0 removes it.
+The deprecated :func:`~repro.sim.batched.run_batch`, which 3.0 keeps
+only because the end-to-end benchmark's tracer wraps it, stays under the
+same contract until it is removed.
 """
 
 import json
@@ -20,7 +21,7 @@ from tests import golden_engine
 from repro.mc.mitigation import coupled_mint_factory
 from repro.mc.policy import PolicyStats
 from repro.obs import Telemetry
-from repro.sim.batched import run_simulation_batched
+from repro.sim.batched import BatchItem, run_batch
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.runner import run_simulation, run_simulation_reference
 from repro.workloads.builder import build_traces
@@ -30,12 +31,22 @@ GRID = [(workload, design, seed)
         for design in golden_engine.designs()
         for seed in golden_engine.SEEDS]
 
+
+def _run_batch_of_one(system, traces, sim, policy_factory=None,
+                      policy_name="none", telemetry=None):
+    """One ``run_simulation`` call made through ``run_batch``."""
+    [result] = run_batch(system, [BatchItem(
+        traces=traces, sim=sim, policy_factory=policy_factory,
+        policy_name=policy_name, telemetry=telemetry)])
+    return result
+
+
 #: Engine entry points under test, against the reference loop.
 BACKEND_RUNNERS = {"optimized": run_simulation,
-                   "batched": run_simulation_batched}
+                   "batched": _run_batch_of_one}
 
 pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_simulation_batched is deprecated:DeprecationWarning")
+    "ignore:run_batch is deprecated:DeprecationWarning")
 
 
 def _run(runner, workload, design, seed, telemetry=None):

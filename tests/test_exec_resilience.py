@@ -15,9 +15,8 @@ from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import StudyCell, SweepExecutor, cell_fingerprint
 from repro.exec.faults import FaultPlan
-from repro.exec.resilience import (CellPolicy, FailedCell, SweepCheckpoint,
-                                   SweepFailure, backoff_delay,
-                                   validate_result)
+from repro.exec.resilience import (CellPolicy, FailedCell, SweepFailure,
+                                   backoff_delay, validate_result)
 from repro.experiments.common import (DesignSpec, series_rows, sweep_cells,
                                       sweep_designs)
 from repro.experiments.dos import measured_dos_factor
@@ -202,48 +201,6 @@ class TestResume:
         assert warm_cache.stats.hits == done_before
         assert _series_json(series) == _series_json(reference)
         assert not (tmp_path / "checkpoint.jsonl").exists()
-
-
-class TestDeprecatedResumeSpellings:
-    """Each 2.0 resume spelling, used alone, warns exactly once, names
-    the replacement and changes nothing."""
-
-    def _assert_one_warning(self, record, spelling):
-        assert len(record) == 1, [str(w.message) for w in record]
-        message = str(record[0].message)
-        assert message.startswith(f"{spelling} is deprecated")
-        assert "same --cache-dir" in message and "3.0" in message
-        assert record[0].filename == __file__  # blames the caller
-
-    def test_sweep_checkpoint_records_nothing(self, tmp_path):
-        path = tmp_path / "checkpoint.jsonl"
-        with pytest.warns(DeprecationWarning) as record:
-            checkpoint = SweepCheckpoint(path, resume=True)
-        self._assert_one_warning(record, "SweepCheckpoint")
-        checkpoint.close()
-        assert not path.exists()
-
-    def test_executor_checkpoint_parameter_is_ignored(
-            self, tmp_path, small_system, small_sim, designs, workloads):
-        reference = _sweep(designs, small_system, small_sim, workloads)
-        with pytest.warns(DeprecationWarning):
-            checkpoint = SweepCheckpoint(tmp_path / "checkpoint.jsonl")
-        with pytest.warns(DeprecationWarning) as record:
-            executor = SweepExecutor(cache=RunCache(tmp_path),
-                                     checkpoint=checkpoint)
-        self._assert_one_warning(record, "SweepExecutor(checkpoint=...)")
-        with executor:
-            series = _sweep(designs, small_system, small_sim, workloads,
-                            executor)
-        assert _series_json(series) == _series_json(reference)
-        assert not (tmp_path / "checkpoint.jsonl").exists()
-
-    def test_cache_checkpoint_path(self, tmp_path):
-        with pytest.warns(DeprecationWarning) as record:
-            path = RunCache(tmp_path).checkpoint_path()
-        self._assert_one_warning(record, "RunCache.checkpoint_path()")
-        assert path == tmp_path / "checkpoint.jsonl"
-        assert not path.exists()
 
 
 class TestDegradation:

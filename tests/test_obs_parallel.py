@@ -136,21 +136,6 @@ class TestByteIdenticalAcrossModes:
         for key in ("results", "metrics", "journal", "profile"):
             assert warm[key] == cold[key], key
 
-    @pytest.mark.parametrize("spans", [True, False])
-    def test_deprecated_spans_argument_changes_nothing(
-            self, small_system, small_sim, designs, workloads, spans):
-        plain = _merged(designs, small_system, small_sim, workloads)
-        with pytest.warns(DeprecationWarning, match="spans are always "
-                          "recorded; 3.0 removes the parameter") as caught:
-            telemetry = Telemetry(journal_memory=True,
-                                  sample_every_refi=2, spans=spans)
-        assert len(caught) == 1
-        assert caught[0].filename == __file__
-        legacy = _merged(designs, small_system, small_sim, workloads,
-                         telemetry=telemetry)
-        for key in ("results", "metrics", "journal", "profile"):
-            assert legacy[key] == plain[key], key
-
     def test_resume_matches_serial_without_double_counting(
             self, tmp_path, small_system, small_sim, designs, workloads):
         serial = _merged(designs, small_system, small_sim, workloads)

@@ -47,7 +47,7 @@ class TestTopLevelExports:
             repro.does_not_exist
 
     def test_version(self):
-        assert repro.__version__ == "2.5.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_core_design_entry_points(self):
         for name in ("dream_r_para_factory", "dream_r_mint_factory",
@@ -63,6 +63,31 @@ class TestTopLevelExports:
 
     def test_twenty_two_profiles_exported(self):
         assert len(repro.PROFILES) == 22
+
+
+class TestRemovedIn30:
+    """The 2.x deprecated spellings are gone, not ignored."""
+
+    @pytest.mark.parametrize("spelling", [
+        lambda: repro.RunOptions(backend="auto"),
+        lambda: repro.RunOptions(resume=True),
+        lambda: repro.Telemetry(spans=True),
+        lambda: repro.SweepExecutor(checkpoint=None),
+        lambda: repro.SweepExecutor().scoped(backend="auto"),
+    ], ids=["RunOptions-backend", "RunOptions-resume", "Telemetry-spans",
+            "SweepExecutor-checkpoint", "scoped-backend"])
+    def test_keyword_raises_type_error(self, spelling):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            spelling()
+
+    def test_names_are_gone(self):
+        from repro.exec import resilience
+
+        assert not hasattr(repro.RunCache, "checkpoint_path")
+        assert not hasattr(resilience, "SweepCheckpoint")
+        for name in ("SweepCheckpoint", "run_batch", "BatchItem",
+                     "BatchCellError", "run_simulation_batched"):
+            assert not hasattr(repro, name), name
 
 
 class TestFactoryContracts:

@@ -13,7 +13,6 @@ from repro.exec.executor import SweepExecutor
 from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import (DEFAULT_SEED, MODES, RunOptions)
-from repro.service import JobScheduler
 from repro.workloads.builder import clear_cache
 
 #: Small per-core budget for the sim-backed checks.
@@ -54,7 +53,7 @@ class TestRecord:
         dict(requests_per_core=0),
         dict(retries=-1),
         dict(timeout_s=0.0),
-        dict(backend="gpu"),
+        dict(timeout_s=-1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -75,16 +74,6 @@ class TestRecord:
         assert "mode=full" in text
         assert "retries=3" in text
 
-    def test_backend_defaults_scalar_and_describes(self):
-        # The deprecated field no longer describes: it changes nothing.
-        assert RunOptions().backend == "scalar"
-        assert "backend" not in RunOptions().describe()
-        with pytest.warns(DeprecationWarning):
-            options = RunOptions(backend="batched")
-        # backend is not a knob
-        assert options.cell_policy(CellPolicy()) == CellPolicy()
-        assert "backend" not in options.describe()
-
 
 class TestWireFormat:
     """to_dict/from_dict/to_json/from_json — the one shared pair the
@@ -95,11 +84,11 @@ class TestWireFormat:
         assert RunOptions.from_json(RunOptions().to_json()) == RunOptions()
 
     def test_round_trip_every_field(self):
-        with pytest.warns(DeprecationWarning):
-            options = RunOptions(mode="full", requests_per_core=123,
-                                 seed=7, retries=4, timeout_s=1.5,
-                                 resume=True, backend="auto")
-            assert RunOptions.from_json(options.to_json()) == options
+        options = RunOptions(mode="full", requests_per_core=123, seed=7,
+                             retries=4, timeout_s=1.5)
+        assert list(options.to_dict()) == [
+            "mode", "requests_per_core", "seed", "retries", "timeout_s"]
+        assert RunOptions.from_json(options.to_json()) == options
 
     def test_json_is_canonical(self):
         # sort_keys → stable bytes: identical options produce identical
@@ -117,10 +106,14 @@ class TestWireFormat:
         {"mode": "fast"},
         {"requests_per_core": 0},
         {"seed": "high"},
+        {"resume": True},           # 2.x fields, removed in 3.0
+        {"backend": "auto"},
     ])
     def test_bad_payloads_raise_value_error(self, payload):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             RunOptions.from_dict(payload)
+        if isinstance(payload, dict):  # the message names the field
+            assert any(name in str(excinfo.value) for name in payload)
 
     def test_bad_json_raises_value_error(self):
         with pytest.raises(ValueError):
@@ -149,11 +142,12 @@ class TestRunExperimentV2:
             registry.run_experiment("table4", quick=True, seed=3)
         assert not hasattr(registry, "_merge_legacy")
 
-    @pytest.mark.parametrize("spelling", ["batched", "auto", "executor",
-                                          "scoped", "service"])
+    # 3.0 keeps one backend spelling, the executor's, for the e2e
+    # benchmark.
+    @pytest.mark.parametrize("spelling", ["executor"])
     def test_backend_byte_identical(self, tiny_quick_subset, tmp_path,
                                     spelling):
-        """Every deprecated backend spelling warns once and changes
+        """The deprecated backend spelling warns once and changes
         nothing: scalar's bytes, no batched cell, and a cache a scalar
         run filled serves every cell."""
         options = RunOptions(seed=11, requests_per_core=BUDGET)
@@ -163,13 +157,15 @@ class TestRunExperimentV2:
             scalar = registry.run_experiment("ablation-atm", options)
         clear_cache()
         with pytest.warns(DeprecationWarning) as record:
-            routed, stats = _DEPRECATED_SPELLINGS[spelling](options, cache)
+            executor = SweepExecutor(cache=cache, backend="batched")
+        with executor, exec_runtime.activated(executor):
+            routed = registry.run_experiment("ablation-atm", options)
         assert len(record) == 1
         assert "is deprecated and has no effect" in str(record[0].message)
-        assert routed == scalar.to_json()
-        assert stats["batched"] == 0
-        assert stats["computed"] == 0
-        assert stats["cells"] == 10
+        assert routed.to_json() == scalar.to_json()
+        assert executor.stats.batched == 0
+        assert executor.stats.computed == 0
+        assert executor.stats.cells == 10
 
     def test_knobs_override_an_ambient_executor(self, tiny_quick_subset,
                                                  monkeypatch):
@@ -188,28 +184,6 @@ class TestRunExperimentV2:
                                     RunOptions(requests_per_core=300))
         assert executor.stats.retries == 10
 
-    def test_deprecated_resume_warns_once_and_changes_nothing(
-            self, tiny_quick_subset):
-        plain = registry.run_experiment(
-            "ablation-atm", RunOptions(seed=11, requests_per_core=BUDGET))
-        clear_cache()
-        with pytest.warns(DeprecationWarning) as record:
-            options = RunOptions(seed=11, requests_per_core=BUDGET,
-                                 resume=True)
-            flagged = registry.run_experiment("ablation-atm", options)
-        assert len(record) == 1
-        assert str(record[0].message).startswith(
-            "RunOptions.resume is deprecated and has no effect")
-        assert record[0].filename == __file__  # blames the caller
-        assert flagged.to_json() == plain.to_json()
-        # The field stays in the wire format until 3.0 removes it, but
-        # no longer counts as a resilience knob.
-        assert list(options.to_dict()) == [
-            "mode", "requests_per_core", "seed", "retries", "timeout_s",
-            "resume", "backend"]
-        assert options.cell_policy(CellPolicy()) == CellPolicy()
-        assert "resume" not in options.describe()
-
     def test_wire_round_trip_runs_identically(self, tiny_quick_subset):
         """Options that crossed the wire drive the same run as the
         original record (the service's byte-identity foundation)."""
@@ -220,50 +194,3 @@ class TestRunExperimentV2:
             "ablation-atm", RunOptions.from_json(options.to_json()))
         assert wired.to_json() == direct.to_json()
 
-
-def _run_options_spelling(backend):
-    def run(options, cache):
-        options = dataclasses.replace(options, backend=backend)
-        with SweepExecutor(cache=cache) as executor, \
-                exec_runtime.activated(executor):
-            text = registry.run_experiment("ablation-atm",
-                                           options).to_json()
-        return text, vars(executor.stats)
-    return run
-
-
-def _executor_spelling(options, cache):
-    with SweepExecutor(cache=cache, backend="batched") as executor, \
-            exec_runtime.activated(executor):
-        text = registry.run_experiment("ablation-atm", options).to_json()
-    return text, vars(executor.stats)
-
-
-def _scoped_spelling(options, cache):
-    with SweepExecutor(cache=cache) as executor, \
-            executor.scoped(backend="auto") as scope, \
-            exec_runtime.activated(executor):
-        text = registry.run_experiment("ablation-atm", options).to_json()
-    return text, vars(scope.stats)
-
-
-def _service_spelling(options, cache):
-    wire = dict(options.to_dict(), backend="auto")
-    # Without per-job telemetry a cached result needs no snapshot.
-    with JobScheduler(SweepExecutor(cache=cache),
-                      spans=False) as scheduler:
-        job = scheduler.submit("ablation-atm",
-                               RunOptions.from_dict(wire))["job"]
-    assert scheduler.get(job)["state"] == "done"
-    return scheduler.result_text(job), scheduler.get(job)["counters"]
-
-
-#: Each deprecated ``backend`` spelling, run over a scalar-filled cache;
-#: returns the result JSON and the run's executor counters.
-_DEPRECATED_SPELLINGS = {
-    "batched": _run_options_spelling("batched"),
-    "auto": _run_options_spelling("auto"),
-    "executor": _executor_spelling,
-    "scoped": _scoped_spelling,
-    "service": _service_spelling,
-}

@@ -60,19 +60,6 @@ class TestScheduler:
         with pytest.raises(BadSubmission, match="unknown experiment"):
             scheduler.submit("nope", RunOptions())
 
-    def test_resume_accepted_as_a_no_op(self, scheduler):
-        # The deprecated knob rides the wire until 3.0 and changes
-        # nothing: the shared cache is the only resume mechanism.
-        with pytest.warns(DeprecationWarning):
-            options = RunOptions(seed=11, requests_per_core=BUDGET,
-                                 resume=True)
-        job_id = scheduler.submit("ablation-atm", options)["job"]
-        record = _wait(scheduler, job_id)
-        assert record["state"] == "done"
-        assert "resumed" not in record["counters"]
-        assert scheduler.result_text(job_id) == registry.run_experiment(
-            "ablation-atm", OPTIONS).to_json()
-
     def test_unknown_job_raises(self, scheduler):
         with pytest.raises(UnknownJob):
             scheduler.get("j99")
@@ -223,6 +210,21 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as excinfo:
             client.job("j99")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("field,value", [("resume", True),
+                                             ("backend", "auto")])
+    def test_removed_option_field_is_400(self, service, field, value):
+        """A 2.x payload carrying a field 3.0 removed is rejected, and
+        the answer names the field."""
+        options = dict(OPTIONS.to_dict(), **{field: value})
+        body = json.dumps({"experiment": "ablation-atm",
+                           "options": options}).encode()
+        request = urllib.request.Request(service.url + "/v1/jobs",
+                                         method="POST", data=body)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert field in json.loads(excinfo.value.read())["error"]
 
     def test_result_of_failed_job_is_410(self, service, client):
         from repro.exec import faults
