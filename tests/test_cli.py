@@ -519,9 +519,8 @@ class TestServeCommand:
                 metrics = parse_exposition(response.read().decode())
         finally:
             server.send_signal(signal.SIGINT)
-            code = server.wait(30)
-            stderr = server.stderr.read()
-        assert code == 0, stderr
+            _, stderr = server.communicate(timeout=30)
+        assert server.returncode == 0, stderr
         local = {options: registry.run_experiment(
             "ablation-atm", options).to_json() for options in (twin, other)}
         assert served == [local[twin], local[twin], local[other]]
