@@ -22,7 +22,8 @@ tracker threshold, increment; at the threshold, run ``V`` mitigation
 rounds (explicit sampling of one gang row into every bank's DAR, then a
 DRFMab) and restart the counter at 1.  The DCT is reset *staggered*: a
 slice of entries clears at each REF so the mitigation load never bunches
-at window boundaries (Section 5.4).
+at window boundaries (Section 5.4).  The DCT and the gang masks are
+lists of Python ints, which the per-ACT path indexes directly.
 
 The **DREAM-C (2x storage)** variants of Figure 17 and Appendix C double
 the DCT by splitting the banks into independent halves, each with its own
@@ -50,10 +51,13 @@ class GangMapper:
 
     The row space of each bank is split into ``V`` slices of
     ``entries_per_group`` rows; slice ``j`` of bank ``b`` is permuted by
-    ``masks[b, j]`` so that a gang contains row
-    ``j * entries + (g XOR masks[b, j])`` of every bank in the gang's
+    ``masks[b][j]`` so that a gang contains row
+    ``j * entries + (g XOR masks[b][j])`` of every bank in the gang's
     bank group — ``V`` rows per bank, a bijection overall.
     Set-associative grouping is the all-zero-mask special case.
+    ``masks`` is a list (per bank) of lists of Python ints: the mapping
+    runs once per activation, where numpy-scalar indexing costs more
+    than the lookup itself.
 
     With ``bank_groups > 1`` (the 2x-storage variant) the banks split
     into independent groups, each owning a contiguous region of the DCT.
@@ -77,12 +81,12 @@ class GangMapper:
         self.slices = config.vertical
         self.randomized = randomized
         if randomized:
-            self.masks = rng.integers(
+            self.masks: list[list[int]] = rng.integers(
                 entries, size=(config.num_banks, self.slices),
-                dtype=np.int64)
+                dtype=np.int64).tolist()
         else:
-            self.masks = np.zeros((config.num_banks, self.slices),
-                                  dtype=np.int64)
+            self.masks = [[0] * self.slices
+                          for _ in range(config.num_banks)]
 
     def group_of_bank(self, bank: int) -> int:
         """Bank-group index of ``bank``."""
@@ -90,9 +94,9 @@ class GangMapper:
 
     def gang_of(self, bank: int, row: int) -> int:
         """DCT index of ``row`` in ``bank``."""
-        slice_index = row // self.entries
-        local = (row % self.entries) ^ int(self.masks[bank, slice_index])
-        return self.group_of_bank(bank) * self.entries + local
+        entries = self.entries
+        local = (row % entries) ^ self.masks[bank][row // entries]
+        return bank // self.banks_per_gang * entries + local
 
     def gang_banks(self, gang: int) -> range:
         """Banks contributing rows to ``gang``."""
@@ -104,11 +108,10 @@ class GangMapper:
         """All rows of ``bank`` belonging to ``gang`` (one per slice)."""
         if self.group_of_bank(bank) != gang // self.entries:
             return []
-        local = gang % self.entries
-        return [
-            j * self.entries + (local ^ int(self.masks[bank, j]))
-            for j in range(self.slices)
-        ]
+        entries = self.entries
+        local = gang % entries
+        return [j * entries + (local ^ mask)
+                for j, mask in enumerate(self.masks[bank])]
 
     def gang_rows_by_bank(self, gang: int) -> dict[int, list[int]]:
         """Full gang membership: bank -> rows (used by attacks/tests)."""
@@ -140,7 +143,7 @@ class DreamCPolicy(MitigationPolicy):
         self.mapper = GangMapper(self.config, randomized, context.rng(),
                                  bank_groups=storage_multiplier)
         self.threshold = self.config.tracker_threshold
-        self.dct = np.zeros(self.mapper.total_entries, dtype=np.int32)
+        self.dct = [0] * self.mapper.total_entries
         self._timing = context.timing
         # Staggered reset: total_entries / refs_per_window entries per REF.
         self._entries_per_ref = (self.mapper.total_entries
@@ -180,12 +183,14 @@ class DreamCPolicy(MitigationPolicy):
         bus) and issues a DRFMab.
         """
         start = now_ps
-        local = gang % self.mapper.entries
-        for j in range(self.mapper.slices):
+        mapper = self.mapper
+        entries = mapper.entries
+        masks = mapper.masks
+        local = gang % entries
+        for j in range(mapper.slices):
             ready = start
-            for position, bank in enumerate(self.mapper.gang_banks(gang)):
-                row = (j * self.mapper.entries
-                       + (local ^ int(self.mapper.masks[bank, j])))
+            for position, bank in enumerate(mapper.gang_banks(gang)):
+                row = j * entries + (local ^ masks[bank][j])
                 at = start + position * self._timing.t_rrd
                 ready = max(ready, self.port.explicit_sample(bank, row, at))
             event = self.port.issue(Command.DRFM_AB, trigger_bank, ready)
@@ -196,7 +201,8 @@ class DreamCPolicy(MitigationPolicy):
     # ------------------------------------------------------------------
     def before_activate(self, bank: int, row: int, now_ps: int) -> bool:
         self.stats.activations_observed += 1
-        self._staggered_reset(now_ps)
+        if now_ps >= self._next_ref_ps:
+            self._staggered_reset(now_ps)
         gang = self.mapper.gang_of(bank, row)
         if self.dct[gang] >= self.threshold:
             if self.rmaq is not None and self.rmaq.contains(gang, now_ps):
@@ -217,7 +223,7 @@ class DreamCPolicy(MitigationPolicy):
         data = super().summary()
         data["drfm_rounds"] = self.drfm_rounds
         data["dct_entries"] = self.mapper.total_entries
-        data["max_counter"] = int(self.dct.max()) if len(self.dct) else 0
+        data["max_counter"] = max(self.dct, default=0)
         return data
 
 

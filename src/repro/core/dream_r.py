@@ -35,7 +35,8 @@ from repro.core.security import (mint_window_with_atm,
                                  para_probability_with_atm)
 from repro.dram.commands import Command
 from repro.exec.spec import spec_factory
-from repro.mc.policy import (MitigationPolicy, PolicyContext, PolicyFactory)
+from repro.mc.policy import (MitigationPolicy, PolicyContext, PolicyFactory,
+                             uniform_draws)
 
 
 class DreamRParaPolicy(MitigationPolicy):
@@ -61,7 +62,7 @@ class DreamRParaPolicy(MitigationPolicy):
         self.probability = (probability if probability is not None
                             else para_probability_with_atm(t_rh,
                                                            atm_threshold))
-        self._rng = context.rng()
+        self._uniform = uniform_draws(context.rng()).__next__
         self.atm = ActiveTargetMonitor(context.num_banks, atm_threshold)
         self.rmaq: list[RecentMitigationQueue] | None = None
         if rmaq_capacity is not None:
@@ -88,7 +89,7 @@ class DreamRParaPolicy(MitigationPolicy):
             # The sampled row is being hammered while waiting: force the
             # DRFM now so its exposure stays capped at ATM-TH.
             self._issue_drfm(bank, now_ps)
-        if self._rng.random() >= self.probability:
+        if self._uniform() >= self.probability:
             return False
         if self.rmaq is not None and self.rmaq[bank].contains(row, now_ps):
             self.stats.samples_skipped_rate_limit += 1

@@ -1,8 +1,11 @@
-"""Sub-channel model: 32 banks, bankgroups, shared data bus, DRFM engine.
+"""Sub-channel model: 32 banks, bankgroups, REF and the DRFM engine.
 
 A DDR5 channel contains two sub-channels, each with an independent 32-bit
-data bus and 32 banks arranged as 8 bankgroups of 4 banks.  DRFM commands
-are sub-channel scoped:
+data bus and 32 banks arranged as 8 bankgroups of 4 banks.  This class
+models the banks and the commands that block them; the data bus is
+modelled only by the sub-channel's controller
+(:class:`repro.mc.controller.SubChannelController`), which serializes
+the 64-byte bursts.  DRFM commands are sub-channel scoped:
 
 * ``DRFMsb`` blocks the same bank position in every bankgroup (8 banks)
   for tDRFMsb and mitigates the DAR of each of those banks.
@@ -47,7 +50,6 @@ class SubChannelStats:
     refreshes: int = 0
     mitigation_commands: int = 0
     mitigated_rows: int = 0
-    bus_busy_ps: int = 0
 
     def record_mitigation(self, event: MitigationEvent) -> None:
         self.mitigation_commands += 1
@@ -55,7 +57,7 @@ class SubChannelStats:
 
 
 class SubChannel:
-    """One DDR5 sub-channel: banks, bankgroups, data bus, REF and DRFM."""
+    """One DDR5 sub-channel: banks, bankgroups, REF and DRFM."""
 
     def __init__(self, index: int, timing: DDR5Timing, num_banks: int = 32,
                  banks_per_group: int = 4,
@@ -67,23 +69,12 @@ class SubChannel:
         self.num_banks = num_banks
         self.banks_per_group = banks_per_group
         self.banks = [Bank(i, timing) for i in range(num_banks)]
-        self.bus_busy_until_ps = 0
         self.stats = SubChannelStats()
         self.record_mitigations = record_mitigations
         self.mitigation_log: list[MitigationEvent] = []
         #: Running RLP sums (kept even when the full log is disabled).
         self.rlp_total = 0
         self.rlp_commands = 0
-
-    # ------------------------------------------------------------------
-    # Data bus
-    # ------------------------------------------------------------------
-    def reserve_bus(self, earliest_ps: int) -> int:
-        """Reserve one 64-byte burst slot; returns its completion time."""
-        start = max(earliest_ps, self.bus_busy_until_ps)
-        self.bus_busy_until_ps = start + self.timing.t_bus
-        self.stats.bus_busy_ps += self.timing.t_bus
-        return self.bus_busy_until_ps
 
     # ------------------------------------------------------------------
     # Refresh

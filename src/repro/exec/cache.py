@@ -257,9 +257,11 @@ class RunCache:
     def _write_atomic(self, path: Path, fingerprint: str,
                       entry: dict, sort_keys: bool = True) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
+        # One dumps + one write: json.dump would take the pure-Python
+        # encoder and write every chunk through the temp-file wrapper.
+        text = json.dumps(entry, sort_keys=sort_keys) + "\n"
         with atomic_writer(path, f".{fingerprint[:8]}.") as handle:
-            json.dump(entry, handle, sort_keys=sort_keys)
-            handle.write("\n")
+            handle.write(text)
 
     def describe(self) -> str:
         """One-line summary (root plus hit/miss counters)."""

@@ -7,6 +7,11 @@ primitives the mitigation policies drive.  The
 :class:`MemoryController` is the per-channel front door the simulation
 runner talks to.
 
+The controller owns its sub-channel's data bus; no other module models
+it.  A burst starts once its data is ready and the previous burst has
+finished, and holds the bus for tBUS, so the bus state is one
+timestamp and a burst count, and busy time is bursts x tBUS.
+
 The service path for one request:
 
 1. advance the refresh scheduler (issue any due REF);
@@ -57,8 +62,12 @@ class SubChannelController:
         # missed REF.
         self.banks = subchannel.banks
         self._t_cl = timing.t_cl
+        self._t_bus = timing.t_bus
         self._closes_after_access = page_policy.closes_after_access
         self._next_ref_ps = self.refresh.next_ref_ps
+        #: The data bus: when the last burst ends, and how many went out.
+        self._bus_free_ps = 0
+        self.bursts = 0
         if policy is not None:
             policy.bind(self)
 
@@ -126,8 +135,12 @@ class SubChannelController:
             # trackers observe activations, so no policy consultation.
             bank.stats.row_hits += 1
             busy = bank.busy_until_ps
-            data_ready = (busy if busy > now_ps else now_ps) + self._t_cl
-            return self.subchannel.reserve_bus(data_ready)
+            ready = (busy if busy > now_ps else now_ps) + self._t_cl
+            bus_free = self._bus_free_ps
+            finish = (ready if ready > bus_free else bus_free) + self._t_bus
+            self._bus_free_ps = finish
+            self.bursts += 1
+            return finish
         tracer = self.tracer
         policy = self.policy
         sample_after = False
@@ -144,7 +157,11 @@ class SubChannelController:
         if tracer is not None:
             tracer.record(row_ready - self.timing.t_rcd, Command.ACT,
                           bank_index, row)
-        finish = self.subchannel.reserve_bus(row_ready + self._t_cl)
+        ready = row_ready + self._t_cl
+        bus_free = self._bus_free_ps
+        finish = (ready if ready > bus_free else bus_free) + self._t_bus
+        self._bus_free_ps = finish
+        self.bursts += 1
         if sample_after:
             bank.precharge(finish, sample=True)
             if tracer is not None:
@@ -233,7 +250,9 @@ class MemoryController:
         return self.device.average_rlp()
 
     def bus_busy_ps(self) -> int:
-        return sum(sc.stats.bus_busy_ps for sc in self.device.subchannels)
+        """Data-bus busy time summed over sub-channels: bursts x tBUS."""
+        return sum(controller.bursts
+                   for controller in self.controllers) * self.timing.t_bus
 
     def policy_summaries(self) -> list[dict[str, float]]:
         return [policy.summary() for policy in self.policies]

@@ -20,7 +20,7 @@ from repro.dram.commands import Command
 from repro.exec.spec import spec_factory
 from repro.mc.policy import (MitigationPolicy, MitigationPort, NoMitigation,
                              PolicyContext, PolicyFactory, PolicyStats,
-                             no_mitigation_factory)
+                             no_mitigation_factory, uniform_draws)
 from repro.trackers.mint import MintWindow, window_for_threshold
 from repro.trackers.para import probability_for_threshold
 
@@ -59,12 +59,12 @@ class CoupledParaPolicy(MitigationPolicy):
         self.command = command
         self.probability = (probability if probability is not None
                             else probability_for_threshold(t_rh))
-        self._rng = context.rng()
+        self._uniform = uniform_draws(context.rng()).__next__
         self.name = f"para-{command.value.lower()}"
 
     def before_activate(self, bank: int, row: int, now_ps: int) -> bool:
         self.stats.activations_observed += 1
-        if self._rng.random() >= self.probability:
+        if self._uniform() >= self.probability:
             return False
         self.stats.selections += 1
         if self.command is Command.NRR:

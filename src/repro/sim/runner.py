@@ -22,6 +22,14 @@ Two implementations of the event loop live here:
   **byte-identical** :meth:`~repro.sim.results.RunResult.to_json` and
   telemetry output for any input (``tests/test_engine_identity.py``
   and the checked-in goldens under ``tests/data/goldens/`` pin this).
+  Both loops share the controller and the policies, so only the
+  goldens, which cover the coupled baselines, DREAM-C and DREAM-R, pin
+  the per-request service and tracker code.
+
+Per request, the loop costs one heap pop, one
+:meth:`~repro.mc.controller.SubChannelController.service` call (which
+also does the data-bus burst inline) and one heap push; a row miss adds
+the bank commands and one tracker check.
 
 Invariants any further optimization must keep (see
 ``docs/architecture.md``):
@@ -32,7 +40,10 @@ Invariants any further optimization must keep (see
   its next request the moment its previous one completes);
 * telemetry reads simulator state but never steers it, and the
   timeline's ``queue_depth`` closure is detached even when a policy or
-  bank model raises.
+  bank model raises;
+* the controller owns the data bus; a generator served through
+  :func:`~repro.mc.policy.uniform_draws` draws nothing else; DREAM-C's
+  DCT and gang masks are lists of Python ints.
 """
 
 from __future__ import annotations

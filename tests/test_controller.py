@@ -65,6 +65,28 @@ class TestServicePath:
         assert controller.subchannel.stats.refreshes == 1
 
 
+class TestDataBus:
+    """The controller is the one model of its sub-channel's data bus."""
+
+    def test_one_burst_occupies_tbus(self, controller, timing):
+        finish = controller.service(0, 5, 0)
+        assert finish == timing.t_rcd + timing.t_cl + timing.t_bus
+        assert controller.bursts == 1
+
+    def test_two_bursts_at_t0_serialize(self, controller, timing):
+        first = controller.service(0, 5, 0)
+        second = controller.service(1, 5, 0)
+        assert second == first + timing.t_bus
+
+    def test_busy_time_is_bursts_times_tbus(self, timing, organization):
+        mc = MemoryController(organization, timing)
+        mc.service(0, 0, 5, 0)
+        mc.service(0, 1, 5, 0)
+        mc.service(1, 0, 5, 0)
+        assert [sub.bursts for sub in mc.controllers] == [2, 1]
+        assert mc.bus_busy_ps() == 3 * timing.t_bus
+
+
 class TestPolicyHooks:
     def test_hook_only_on_activation(self, timing, organization):
         policy = RecordingPolicy()

@@ -1,5 +1,8 @@
 """Unit tests for the coupled PARA/MINT baselines (Section 2.6)."""
 
+from itertools import islice
+
+import numpy as np
 import pytest
 
 from repro.dram.commands import Command
@@ -7,7 +10,8 @@ from repro.dram.subchannel import SubChannel
 from repro.mc.controller import SubChannelController
 from repro.mc.mitigation import (CoupledMintPolicy, CoupledParaPolicy,
                                  coupled_mint_factory, coupled_para_factory)
-from repro.mc.policy import NoMitigation, no_mitigation_factory
+from repro.mc.policy import (UNIFORM_BLOCK, NoMitigation,
+                             no_mitigation_factory, uniform_draws)
 
 
 def make_controller(timing, organization, policy):
@@ -16,6 +20,14 @@ def make_controller(timing, organization, policy):
                             record_mitigations=True)
     controller = SubChannelController(subchannel, timing, policy)
     return controller, subchannel
+
+
+class TestUniformDraws:
+    def test_yields_the_scalar_random_sequence(self):
+        n = 3 * UNIFORM_BLOCK + 7
+        blocked = list(islice(uniform_draws(np.random.default_rng(9)), n))
+        rng = np.random.default_rng(9)
+        assert blocked == [rng.random() for _ in range(n)]
 
 
 class TestNoMitigation:

@@ -27,6 +27,7 @@ class TestGangMapper:
 
     def test_set_associative_is_identity(self):
         mapper = self._mapper(t_rh=125, randomized=False)
+        assert mapper.masks == [[0]] * 32
         assert mapper.gang_of(0, 42) == 42
         assert mapper.gang_of(31, 42) == 42
 
@@ -71,6 +72,14 @@ class TestGangMapper:
         mapper = self._mapper(t_rh=125, rows=1024, groups=2)
         assert mapper.rows_of(16, 0) == []  # bank 16 is in group 1
 
+    def test_masks_are_the_integers_draw_as_python_ints(self):
+        mapper = self._mapper(t_rh=500, rows=1024)  # V=4, 256 entries
+        drawn = np.random.default_rng(1).integers(
+            256, size=(32, 4), dtype=np.int64)
+        assert mapper.masks == drawn.tolist()
+        assert all(type(mask) is int
+                   for masks in mapper.masks for mask in masks)
+
     def test_rejects_non_power_of_two(self):
         config = dream_c_config(125, rows_per_bank=1024)
         object.__setattr__(config, "rows_per_bank", 1000)
@@ -87,7 +96,7 @@ class TestDreamCPolicy:
         for i in range(20):
             now = controller.service(0, i, now)
         assert subchannel.stats.mitigation_commands == 0
-        assert policy.dct.sum() == 20
+        assert sum(policy.dct) == 20
 
     def test_threshold_triggers_gang_mitigation(self, timing, organization,
                                                 context):
@@ -140,21 +149,21 @@ class TestDreamCPolicy:
         now = 0
         for bank in range(32):
             now = controller.service(bank, 42, now)
-        assert policy.dct.max() <= 4  # mask collisions only
+        assert max(policy.dct) <= 4  # mask collisions only
 
     def test_staggered_reset_clears_whole_table_per_window(
             self, timing, organization, context):
         policy = DreamCPolicy(context, t_rh=500)
-        policy.dct[:] = 5
+        policy.dct[:] = [5] * len(policy.dct)
         policy._staggered_reset(timing.t_refw)
-        assert policy.dct.sum() == 0
+        assert sum(policy.dct) == 0
 
     def test_staggered_reset_is_incremental(self, timing, organization,
                                             context):
         policy = DreamCPolicy(context, t_rh=500)
-        policy.dct[:] = 5
+        policy.dct[:] = [5] * len(policy.dct)
         policy._staggered_reset(timing.t_refi)
-        cleared = int((policy.dct == 0).sum())
+        cleared = policy.dct.count(0)
         assert 0 < cleared < len(policy.dct)
         assert cleared == pytest.approx(
             len(policy.dct) / timing.refs_per_window, abs=1)
@@ -175,6 +184,12 @@ class TestDreamCPolicy:
         # Second mitigation suppressed by the RMAQ.
         assert subchannel.stats.mitigation_commands == rounds_after_first
         assert policy.stats.samples_skipped_rate_limit == 1
+
+    def test_dct_is_a_list_of_python_ints(self, context):
+        policy = DreamCPolicy(context, t_rh=500)
+        assert type(policy.dct) is list
+        assert all(type(count) is int for count in policy.dct)
+        assert policy.summary()["max_counter"] == 0
 
     def test_summary_fields(self, context):
         policy = dream_c_factory(500)(context)

@@ -1,4 +1,4 @@
-"""Unit tests for the sub-channel: bus, REF, DRFM execution, RLP."""
+"""Unit tests for the sub-channel: REF, DRFM execution, RLP."""
 
 import pytest
 
@@ -13,22 +13,6 @@ def _sample(subchannel, bank, row, now=0):
         target.precharge(now)
     target.activate(row, now)
     return target.precharge(now, sample=True)
-
-
-class TestBus:
-    def test_burst_occupancy(self, subchannel, timing):
-        done = subchannel.reserve_bus(0)
-        assert done == timing.t_bus
-
-    def test_bursts_serialize(self, subchannel, timing):
-        subchannel.reserve_bus(0)
-        done = subchannel.reserve_bus(0)
-        assert done == 2 * timing.t_bus
-
-    def test_busy_time_accounted(self, subchannel, timing):
-        subchannel.reserve_bus(0)
-        subchannel.reserve_bus(0)
-        assert subchannel.stats.bus_busy_ps == 2 * timing.t_bus
 
 
 class TestRefresh:
