@@ -64,7 +64,7 @@ PROFILE_STAGES = {
     "refresh": "refresh.advance",
     "policy": "before_activate",
     "bank": ("bank.activate", "bank.precharge"),
-    "heap": ("heappush", "heappop"),
+    "heap": ("heappush", "heappop", "heapreplace"),
     "fetch": "core.fetch",
 }
 

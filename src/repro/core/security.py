@@ -8,8 +8,10 @@ and produces the re-architected tracker parameters:
   (X) and sampling->DRFM (Y) are both exponential(p); their sum is
   Gamma(2, p), whose tail ``(1 + pT) e^(-pT)`` is ``(1 + pT)`` ~ 20x
   worse than coupled PARA's ``e^(-pT)``.  The revised probability p'
-  solves ``(1 + p'T) e^(-p'T) = e^(-20)``, i.e. ``p' T ~ 23.5`` —
-  a ~17% increase (p = 1/100 -> 1/85 at T_RH = 2000).
+  solves ``(1 + p'T) e^(-p'T) = e^(-20)``, i.e. ``p'T = 23.19`` —
+  a ~16% increase (p = 1/100 -> 1/86 at T_RH = 2000).  The paper's
+  1/85 comes from its ``e^3 ~ 20`` shortcut in Appendix A, not from
+  this exact solve.
 * **MINT (Appendix B)** — the delayed DRFM adds up to W unmitigated
   activations single-sided, so the tolerated double-sided threshold
   grows from 20W to 20.5W; meeting a target T_RH needs W = T_RH / 20.5
@@ -28,9 +30,8 @@ and produces the re-architected tracker parameters:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from repro.core.atm import DEFAULT_ATM_THRESHOLD
 from repro.core.rmaq import MAX_ACTS_PER_TREFI, RATE_LIMIT_TREFI
@@ -58,18 +59,81 @@ def gamma_tail(p: float, t: float) -> float:
     return (1.0 + p * t) * math.exp(-p * t)
 
 
+#: ``scipy.optimize.brentq``'s defaults, which :func:`_brentq` keeps.
+_XTOL = 2e-12
+_RTOL = 4 * sys.float_info.epsilon
+_MAXITER = 100
+
+
+def _brentq(f, a: float, b: float) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method.
+
+    A step-for-step port of ``scipy.optimize.brentq`` (its C kernel, with
+    its default tolerances and its errors), so it returns the same
+    double; ``tests/test_security.py`` cross-checks the two where scipy
+    is installed.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+
+
 def para_exponent_dream_r(mttf_exponent: float = MTTF_EXPONENT) -> float:
-    """Solve ``(1 + x) e^(-x) = e^(-mttf_exponent)`` for x = p'T."""
+    """Solve ``(1 + x) e^(-x) = e^(-mttf_exponent)`` for x = p'T.
+
+    At the default exponent of 20 the root is x = 23.19 (bit for bit
+    what ``scipy.optimize.brentq`` returns on the same bracket).
+    """
     target = math.exp(-mttf_exponent)
-    return brentq(lambda x: (1.0 + x) * math.exp(-x) - target,
-                  mttf_exponent, 4.0 * mttf_exponent)
+    return _brentq(lambda x: (1.0 + x) * math.exp(-x) - target,
+                   mttf_exponent, 4.0 * mttf_exponent)
 
 
 def para_probability_dream_r(t_rh: int,
                              mttf_exponent: float = MTTF_EXPONENT) -> float:
     """Revised PARA probability under delayed DRFM without ATM.
 
-    At T_RH = 2000 this returns ~1/85 (a ~17% increase over 1/100).
+    At T_RH = 2000 this returns 1/86.26, a ~16% increase over 1/100
+    (the paper's 1/85 uses its ``e^3 ~ 20`` shortcut).
     """
     if t_rh < 1:
         raise ValueError("t_rh must be positive")

@@ -9,13 +9,13 @@ every simulation bit-reproducible for a given seed.
 
 The heap is deliberately exposed as the public :attr:`EventQueue.heap`
 list: the hot loop in :func:`repro.sim.runner.run_simulation` operates on
-a bare list with the module-level :func:`heapq.heappush` /
-:func:`heapq.heappop` and a manually threaded sequence counter, skipping
-the per-event method-call overhead of this wrapper.  ``EventQueue`` is
-the reference container (and the one non-hot-path callers should use);
-any alternative loop must preserve its ordering contract — ascending
-time, FIFO among equal timestamps — which ``tests/test_engine.py`` pins
-with golden-ordering fixtures.
+a bare list with the module-level :mod:`heapq` functions (one
+:func:`heapq.heapreplace` per event) and a manually threaded sequence
+counter, skipping the per-event method-call overhead of this wrapper.
+``EventQueue`` is the reference container (and the one non-hot-path
+callers should use); any alternative loop must preserve its ordering
+contract — ascending time, FIFO among equal timestamps — which
+``tests/test_engine.py`` pins with golden-ordering fixtures.
 """
 
 from __future__ import annotations

@@ -9,12 +9,13 @@ arrival-ordered, per-bank-FIFO scheduling this model uses.
 Two implementations of the event loop live here:
 
 * :func:`run_simulation` — the optimized hot path.  It keeps the event
-  heap as a bare list of packed ``(time, sequence, core, slot,
-  subchannel, bank, row)`` tuples driven by the module-level
-  :func:`heapq.heappush`/:func:`heapq.heappop`, and inlines the fetch
-  bookkeeping of :meth:`~repro.cpu.core.Core.fetch` against the trace's
-  flat Python-int columns — zero allocations per event beyond the heap
-  entry itself.
+  heap as a bare list of packed ``(time, sequence, core, subchannel,
+  bank, row)`` tuples, services the event at ``heap[0]`` in place and
+  swaps in the slot's next event with one :func:`heapq.heapreplace`
+  (:func:`heapq.heappop` only once the core is draining).  It inlines
+  the fetch bookkeeping of :meth:`~repro.cpu.core.Core.fetch` against
+  the trace's flat Python-int columns — zero allocations per event
+  beyond the heap entry itself.
 * :func:`run_simulation_reference` — the straightforward loop over
   :class:`~repro.sim.engine.EventQueue` and
   :meth:`~repro.cpu.core.Core.fetch` the optimized path was derived
@@ -26,9 +27,9 @@ Two implementations of the event loop live here:
   goldens, which cover the coupled baselines, DREAM-C and DREAM-R, pin
   the per-request service and tracker code.
 
-Per request, the loop costs one heap pop, one
+Per request, the loop costs one
 :meth:`~repro.mc.controller.SubChannelController.service` call (which
-also does the data-bus burst inline) and one heap push; a row miss adds
+also does the data-bus burst inline) and one heap sift; a row miss adds
 the bank commands and one tracker check.
 
 Invariants any further optimization must keep (see
@@ -38,6 +39,11 @@ Invariants any further optimization must keep (see
   sequence tie-break);
 * per-core fetch order follows completion order exactly (a slot fetches
   its next request the moment its previous one completes);
+* the in-service event stays in the heap until its successor replaces
+  it, so the timeline's ``queue_depth`` is ``len(heap) - 1``; a core's
+  ``completed`` counts only its last ``min(mlp, budget)`` completions
+  live and is derived from ``issued`` for the rest (also when the loop
+  raises);
 * telemetry reads simulator state but never steers it, and the
   timeline's ``queue_depth`` closure is detached even when a policy or
   bank model raises;
@@ -49,7 +55,7 @@ Invariants any further optimization must keep (see
 from __future__ import annotations
 
 from contextlib import nullcontext
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 from repro.cpu.core import Core
 from repro.mc.controller import MemoryController
@@ -148,10 +154,10 @@ def run_simulation(system: SystemConfig, traces: list[MemoryTrace],
                                             policy_factory, policy_name,
                                             telemetry)
     controllers = mc.controllers
-    # Bare-list heap of (time, sequence, core, slot, sub, bank, row)
-    # tuples: unique monotone sequence numbers reproduce EventQueue's
-    # FIFO tie-break exactly (comparison never reaches the payload).
-    heap: list[tuple[int, int, int, int, int, int, int]] = []
+    # Bare-list heap of (time, sequence, core, sub, bank, row) tuples:
+    # unique monotone sequence numbers reproduce EventQueue's FIFO
+    # tie-break exactly (comparison never reaches the payload).
+    heap: list[tuple[int, int, int, int, int, int]] = []
     sequence = 0
     for core in cores:
         sub_col = core.sub_col
@@ -159,42 +165,54 @@ def run_simulation(system: SystemConfig, traces: list[MemoryTrace],
         row_col = core.row_col
         gap_col = core.gap_col
         length = core._length
-        for slot in range(core.mlp):
+        for _ in range(core.mlp):
             if core.issued >= core.budget:
                 break
             index = core.issued % length
             core.issued += 1
-            heappush(heap, (gap_col[index], sequence, core.core_id, slot,
+            heappush(heap, (gap_col[index], sequence, core.core_id,
                             sub_col[index], bank_col[index],
                             row_col[index]))
             sequence += 1
+        # The completions before the core drains are derived from
+        # ``issued`` in the ``finally`` below; only the drain counts.
+        core.completed = core.budget - core.issued
     loop_span = None
     if telemetry is not None:
-        telemetry.timeline.queue_depth = lambda: len(heap)
+        # The event in service is still at heap[0] (see the loop).
+        telemetry.timeline.queue_depth = lambda: len(heap) - 1
         # Span begin/end brackets the loop — zero per-event cost.
         loop_span = telemetry.spans.begin(ENGINE_LOOP, kind=KIND_ENGINE)
-    completed = 0
     end_time = 0
     try:
         while heap:
-            now, _, core_index, slot, sub, bank, row = heappop(heap)
+            now, _, core_index, sub, bank, row = heap[0]
             finish = controllers[sub].service(bank, row, now)
-            core = cores[core_index]
-            core.completed += 1
-            completed += 1
             if finish > end_time:
                 end_time = finish
+            core = cores[core_index]
             issued = core.issued
             if issued < core.budget:
                 index = issued % core._length
                 core.issued = issued + 1
-                heappush(heap, (finish + core.gap_col[index], sequence,
-                                core_index, slot, core.sub_col[index],
-                                core.bank_col[index], core.row_col[index]))
+                heapreplace(heap, (finish + core.gap_col[index], sequence,
+                                   core_index, core.sub_col[index],
+                                   core.bank_col[index],
+                                   core.row_col[index]))
                 sequence += 1
-            elif core.completed >= core.budget:
-                core.finish_time_ps = finish
+            else:
+                heappop(heap)
+                core.completed += 1
+                if core.completed >= core.budget:
+                    core.finish_time_ps = finish
     finally:
+        # Every pushed event not in the heap has completed (a raising
+        # service leaves its event at heap[0]).  A core that had not
+        # started draining has ``min(mlp, budget)`` requests in flight.
+        completed = sequence - len(heap)
+        for core in cores:
+            if core.issued < core.budget:
+                core.completed = core.issued - min(core.mlp, core.budget)
         # Always detach the queue-depth closure: leaving it behind after
         # a policy/bank exception would leak a dead heap into a shared
         # Telemetry and poison later runs' timeline samples.

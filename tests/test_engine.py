@@ -8,7 +8,7 @@ protocol-equivalence test drives the inlined idiom side by side with
 ``EventQueue`` itself.
 """
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 import pytest
 
@@ -133,6 +133,31 @@ class TestGoldenOrdering:
                 time_ps, _, payload = heappop(heap)
                 popped.append((time_ps, payload))
         assert popped == GOLDEN_ORDER
+
+    def test_peek_and_replace_matches_event_queue(self):
+        """The run_simulation idiom — service ``heap[0]`` in place, then
+        ``heapreplace`` the slot's next event over it, or ``heappop``
+        when none follows — must order identically too."""
+        heap = []
+        sequence = 0
+        popped = []
+        steps = list(GOLDEN_SCHEDULE)
+        while steps:
+            step = steps.pop(0)
+            if step[0] == "push":
+                heappush(heap, (step[1], sequence, step[2]))
+                sequence += 1
+                continue
+            time_ps, _, payload = heap[0]
+            popped.append((time_ps, payload))
+            if steps and steps[0][0] == "push":
+                _, next_time, next_payload = steps.pop(0)
+                heapreplace(heap, (next_time, sequence, next_payload))
+                sequence += 1
+            else:
+                heappop(heap)
+        assert popped == GOLDEN_ORDER
+        assert not heap
 
     def test_interleaved_pushes_preserve_global_fifo(self):
         """Payloads pushed at one timestamp across separate bursts pop
