@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Full trace pipeline: raw accesses -> LLC -> miss trace -> simulation.
+"""Trace pipeline: line addresses -> MOP decode -> simulation.
 
-The performance experiments generate LLC-miss streams directly (they are
-calibrated at the miss level from the paper's Table 3 data), but the
-repository also ships the full substrate: this example builds a raw
-access stream with cache-friendly reuse, filters it through the 8 MB
-shared LLC, decodes the misses through the MOP4 mapper, and runs the
-resulting trace through the memory-system simulator with DREAM-C
-protection — the same path a trace-driven frontend would use.
+The performance experiments build their LLC-miss streams from the
+paper's Table 3 profiles.  A trace-driven frontend brings its own: this
+example synthesizes a stream of 64-byte line addresses per core,
+decodes it into DRAM coordinates through the MOP4 mapper with
+``MemoryTrace.from_lines``, and runs the unprotected and the
+DREAM-C-protected system on the resulting traces.
 
 Run:  python examples/trace_pipeline.py
 """
@@ -16,14 +15,13 @@ import numpy as np
 
 from repro import (ComparisonResult, MemoryTrace, MOPMapper, SimConfig,
                    SystemConfig, dream_c_factory, run_simulation)
-from repro.cpu.llc import SetAssociativeCache
 
 
-def synthesize_raw_accesses(count: int, seed: int) -> np.ndarray:
-    """A raw line-address stream with heavy short-term reuse.
+def synthesize_line_addresses(count: int, seed: int) -> np.ndarray:
+    """A line-address stream with a hot working set.
 
-    80% of accesses revisit a small hot window (these will hit in the
-    LLC); 20% sweep a large cold region (these will miss).
+    80% of accesses revisit a small hot window (rows whose DREAM-C gang
+    counters climb to the threshold); 20% sweep a large cold region.
     """
     rng = np.random.default_rng(seed)
     hot = rng.integers(0, 4_096, size=count)          # 256 KB hot set
@@ -34,27 +32,24 @@ def synthesize_raw_accesses(count: int, seed: int) -> np.ndarray:
 
 def main() -> None:
     system = SystemConfig.baseline(refs_per_window=32, num_cores=2)
-    sim = SimConfig(requests_per_core=4_000, seed=5)
+    sim = SimConfig(requests_per_core=20_000, seed=5)
     mapper = MOPMapper(system.organization)
 
     traces = []
     for core in range(system.num_cores):
-        raw = synthesize_raw_accesses(80_000, seed=5 + core)
-        llc = SetAssociativeCache()  # 8 MB, 16-way, LRU (Table 2)
-        misses = np.array(llc.filter_misses(list(raw)), dtype=np.int64)
-        misses %= mapper.total_lines
-        print(f"core {core}: {llc.stats.accesses} accesses -> "
-              f"{llc.stats.misses} LLC misses "
-              f"(miss rate {llc.stats.miss_rate * 100:.1f}%, "
-              f"MPKI {llc.stats.mpki(instructions=40_000_000):.2f} at an "
-              f"assumed 500 accesses/kilo-instruction)")
-        gaps = np.full(len(misses), 60_000, dtype=np.int64)  # 60 ns think
-        traces.append(MemoryTrace.from_lines(f"pipeline-core{core}",
-                                             misses, gaps, mapper))
+        lines = synthesize_line_addresses(80_000, seed=5 + core)
+        gaps = np.full(len(lines), 60_000, dtype=np.int64)  # 60 ns think
+        trace = MemoryTrace.from_lines(f"pipeline-core{core}", lines,
+                                       gaps, mapper)
+        rows = set(zip(trace.subchannel.tolist(), trace.bank.tolist(),
+                       trace.row.tolist()))
+        print(f"core {core}: {len(trace)} line addresses -> "
+              f"{len(rows)} distinct DRAM rows")
+        traces.append(trace)
 
     baseline = run_simulation(system, traces, sim)
     protected = run_simulation(system, traces, sim,
-                               dream_c_factory(t_rh=500), "dream-c")
+                               dream_c_factory(t_rh=250), "dream-c")
     comparison = ComparisonResult(baseline, protected)
     print()
     print(f"baseline : {baseline.describe()}")

@@ -193,8 +193,7 @@ class DreamCPolicy(MitigationPolicy):
                 row = j * entries + (local ^ masks[bank][j])
                 at = start + position * self._timing.t_rrd
                 ready = max(ready, self.port.explicit_sample(bank, row, at))
-            event = self.port.issue(Command.DRFM_AB, trigger_bank, ready)
-            self.record_event(event)
+            self.port.issue(Command.DRFM_AB, trigger_bank, ready)
             self.drfm_rounds += 1
             start = ready + self._timing.t_drfm_ab
 

@@ -74,7 +74,6 @@ class DreamRParaPolicy(MitigationPolicy):
 
     def _issue_drfm(self, bank: int, now_ps: int) -> None:
         event = self.port.issue(Command.DRFM_SB, bank, now_ps)
-        self.record_event(event)
         for mitigated_bank, row in event.mitigated_rows:
             self.atm.disarm(mitigated_bank)
             if self.rmaq is not None:
@@ -165,7 +164,6 @@ class DreamRMintPolicy(MitigationPolicy):
     def _drain_group(self, bank: int, now_ps: int) -> None:
         """DRFMsb for ``bank``'s group, then explicit-sample its MC-SARs."""
         event = self.port.issue(Command.DRFM_SB, bank, now_ps)
-        self.record_event(event)
         for mitigated_bank, row in event.mitigated_rows:
             self.atm.disarm(mitigated_bank)
             if self.rmaq is not None:

@@ -1,15 +1,12 @@
-"""CPU-side substrate: cores, shared LLC, performance metrics."""
+"""CPU-side substrate: cores and performance metrics."""
 
 from repro.cpu.core import Core, Request
-from repro.cpu.llc import CacheStats, SetAssociativeCache
 from repro.cpu.metrics import (geometric_mean, normalized_performance,
                                slowdown_percent, weighted_speedup)
 
 __all__ = [
-    "CacheStats",
     "Core",
     "Request",
-    "SetAssociativeCache",
     "geometric_mean",
     "normalized_performance",
     "slowdown_percent",

@@ -61,7 +61,6 @@ class BankStats:
     row_conflicts: int = 0
     precharges: int = 0
     samples: int = 0
-    mitigated_rows: int = 0
     blocked_time_ps: int = 0
 
 
@@ -159,8 +158,6 @@ class Bank:
         motivates DREAM-R).
         """
         row = self.dar.invalidate()
-        if row is not None:
-            self.stats.mitigated_rows += 1
         self.block_until(until_ps)
         return row
 

@@ -145,6 +145,7 @@ class Device:
 
     def average_rlp(self) -> float:
         """Device-wide mean RLP across all mitigation commands."""
-        rows = sum(sc.rlp_total for sc in self.subchannels)
-        commands = sum(sc.rlp_commands for sc in self.subchannels)
+        rows = self.total_mitigated_rows()
+        commands = sum(sc.stats.mitigation_commands
+                       for sc in self.subchannels)
         return rows / commands if commands else 0.0

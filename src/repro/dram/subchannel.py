@@ -20,7 +20,7 @@ paper's Table 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, blocking_banks
@@ -72,9 +72,6 @@ class SubChannel:
         self.stats = SubChannelStats()
         self.record_mitigations = record_mitigations
         self.mitigation_log: list[MitigationEvent] = []
-        #: Running RLP sums (kept even when the full log is disabled).
-        self.rlp_total = 0
-        self.rlp_commands = 0
 
     # ------------------------------------------------------------------
     # Refresh
@@ -122,7 +119,6 @@ class SubChannel:
             bank = self.banks[trigger_bank]
             bank.open_row = None
             bank.block_until(until)
-            bank.stats.mitigated_rows += 1
             mitigated.append((trigger_bank, row))
         else:
             for bank_index in targets:
@@ -139,8 +135,6 @@ class SubChannel:
             mitigated_rows=tuple(mitigated),
         )
         self.stats.record_mitigation(event)
-        self.rlp_total += event.rlp
-        self.rlp_commands += 1
         if self.record_mitigations:
             self.mitigation_log.append(event)
         return event
@@ -148,9 +142,10 @@ class SubChannel:
     @property
     def average_rlp(self) -> float:
         """Mean rows mitigated per mitigation command so far."""
-        if not self.rlp_commands:
+        stats = self.stats
+        if not stats.mitigation_commands:
             return 0.0
-        return self.rlp_total / self.rlp_commands
+        return stats.mitigated_rows / stats.mitigation_commands
 
     def valid_dar_count(self) -> int:
         """Number of banks whose DAR currently holds a row."""

@@ -185,6 +185,7 @@ def run_rate_limit(quick: bool = True,
     distance-2 neighbour flips, for: bounded refresh without coverage,
     the JEDEC rate limit (one mitigation per 2*tREFI), bounded refresh
     with probabilistic distance-2 coverage, and Fractal Mitigation.
+    Each scenario is one study cell.
     """
     device_threshold = 64  # disturbance units the distance-2 cell absorbs
     unlimited = 1_000      # attacker-forced mitigations per window
@@ -196,20 +197,12 @@ def run_rate_limit(quick: bool = True,
         ("bounded p2=0.5, no limit", RefreshMode.BOUNDED, 0.5, unlimited),
         ("fractal p=0.5, no limit", RefreshMode.FRACTAL, 0.5, unlimited),
     ]
-    rows = []
-    for name, mode, p2, mitigations in scenarios:
-        config = DisturbanceConfig(t_rh=device_threshold, mode=mode,
-                                   p2=p2, fractal_p=p2 or 0.5)
-        model = DisturbanceModel(config, rows_per_bank=256, seed=seed)
-        for i in range(mitigations):
-            model.on_mitigation(0, 10, i)
-        d2_flips = sum(1 for flip in model.flips if flip.row in (8, 12))
-        rows.append({
-            "scenario": name,
-            "mitigations_per_window": mitigations,
-            "distance2_flips": d2_flips,
-            "max_residual_charge": model.max_charge(),
-        })
+    rows = run_cells([
+        StudyCell.of(rate_limit_row, "transitive-attack", name,
+                     scenario=name, mode=mode, p2=p2,
+                     mitigations=mitigations, t_rh=device_threshold,
+                     seed=seed)
+        for name, mode, p2, mitigations in scenarios])
     return ExperimentResult(
         experiment="ablation-rate-limit",
         title="Transitive attack vs victim-refresh flavours "
@@ -221,6 +214,24 @@ def run_rate_limit(quick: bool = True,
         },
         notes="only the uncovered, unlimited scenario should flip",
     )
+
+
+def rate_limit_row(scenario: str, mode: RefreshMode, p2: float,
+                   mitigations: int, t_rh: int, seed: int) -> dict:
+    """One ``run_rate_limit`` row: ``mitigations`` victim refreshes of
+    row 10 on a disturbance model that flips at ``t_rh``."""
+    config = DisturbanceConfig(t_rh=t_rh, mode=mode, p2=p2,
+                               fractal_p=p2 or 0.5)
+    model = DisturbanceModel(config, rows_per_bank=256, seed=seed)
+    for i in range(mitigations):
+        model.on_mitigation(0, 10, i)
+    return {
+        "scenario": scenario,
+        "mitigations_per_window": mitigations,
+        "distance2_flips": sum(1 for flip in model.flips
+                               if flip.row in (8, 12)),
+        "max_residual_charge": model.max_charge(),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -84,10 +84,17 @@ class SubChannelController:
     # ------------------------------------------------------------------
     def issue(self, command: Command, bank: int, now_ps: int,
               row: int | None = None) -> MitigationEvent:
-        """Issue NRR/DRFMsb/DRFMab (see SubChannel.issue_mitigation)."""
+        """Issue NRR/DRFMsb/DRFMab (see SubChannel.issue_mitigation).
+
+        The one place a mitigation is recorded: the sub-channel counts
+        it, and the policy reports it to telemetry.
+        """
         if self.tracer is not None:
             self.tracer.record(now_ps, command, bank, row)
-        return self.subchannel.issue_mitigation(command, bank, now_ps, row)
+        event = self.subchannel.issue_mitigation(command, bank, now_ps, row)
+        if self.policy is not None:
+            self.policy.record_event(event)
+        return event
 
     def explicit_sample(self, bank: int, row: int, now_ps: int) -> int:
         """Dummy-ACT ``row`` in ``bank`` and Pre+Sample it into the DAR.
@@ -255,4 +262,12 @@ class MemoryController:
                    for controller in self.controllers) * self.timing.t_bus
 
     def policy_summaries(self) -> list[dict[str, float]]:
-        return [policy.summary() for policy in self.policies]
+        """Each policy's summary plus its sub-channel's mitigation
+        counts."""
+        summaries = []
+        for policy, controller in zip(self.policies, self.controllers):
+            stats = controller.subchannel.stats
+            summaries.append({**policy.summary(),
+                              "mitigations": stats.mitigation_commands,
+                              "rows_mitigated": stats.mitigated_rows})
+        return summaries

@@ -7,11 +7,12 @@ improves.  The policy base classes live in :mod:`repro.mc.policy`; the
 decoupled DREAM designs live in :mod:`repro.core.dream_r` and
 :mod:`repro.core.dream_c`.
 
-Every issued command routes through
-:meth:`~repro.mc.policy.MitigationPolicy.record_event`, so these designs
-are fully visible to the event-trace surface: ``repro trace`` renders
-their per-command RLP histograms and DAR-occupancy summaries, which the
-aggregate checks in :mod:`repro.analysis.rlp` cross-validate.
+The controller's port reports every command it issues through the
+bound policy's :meth:`~repro.mc.policy.MitigationPolicy.record_event`,
+so these designs, like every other, are fully visible to the
+event-trace surface: ``repro trace`` renders their per-command RLP
+histograms and DAR-occupancy summaries, which the aggregate checks in
+:mod:`repro.analysis.rlp` cross-validate.
 """
 
 from __future__ import annotations
@@ -69,15 +70,13 @@ class CoupledParaPolicy(MitigationPolicy):
         self.stats.selections += 1
         if self.command is Command.NRR:
             # NRR mitigates the specified row directly; no DAR involved.
-            event = self.port.issue(Command.NRR, bank, now_ps, row=row)
-            self.record_event(event)
+            self.port.issue(Command.NRR, bank, now_ps, row=row)
             return False
         return True
 
     def on_sampled(self, bank: int, row: int, now_ps: int) -> None:
         # Coupled design: mitigate as soon as the DAR is populated.
-        event = self.port.issue(self.command, bank, now_ps)
-        self.record_event(event)
+        self.port.issue(self.command, bank, now_ps)
 
 
 class CoupledMintPolicy(MitigationPolicy):
@@ -118,11 +117,10 @@ class CoupledMintPolicy(MitigationPolicy):
 
     def _mitigate(self, bank: int, row: int, now_ps: int) -> None:
         if self.command is Command.NRR:
-            event = self.port.issue(Command.NRR, bank, now_ps, row=row)
+            self.port.issue(Command.NRR, bank, now_ps, row=row)
         else:
             ready = self.port.explicit_sample(bank, row, now_ps)
-            event = self.port.issue(self.command, bank, ready)
-        self.record_event(event)
+            self.port.issue(self.command, bank, ready)
 
 
 @spec_factory

@@ -40,7 +40,9 @@ class MitigationPort(Protocol):
 
     def issue(self, command: Command, bank: int, now_ps: int,
               row: int | None = None) -> MitigationEvent:
-        """Issue a mitigation command (NRR needs an explicit ``row``)."""
+        """Issue a mitigation command (NRR needs an explicit ``row``)
+        and report it through the bound policy's
+        :meth:`MitigationPolicy.record_event`."""
         ...
 
     def explicit_sample(self, bank: int, row: int, now_ps: int) -> int:
@@ -105,13 +107,7 @@ class PolicyStats:
 
     activations_observed: int = 0
     selections: int = 0
-    mitigations_issued: int = 0
-    rows_mitigated: int = 0
     samples_skipped_rate_limit: int = 0
-
-    def record_event(self, event: MitigationEvent) -> None:
-        self.mitigations_issued += 1
-        self.rows_mitigated += event.rlp
 
 
 class MitigationPolicy(abc.ABC):
@@ -139,22 +135,20 @@ class MitigationPolicy(abc.ABC):
         self.port = port
 
     def record_event(self, event: MitigationEvent) -> None:
-        """Account one issued mitigation command (stats + telemetry).
+        """Report one executed mitigation command to telemetry.
 
-        Every concrete policy routes its executed mitigation events
-        through here, which makes this the single chokepoint where the
-        observability layer sees mitigations regardless of design.  The
-        telemetry record also captures the DAR occupancy at issue time
-        (how many DARs held a valid row when the command went out),
-        which the ``repro trace`` analyzer summarises per design.
+        The port calls this once for every command it issues, so it is
+        the single place where the observability layer sees mitigations,
+        whatever the design.  The counts themselves are the
+        sub-channel's (:class:`~repro.dram.subchannel.SubChannelStats`).
+        The telemetry record also captures the DAR occupancy at issue
+        time (how many DARs held a valid row when the command went
+        out), which the ``repro trace`` analyzer summarises per design.
         """
-        self.stats.record_event(event)
         telemetry = self.telemetry
         if telemetry is not None:
-            valid_dars = getattr(self.port, "valid_dar_count", None)
-            telemetry.mitigation(
-                self.name, event,
-                valid_dars() if valid_dars is not None else 0)
+            telemetry.mitigation(self.name, event,
+                                 self.port.valid_dar_count())
 
     @abc.abstractmethod
     def before_activate(self, bank: int, row: int, now_ps: int) -> bool:
@@ -168,12 +162,16 @@ class MitigationPolicy(abc.ABC):
         """Hook fired after a requested implicit Pre+Sample completed."""
 
     def summary(self) -> dict[str, float]:
-        """Policy statistics for result reporting."""
+        """Policy statistics for result reporting.
+
+        The mitigation counts are not here: they belong to the
+        sub-channel, and
+        :meth:`~repro.mc.controller.MemoryController.policy_summaries`
+        adds them.
+        """
         return {
             "activations": self.stats.activations_observed,
             "selections": self.stats.selections,
-            "mitigations": self.stats.mitigations_issued,
-            "rows_mitigated": self.stats.rows_mitigated,
         }
 
 

@@ -130,8 +130,7 @@ class AbacusPolicy(MitigationPolicy):
             for demand in demands:
                 ready = max(ready, self.port.explicit_sample(
                     demand.bank, demand.row, now_ps))
-            event = self.port.issue(Command.DRFM_AB, bank, ready)
-            self.record_event(event)
+            self.port.issue(Command.DRFM_AB, bank, ready)
         return False
 
     def summary(self) -> dict[str, float]:

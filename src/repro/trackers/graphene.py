@@ -161,13 +161,12 @@ class GraphenePolicy(MitigationPolicy):
 
     def _mitigate(self, demand: MitigationDemand, now_ps: int) -> None:
         if self.command is Command.NRR:
-            event = self.port.issue(Command.NRR, demand.bank, now_ps,
-                                    row=demand.row)
+            self.port.issue(Command.NRR, demand.bank, now_ps,
+                            row=demand.row)
         else:
             ready = self.port.explicit_sample(demand.bank, demand.row,
                                               now_ps)
-            event = self.port.issue(self.command, demand.bank, ready)
-        self.record_event(event)
+            self.port.issue(self.command, demand.bank, ready)
 
     def storage_bits_per_bank(self) -> int:
         """Scaled-system storage of one per-bank table."""

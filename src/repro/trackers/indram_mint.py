@@ -81,9 +81,7 @@ class InDramMintPolicy(MitigationPolicy):
             self._counts[bank] = 0
             if selected is not None:
                 self.stats.selections += 1
-                event = self.port.issue(Command.NRR, bank, now_ps,
-                                        row=selected)
-                self.record_event(event)
+                self.port.issue(Command.NRR, bank, now_ps, row=selected)
         self._counts[bank] += 1
         if self._rng.random() < 1.0 / self._counts[bank]:
             self._selected[bank] = row

@@ -96,8 +96,7 @@ class MoatPolicy(MitigationPolicy):
             # Modelled as a DRFMab-footprint block of abo_stall_ps via the
             # port's blocking primitive (NRR row is the alerted row for
             # bookkeeping; the DRAM mitigates internally).
-            event = self.port.issue(Command.NRR, bank, now_ps, row=row)
-            self.record_event(event)
+            self.port.issue(Command.NRR, bank, now_ps, row=row)
             self._stall_subchannel(now_ps)
         return False
 

@@ -96,9 +96,7 @@ class TRRPolicy(MitigationPolicy):
                 # TRR hides inside tRFC), which is fine because this
                 # policy is used for security demonstrations, not the
                 # performance sweeps.
-                event = self.port.issue(Command.NRR, bank, now_ps,
-                                        row=target)
-                self.record_event(event)
+                self.port.issue(Command.NRR, bank, now_ps, row=target)
         self.samplers[bank].observe(row)
         return False
 

@@ -2,7 +2,6 @@
 
 from repro.workloads.builder import (build_traces, calibrate_gap_ps,
                                      clear_cache)
-from repro.workloads.io import load_npz, load_text, save_npz, save_text
 from repro.workloads.profiles import (PROFILES, QUICK_SUBSET, AccessStyle,
                                       Suite, WorkloadProfile, profile,
                                       profiles_for)
@@ -23,10 +22,6 @@ __all__ = [
     "estimate_gap_ps",
     "generate_lines",
     "generate_trace",
-    "load_npz",
-    "load_text",
     "profile",
     "profiles_for",
-    "save_npz",
-    "save_text",
 ]

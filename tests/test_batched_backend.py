@@ -170,7 +170,8 @@ class TestTelemetryRouting:
         metrics byte-for-byte."""
         import json
         system = golden_engine._system()
-        workload, design, seed = golden_engine.JOURNAL_CELL
+        cell = next(iter(golden_engine.JOURNAL_CELLS))
+        workload, design, seed = cell
         sim = SimConfig(requests_per_core=golden_engine.REQUESTS_PER_CORE,
                         seed=seed)
         traces = build_traces(workload, system, sim, calibrate=False)
@@ -187,9 +188,7 @@ class TestTelemetryRouting:
             outputs.append((result.to_json(), lines,
                             telemetry.snapshot()["metrics"]))
         assert outputs[0] == outputs[1]
-        _, golden_lines, golden_metrics = golden_engine.load_goldens()
-        assert outputs[0][1] == golden_lines
-        assert outputs[0][2] == golden_metrics
+        assert outputs[0][1:] == golden_engine.load_journal(cell)
 
     def test_mixed_batch_instrumented_and_plain(self):
         system = golden_engine._system()

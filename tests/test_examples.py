@@ -2,12 +2,13 @@
 
 The examples are exercised for real by running them (they are plain
 scripts); here we keep cheap guarantees: every example compiles, has a
-module docstring with a "Run:" line, defines ``main``, and the fastest
-one actually executes end to end.
+module docstring with a "Run:" line, defines ``main``, and the two
+fastest ones actually execute end to end.
 """
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -50,3 +51,14 @@ def test_storage_explorer_runs_end_to_end():
     assert result.returncode == 0, result.stderr
     assert "DREAM-C configurations" in result.stdout
     assert "8.0x" in result.stdout or "7.9x" in result.stdout
+
+
+def test_trace_pipeline_mitigates_end_to_end():
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "trace_pipeline.py")],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    protected = re.search(r"^dream-c .*mitigations=(\d+)", result.stdout,
+                          re.MULTILINE)
+    assert protected, result.stdout
+    assert int(protected.group(1)) > 0

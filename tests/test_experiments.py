@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.harness import AttackHarness
+from repro.dram.disturbance import DisturbanceModel
 from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import SweepExecutor
@@ -166,6 +167,7 @@ class TestOneExecutionPath:
         _forbid(monkeypatch, AttackHarness, "run")
         _forbid(monkeypatch, QueuedScheduler, "run")
         _forbid(monkeypatch, builder, "calibrate_gap_ps")
+        _forbid(monkeypatch, DisturbanceModel, "on_mitigation")
         with SweepExecutor(cache=RunCache(tmp_path)) as executor:
             warm = _run_all(executor, registry.names())
         assert executor.stats.cells > 0

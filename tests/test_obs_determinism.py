@@ -12,12 +12,33 @@ import json
 
 import pytest
 
-from repro.mc.mitigation import coupled_mint_factory
+from repro.core.dream_c import dream_c_factory
+from repro.core.dream_r import dream_r_mint_factory, dream_r_para_factory
+from repro.dram.commands import Command
+from repro.mc.mitigation import coupled_mint_factory, coupled_para_factory
 from repro.obs import Telemetry
 from repro.obs import runtime as obs_runtime
 from repro.sim.config import SimConfig, SystemConfig
 from repro.sim.runner import run_simulation
+from repro.trackers.abacus import abacus_factory
+from repro.trackers.graphene import graphene_factory
+from repro.trackers.prac import moat_factory
 from repro.workloads.builder import build_traces
+
+#: One design per policy family, each at a threshold where it
+#: mitigates on the fixture traces.
+POLICY_FAMILIES = {
+    "mint-drfmsb": coupled_mint_factory(500),
+    "para-nrr": coupled_para_factory(500, Command.NRR),
+    "para-drfmsb": coupled_para_factory(500, Command.DRFM_SB),
+    "mint-drfmab": coupled_mint_factory(500, Command.DRFM_AB),
+    "para-dream-r": dream_r_para_factory(500),
+    "mint-dream-r": dream_r_mint_factory(500),
+    "dream-c": dream_c_factory(16, vertical=1),
+    "abacus": abacus_factory(64),
+    "moat": moat_factory(64),
+    "graphene": graphene_factory(64),
+}
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +117,28 @@ class TestJournalEndToEnd:
 
 
 class TestMetricsEndToEnd:
-    def test_mitigation_counters_match_result(self, system, traces, sim):
-        telemetry = Telemetry()
-        result = _run(system, traces, sim, telemetry)
+    @pytest.mark.parametrize("design", list(POLICY_FAMILIES))
+    def test_mitigation_counters_match_result(self, system, traces, sim,
+                                              design):
+        # The controller's port records each command once; a policy that
+        # also recorded its own commands would double the journal and
+        # the counters against the result and the policy summaries.
+        telemetry = Telemetry(journal_memory=True)
+        result = run_simulation(system, traces, sim,
+                                POLICY_FAMILIES[design], design,
+                                telemetry=telemetry)
         snapshot = telemetry.registry.snapshot()
         counted = sum(snapshot[name] for name in snapshot
                       if name.endswith(".mitigations"))
         rows = sum(snapshot[name] for name in snapshot
                    if name.endswith(".rows_mitigated"))
-        assert counted == result.mitigation_commands
-        assert rows == result.rows_mitigated
+        summaries = result.policy_summaries
+        assert result.mitigation_commands > 0
+        assert telemetry.journal.kinds()["mitigation"] == counted == \
+            result.mitigation_commands == \
+            sum(summary["mitigations"] for summary in summaries)
+        assert rows == result.rows_mitigated == \
+            sum(summary["rows_mitigated"] for summary in summaries)
 
     def test_rlp_histogram_mean_matches_result(self, system, traces,
                                                sim):

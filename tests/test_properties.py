@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.dream_c import GangMapper
 from repro.core.rmaq import RATE_LIMIT_TREFI, RecentMitigationQueue
 from repro.core.storage import dream_c_config
-from repro.cpu.llc import SetAssociativeCache
 from repro.cpu.metrics import slowdown_percent, weighted_speedup
 from repro.dram.address import MOPMapper
 from repro.dram.device import Organization
@@ -169,19 +168,6 @@ class TestRmaqProperties:
         for i in range(count):
             queue.insert(i, 0)
         assert len(queue) <= 4
-
-
-class TestLLCProperties:
-    @given(lines=st.lists(st.integers(min_value=0, max_value=500),
-                          min_size=1, max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_occupancy_bounded_and_hit_after_access(self, lines):
-        cache = SetAssociativeCache(size_bytes=64 * 4 * 8, ways=4)
-        for line in lines:
-            cache.access(line)
-            assert cache.contains(line)
-        for lru in cache._sets:
-            assert len(lru) <= cache.ways
 
 
 class TestMetricsProperties:

@@ -102,8 +102,8 @@ class TestRLPAccounting:
         _sample(subchannel, 0, 11, now=ns(2000))
         _sample(subchannel, 4, 12, now=ns(2000))
         subchannel.issue_mitigation(Command.DRFM_SB, 0, ns(3000))
-        assert subchannel.rlp_commands == 2
-        assert subchannel.rlp_total == 3
+        assert subchannel.stats.mitigation_commands == 2
+        assert subchannel.stats.mitigated_rows == 3
         assert subchannel.average_rlp == pytest.approx(1.5)
 
     def test_empty_average(self, subchannel):
