@@ -28,8 +28,7 @@ the pre-overhaul reference the acceptance criterion compares against.
 Delete the file (or the ``baseline`` key) to re-baseline on new
 hardware.
 
-Runs standalone (``PYTHONPATH=src python benchmarks/bench_engine.py``)
-or under pytest-benchmark like the other ``bench_*`` modules.
+Run it as a script: ``PYTHONPATH=src python benchmarks/bench_engine.py``.
 """
 
 from __future__ import annotations
@@ -197,34 +196,24 @@ def _update_engine_snapshot(results: dict, profile: list[dict]) -> None:
                                           sort_keys=True) + "\n")
 
 
-def run_bench(verbose: bool = True) -> dict:
+def run_bench() -> dict:
     """Measure every config + the stage profile; persist the snapshot."""
     results = {config: _measure(config) for config in ("none", "mint")}
     results["scalar.sweep"] = _measure_sweep(*_sweep_members())
     profile = _stage_profile()
     _update_engine_snapshot(results, profile)
-    if verbose:
-        for config, entry in results.items():
-            print(f"[engine] {config}: "
-                  f"{entry['events_per_sec']:,} events/s best, "
-                  f"{entry['median_events_per_sec']:,} median "
-                  f"(of {entry['rounds']})")
-        for stage in profile:
-            print(f"[engine] profile {stage['stage']}: "
-                  f"{stage['cum_pct']}% cum / {stage['self_pct']}% self, "
-                  f"{stage['calls']:,} calls")
-        snapshot = json.loads(ENGINE_SNAPSHOT.read_text())
-        print(f"[engine] speedup vs baseline: {snapshot['speedup']}x")
-    return results
-
-
-def test_engine_throughput(benchmark):
-    """pytest-benchmark entry point (one macro-round around the set)."""
-    results = benchmark.pedantic(run_bench, args=(False,),
-                                 rounds=1, iterations=1)
     for config, entry in results.items():
-        benchmark.extra_info[f"{config}_events_per_sec"] = \
-            entry["events_per_sec"]
+        print(f"[engine] {config}: "
+              f"{entry['events_per_sec']:,} events/s best, "
+              f"{entry['median_events_per_sec']:,} median "
+              f"(of {entry['rounds']})")
+    for stage in profile:
+        print(f"[engine] profile {stage['stage']}: "
+              f"{stage['cum_pct']}% cum / {stage['self_pct']}% self, "
+              f"{stage['calls']:,} calls")
+    snapshot = json.loads(ENGINE_SNAPSHOT.read_text())
+    print(f"[engine] speedup vs baseline: {snapshot['speedup']}x")
+    return results
 
 
 if __name__ == "__main__":

@@ -38,6 +38,8 @@ single quiet round cannot move it).  Results fold into
 the telemetry-on budget is <= 10 % events/s, tracked in the snapshot
 rather than asserted inline (wall clock timing is too noisy for a hard
 CI gate).
+
+Run it as a script: ``PYTHONPATH=src python benchmarks/bench_obs.py``.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ import statistics
 import tempfile
 import threading
 import time
-
-import pytest
 
 from repro.mc.mitigation import coupled_mint_factory
 from repro.obs import Telemetry
@@ -165,7 +165,7 @@ def _measure_all() -> dict[str, dict]:
 
 
 def _update_obs_snapshot(entries: dict[str, dict]) -> None:
-    """Read-modify-write ``BENCH_obs.json`` (mirrors BENCH_sweep.json)."""
+    """Read-modify-write ``BENCH_obs.json``."""
     snapshot: dict = {"configs": {}}
     try:
         snapshot = json.loads(OBS_SNAPSHOT.read_text())
@@ -201,16 +201,9 @@ def _update_obs_snapshot(entries: dict[str, dict]) -> None:
                                        sort_keys=True) + "\n")
 
 
-@pytest.mark.benchmark(group="obs")
-def test_obs_overhead(benchmark):
-    entries = benchmark.pedantic(_measure_all, rounds=1, iterations=1)
-    for config, entry in entries.items():
-        benchmark.extra_info[f"{config}_events_per_sec"] = \
-            entry["events_per_sec"]
-        benchmark.extra_info[f"{config}_median_events_per_sec"] = \
-            entry["median_events_per_sec"]
+if __name__ == "__main__":
+    entries = _measure_all()
     _update_obs_snapshot(entries)
-    print()
     for config, entry in entries.items():
         print(f"[obs] {config}: {entry['events_per_sec']:,} events/s "
               f"best, {entry['median_events_per_sec']:,} median "

@@ -38,8 +38,7 @@ drift, after one untimed warmup round).  Results fold into
 ``WORKERS = 4``, and ``repro bench record`` / ``check`` ratchet the
 ``service.*`` metrics alongside the engine and obs families.
 
-Runs standalone (``PYTHONPATH=src python benchmarks/bench_service.py``)
-or under pytest-benchmark like the other ``bench_*`` modules.
+Run it as a script: ``PYTHONPATH=src python benchmarks/bench_service.py``.
 """
 
 from __future__ import annotations
@@ -222,33 +221,23 @@ def _update_service_snapshot(entries: dict[str, dict]) -> None:
                                            sort_keys=True) + "\n")
 
 
-def run_bench(verbose: bool = True) -> dict:
+def run_bench() -> dict:
     """Measure both arms and persist the snapshot."""
     entries = _measure_all()
     _update_service_snapshot(entries)
-    if verbose:
-        for arm, entry in entries.items():
-            print(f"[service] {arm} (concurrency="
-                  f"{entry['concurrency']}): "
-                  f"{entry['jobs_per_sec']} jobs/s best "
-                  f"({entry['best_wall_s']}s/batch), "
-                  f"{entry['median_jobs_per_sec']} median "
-                  f"(of {entry['rounds']}, interleaved)")
-        snapshot = json.loads(SERVICE_SNAPSHOT.read_text())
-        print(f"[service] concurrent vs serial scheduler: "
-              f"{snapshot.get('speedup')}x best, "
-              f"{snapshot.get('median_speedup')}x median "
-              f"(target >= 3x at {WORKERS} workers)")
-    return entries
-
-
-def test_service_scheduling_throughput(benchmark):
-    """pytest-benchmark entry point (one macro-round around the set)."""
-    entries = benchmark.pedantic(run_bench, args=(False,),
-                                 rounds=1, iterations=1)
     for arm, entry in entries.items():
-        benchmark.extra_info[f"{arm}_jobs_per_sec"] = \
-            entry["jobs_per_sec"]
+        print(f"[service] {arm} (concurrency="
+              f"{entry['concurrency']}): "
+              f"{entry['jobs_per_sec']} jobs/s best "
+              f"({entry['best_wall_s']}s/batch), "
+              f"{entry['median_jobs_per_sec']} median "
+              f"(of {entry['rounds']}, interleaved)")
+    snapshot = json.loads(SERVICE_SNAPSHOT.read_text())
+    print(f"[service] concurrent vs serial scheduler: "
+          f"{snapshot.get('speedup')}x best, "
+          f"{snapshot.get('median_speedup')}x median "
+          f"(target >= 3x at {WORKERS} workers)")
+    return entries
 
 
 if __name__ == "__main__":

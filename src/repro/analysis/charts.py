@@ -1,6 +1,6 @@
 """Terminal bar charts for experiment results.
 
-The benchmark harness prints tables; these helpers add quick visual
+Experiments render as tables; these helpers add quick visual
 bars for the figure-style experiments (`dream-repro run --chart`), with
 no plotting dependencies — pure text, safe for logs.
 """

@@ -87,8 +87,8 @@ DEFAULT_SERVICE_PORT = 8731
 #: Environment-variable precedence, rendered into ``--help``.
 ENV_HELP = """\
 environment variables (command-line flags always win):
-  REPRO_FULL=1         default --mode full for run/report/submit (and
-                       the benchmark harness); --mode overrides it
+  REPRO_FULL=1         default --mode full for run/report/submit;
+                       --mode overrides it
   REPRO_SERVICE_URL    default service URL for submit/jobs when --url
                        is not given (otherwise
                        http://127.0.0.1:8731)
@@ -551,7 +551,6 @@ def _service_call(call, *call_args, **call_kwargs):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.obs.resource import ResourceSampler
     from repro.service.jobs import JobScheduler
     from repro.service.server import AccessLog, SweepService
 
@@ -563,11 +562,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scheduler = JobScheduler(executor, spans=not args.no_spans,
                              concurrency=concurrency)
     access_log = AccessLog(args.access_log) if args.access_log else None
-    resources = ResourceSampler(scheduler.registry)
     service = SweepService(scheduler, host=args.host, port=args.port,
                            access_log=access_log,
-                           queue_limit=args.queue_limit,
-                           resources=resources)
+                           queue_limit=args.queue_limit)
 
     async def serve() -> None:
         await service.start()
@@ -585,13 +582,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await service.stop()
 
-    resources.start()
     try:
         asyncio.run(serve())
     except KeyboardInterrupt:
         print("[repro.service] shutting down", file=sys.stderr)
     finally:
-        resources.stop()
         scheduler.close()
         if access_log is not None:
             access_log.close()

@@ -2,9 +2,8 @@
 
 Every experiment module exposes ``run(quick=True, ...) -> ExperimentResult``.
 Quick mode sweeps the representative workload subset with a smaller
-request budget (suitable for the default benchmark run); full mode sweeps
-all 22 workloads.  ``REPRO_FULL=1`` in the environment switches the
-benchmark harness to full mode.
+request budget (the mode of the committed tables under
+``benchmarks/results/``); full mode sweeps all 22 workloads.
 
 Every experiment's work runs as executor cells through
 :func:`run_cells`.  The central helper, :func:`sweep_designs`,
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 
 from repro.analysis.slowdown import SlowdownSeries
@@ -60,7 +58,7 @@ class RunOptions:
 
     Replaces the historical ``run(quick=True, requests_per_core=None,
     seed=...)`` kwarg soup with one frozen record that the CLI, the
-    benchmark harness and library users all construct the same way and
+    service and library users all construct the same way and
     thread through :func:`repro.experiments.registry.run_experiment`.
 
     Parameters
@@ -188,11 +186,6 @@ _WIRE_TYPES = {
     "retries": (int, True),
     "timeout_s": ((int, float), True),
 }
-
-
-def full_mode_enabled() -> bool:
-    """Whether ``REPRO_FULL=1`` asks benches for the full sweep."""
-    return os.environ.get("REPRO_FULL", "") == "1"
 
 
 def default_system(num_cores: int = 8) -> SystemConfig:

@@ -1,9 +1,10 @@
-"""Experiment registry: name -> runnable, for the CLI and the benches.
+"""Experiment registry: name -> runnable, for the CLI and the service.
 
 :func:`run_experiment` is the single dispatch point: the CLI, the
-benchmark harness and tests all enter here, so a sweep executor
-activated via :mod:`repro.exec.runtime` (worker pool + run cache) covers
-every experiment an invocation touches.
+service, the end-to-end benchmark and the tests (the paper-table check
+among them) all enter here, so a sweep executor activated via
+:mod:`repro.exec.runtime` (worker pool + run cache) covers every
+experiment an invocation touches.
 """
 
 from __future__ import annotations

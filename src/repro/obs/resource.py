@@ -7,14 +7,9 @@ size and the open-fd count.  :class:`ResourceSampler` reads both from
 hosts) and publishes them as ``proc.rss_bytes`` / ``proc.open_fds``
 gauges in a :class:`~repro.obs.metrics.MetricsRegistry`.
 
-Sampling is cheap (two small ``/proc`` reads) and happens two ways:
-
-* **on demand** — the metrics endpoint calls :meth:`sample` at scrape
-  time so the exposition always carries fresh values;
-* **periodically** — :meth:`start` runs a daemon thread sampling every
-  ``interval_s``, so in-process consumers of the registry (and a crash
-  post-mortem of the last written metrics snapshot) see recent values
-  even when nobody scrapes.
+Sampling is cheap (two small ``/proc`` reads) and happens on demand:
+the metrics endpoint calls :meth:`~ResourceSampler.sample` at scrape
+time, so the exposition always carries fresh values.
 
 Both gauges are wall-clock/host-state quantities: they live outside
 the deterministic ``metrics`` byte-identity contract (the exporter's
@@ -24,12 +19,8 @@ docs state the scope; see ``docs/observability.md``).
 from __future__ import annotations
 
 import os
-import threading
 
 from repro.obs.metrics import MetricsRegistry
-
-#: Default seconds between background samples.
-DEFAULT_INTERVAL_S = 5.0
 
 #: Registry gauge names the sampler publishes.
 RSS_GAUGE = "proc.rss_bytes"
@@ -66,23 +57,13 @@ def open_fds() -> int:
 
 
 class ResourceSampler:
-    """Samples process RSS / open-fd gauges into a metrics registry.
+    """Samples process RSS / open-fd gauges into a metrics registry."""
 
-    Usable three ways: call :meth:`sample` directly, run the background
-    thread via :meth:`start`/:meth:`stop`, or context-manage it (enter
-    starts, exit stops).  ``start`` takes an initial sample before the
-    thread's first interval so gauges are never zero-by-omission.
-    """
-
-    def __init__(self, registry: MetricsRegistry,
-                 interval_s: float = DEFAULT_INTERVAL_S) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.interval_s = interval_s
         self.samples = 0
         self._rss = registry.gauge(RSS_GAUGE)
         self._fds = registry.gauge(OPEN_FDS_GAUGE)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
     def sample(self) -> dict:
         """Take one sample; sets both gauges, returns the values."""
@@ -92,35 +73,3 @@ class ResourceSampler:
         self._fds.set(fds)
         self.samples += 1
         return {"rss_bytes": rss, "open_fds": fds}
-
-    # ------------------------------------------------------------------
-    # Background thread
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start the daemon sampler thread (idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return
-        self._stop.clear()
-        self.sample()
-        self._thread = threading.Thread(target=self._loop,
-                                        name="repro-resource-sampler",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop the sampler thread (idempotent; safe if never started)."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.sample()
-
-    def __enter__(self) -> "ResourceSampler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

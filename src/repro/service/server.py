@@ -36,9 +36,10 @@ surface (all request/response bodies are JSON unless noted):
 ==========================================  ===========================
 
 Error taxonomy: 400 bad submission (unknown experiment, invalid
-options), 404 unknown job or path, 409 result requested before the job
-is done, 410 result of a failed job, 413 oversized body, 503 submission
-while not ready (the ``Retry-After`` header and ``retry_after_s`` body
+options) or malformed request (request line, ``Content-Length``), 404
+unknown job or path, 409 result requested before the job is done, 410
+result of a failed job, 413 oversized body, 503 submission while not
+ready (the ``Retry-After`` header and ``retry_after_s`` body
 field say when to retry) — every error body is ``{"error": message}``.
 
 The compute itself happens on the scheduler's worker threads (up to
@@ -69,6 +70,7 @@ import time
 
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
+from repro.obs.resource import ResourceSampler
 from repro.service.jobs import (BadSubmission, JobFailedError, JobNotDone,
                                 JobScheduler, SpansUnavailable, UnknownJob)
 
@@ -174,18 +176,14 @@ class SweepService:
     def __init__(self, scheduler: JobScheduler,
                  host: str = "127.0.0.1", port: int = 0,
                  access_log: AccessLog | None = None,
-                 queue_limit: int | None = None,
-                 resources=None) -> None:
+                 queue_limit: int | None = None) -> None:
         self.scheduler = scheduler
         self.host = host
         self.port = port
         self.access_log = access_log
         self.queue_limit = DEFAULT_QUEUE_LIMIT if queue_limit is None \
             else queue_limit
-        if resources is None:
-            from repro.obs.resource import ResourceSampler
-            resources = ResourceSampler(scheduler.registry)
-        self.resources = resources
+        self.resources = ResourceSampler(scheduler.registry)
         self._server: asyncio.AbstractServer | None = None
 
     # ------------------------------------------------------------------
@@ -264,7 +262,13 @@ class SweepService:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._respond_json(writer, 400,
+                               {"error": f"malformed Content-Length: "
+                                         f"{raw_length!r}"})
+            return None
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             self._respond_json(writer, 413, {"error": "body too large"})
             return None
@@ -464,8 +468,7 @@ class SweepService:
                              getattr(cache.stats, field),
                              help_text=f"Run-cache {field} since "
                                        f"startup.")
-        if self.resources is not None:
-            self.resources.sample()
+        self.resources.sample()
         self.scheduler.collect_metrics(expo)
         return expo.render()
 

@@ -16,6 +16,10 @@ from repro.dram.timing import DDR5Timing
 from repro.mc.policy import PolicyContext
 from repro.sim.config import SimConfig, SystemConfig
 
+# The paper-table checks are plain asserts in a helper module; rewrite
+# them so a failing ordering reports the values it compared.
+pytest.register_assert_rewrite("tests.paper_tables")
+
 
 @pytest.fixture
 def timing() -> DDR5Timing:

@@ -5,8 +5,7 @@ import pytest
 from repro.dram.timing import ns
 from repro.experiments.common import (DesignSpec, ExperimentResult,
                                       default_sim_config, default_system,
-                                      full_mode_enabled, series_rows,
-                                      sweep_designs)
+                                      series_rows, sweep_designs)
 from repro.mc.policy import no_mitigation_factory
 from repro.sim.config import SimConfig, SystemConfig
 from repro.trackers.prac import moat_factory
@@ -30,12 +29,6 @@ class TestDefaults:
 
     def test_explicit_budget_wins(self):
         assert default_sim_config(True, 123).requests_per_core == 123
-
-    def test_full_mode_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert not full_mode_enabled()
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert full_mode_enabled()
 
 
 class TestExperimentResult:

@@ -2,8 +2,9 @@
 
 The simulation-backed experiments run with a tiny request budget and a
 two-workload subset (monkeypatched quick set), checking result structure
-and first-order orderings rather than absolute values; the full sweeps
-live in ``benchmarks/``.
+and first-order orderings rather than absolute values; the real
+quick-mode sweeps, their committed tables and the paper's orderings are
+checked by ``test_paper_tables.py``.
 """
 
 import hashlib

@@ -1,5 +1,4 @@
-"""Resource-sampler tests: gauge publication, on-demand and background
-sampling, lifecycle idempotence."""
+"""Resource-sampler tests: the probes and on-demand gauge publication."""
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.resource import (OPEN_FDS_GAUGE, RSS_GAUGE,
@@ -25,35 +24,3 @@ class TestResourceSampler:
         assert registry.get(RSS_GAUGE).value == values["rss_bytes"]
         assert registry.get(OPEN_FDS_GAUGE).value == values["open_fds"]
         assert sampler.samples == 1
-
-    def test_start_takes_initial_sample(self):
-        registry = MetricsRegistry()
-        with ResourceSampler(registry, interval_s=3600) as sampler:
-            # No interval has elapsed, yet gauges are already fresh.
-            assert sampler.samples >= 1
-            assert registry.get(RSS_GAUGE).value > 0
-
-    def test_start_stop_idempotent(self):
-        sampler = ResourceSampler(MetricsRegistry(), interval_s=3600)
-        sampler.stop()  # never started: no-op
-        sampler.start()
-        sampler.start()  # already running: no second thread
-        first_thread = sampler._thread
-        sampler.start()
-        assert sampler._thread is first_thread
-        sampler.stop()
-        sampler.stop()
-        assert sampler._thread is None
-
-    def test_background_loop_samples(self):
-        registry = MetricsRegistry()
-        sampler = ResourceSampler(registry, interval_s=0.01)
-        sampler.start()
-        try:
-            import time
-            deadline = time.monotonic() + 2.0
-            while sampler.samples < 3 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            sampler.stop()
-        assert sampler.samples >= 3

@@ -2,6 +2,7 @@
 coalescing, and result byte-identity against local ``run_experiment``."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -210,6 +211,19 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as excinfo:
             client.job("j99")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+    def test_malformed_content_length_is_400(self, service, length):
+        """A Content-Length that is not a decimal digit string is bad
+        input: 400 with an ``error`` body, not a server error."""
+        with socket.create_connection((service.host, service.port),
+                                      timeout=30) as sock:
+            sock.sendall(f"POST /v1/jobs HTTP/1.1\r\n"
+                         f"Content-Length: {length}\r\n\r\n".encode())
+            response = sock.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
 
     @pytest.mark.parametrize("field,value", [("resume", True),
                                              ("backend", "auto")])
