@@ -16,7 +16,7 @@ from repro.analysis.selection import (DistanceStats, distance_statistics,
                                       mint_selection_positions,
                                       monte_carlo_selections,
                                       para_selection_positions)
-from repro.analysis.slowdown import SlowdownSeries, format_table
+from repro.analysis.slowdown import SlowdownSeries
 from repro.analysis.spans import (CriticalPath, SpansDoc,
                                   WorkerBreakdown, chrome_trace,
                                   critical_path, load_spans,
@@ -44,7 +44,6 @@ __all__ = [
     "delay_inflation",
     "distance_statistics",
     "dream_r_tail_comparison",
-    "format_table",
     "load_spans",
     "mint_selection_positions",
     "mint_exposure_bound",

@@ -41,39 +41,3 @@ class SlowdownSeries:
         if not values:
             return 0.0
         return sum(values) / len(values)
-
-    @property
-    def worst_case(self) -> tuple[str, float]:
-        """The workload with the highest slowdown."""
-        if not self.slowdowns:
-            raise ValueError("series is empty")
-        workload = max(self.slowdowns, key=self.slowdowns.__getitem__)
-        return workload, self.slowdowns[workload]
-
-    def row(self, workloads: list[str]) -> list[float]:
-        """Slowdowns in a fixed workload order (for table rendering)."""
-        return [self.slowdowns[name] for name in workloads]
-
-
-def format_table(series_list: list[SlowdownSeries],
-                 workloads: list[str] | None = None) -> str:
-    """Render a figure-style table: workloads as rows, designs as columns."""
-    if not series_list:
-        raise ValueError("at least one series is required")
-    if workloads is None:
-        workloads = sorted(series_list[0].slowdowns)
-    header = ["workload"] + [series.design for series in series_list]
-    widths = [max(len(header[0]), max(len(w) for w in workloads))]
-    widths += [max(10, len(name)) for name in header[1:]]
-    lines = ["  ".join(name.ljust(width)
-                       for name, width in zip(header, widths))]
-    for workload in workloads:
-        cells = [workload.ljust(widths[0])]
-        for series, width in zip(series_list, widths[1:]):
-            cells.append(f"{series.slowdowns[workload]:.2f}%".rjust(width))
-        lines.append("  ".join(cells))
-    cells = ["AVERAGE".ljust(widths[0])]
-    for series, width in zip(series_list, widths[1:]):
-        cells.append(f"{series.average_slowdown:.2f}%".rjust(width))
-    lines.append("  ".join(cells))
-    return "\n".join(lines)

@@ -1,9 +1,8 @@
 """Analysis of DRFM/RLP event traces (the ``repro trace`` subcommand).
 
-Input is a JSONL file of journal records — either a full run journal
-(``--journal``) or a pure event trace (``--trace``, written by
-:meth:`repro.obs.trace.EventTrace.write_jsonl`).  Only two record kinds
-matter here:
+Input is a JSONL file of journal records: a run journal
+(``--journal``), or the journal's mitigation records alone that the
+deprecated ``--trace`` writes.  Only two record kinds matter here:
 
 * ``mitigation`` — one executed mitigation command: realised RLP,
   blocked banks, the command mnemonic, and the valid-DAR count at issue

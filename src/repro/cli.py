@@ -17,7 +17,8 @@ Subcommands:
   ``--once`` prints a single snapshot).
 * ``stats <journal.jsonl>`` — summarise a telemetry run journal;
   ``stats --access-log FILE`` summarises a service access log instead.
-* ``trace <events.jsonl>`` — analyse a DRFM/RLP mitigation event trace.
+* ``trace <journal.jsonl>`` — analyse the DRFM/RLP mitigation events of a
+  journal.
 * ``spans <spans.json>`` — analyse a sweep span trace (critical path,
   per-worker breakdown, Chrome-trace export for Perfetto);
   ``spans --url http://.../v1/jobs/<id>/spans`` analyses a remote
@@ -39,11 +40,11 @@ line, before any work starts.
 
 ``run`` and ``report`` accept the telemetry flags ``--journal FILE``
 (JSONL run journal), ``--metrics-out FILE`` (metrics snapshot JSON),
-``--profile`` (wall-clock phase table on stderr), ``--trace FILE``
-(bounded mitigation event trace for ``trace``), ``--spans FILE``
-(hierarchical sweep span trace for ``spans``) and ``--sample-every N``
-(timeline cadence in tREFI).  Telemetry is off unless one of these is
-given, and enabling it does not change any simulated result.
+``--profile`` (wall-clock phase table on stderr), ``--spans FILE``
+(hierarchical sweep span trace for ``spans``), ``--sample-every N``
+(timeline cadence in tREFI) and the deprecated ``--trace FILE`` (the
+journal's mitigation records alone).  Telemetry is off unless one of
+these is given, and enabling it does not change any simulated result.
 
 They also accept the sweep-execution flags ``--jobs N`` (fan simulation
 cells over N worker processes; ``0`` = all cores), ``--cache-dir DIR``
@@ -79,7 +80,9 @@ from repro.exec.resilience import SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
+from repro.obs.journal import read_journal
 from repro.obs.profiling import Stopwatch, render_profile
+from repro.obs.trace import BoundedTrace, trace_deprecation
 
 #: Default sweep-service port (``repro serve`` / ``repro submit``).
 DEFAULT_SERVICE_PORT = 8731
@@ -180,41 +183,60 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _build_telemetry(args: argparse.Namespace):
-    """Construct a Telemetry from CLI flags, or ``None`` if all are off."""
+    """Construct a Telemetry from CLI flags, or ``None`` if all are off.
+    The deprecated ``--trace`` warns here and is written from the
+    journal, which it keeps in memory if ``--journal`` is not given."""
     if not (args.journal or args.metrics_out or args.profile
             or args.trace or args.spans):
         return None
     from repro.obs import Telemetry
     from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI
 
+    if args.trace:
+        print(f"warning: {trace_deprecation('--trace FILE')}",
+              file=sys.stderr)
     sample_every = args.sample_every or DEFAULT_SAMPLE_EVERY_REFI
     return Telemetry(journal_path=args.journal,
+                     journal_memory=bool(args.trace),
                      sample_every_refi=sample_every,
-                     profile=args.profile,
-                     trace=bool(args.trace))
+                     profile=args.profile)
 
 
-def _emit_telemetry(args: argparse.Namespace, telemetry) -> None:
+def _emit_telemetry(args: argparse.Namespace, telemetry,
+                    executor: SweepExecutor) -> None:
     """Finalize telemetry: journal close, metrics dump, profile print.
 
-    File-written notices and the wall-clock profile go to stderr so
-    stdout stays pure data (``--json`` output must be byte-comparable
-    across runs whose telemetry flags or file names differ).
+    The metrics file's ``exec`` section takes the executor's and its
+    cache's stats here, once.  File-written notices and the wall-clock
+    profile go to stderr so stdout stays pure data (``--json`` output
+    must be byte-comparable across runs whose telemetry flags or file
+    names differ).
     """
     if telemetry is None:
         return
     telemetry.finalize()
     if args.metrics_out:
+        stats = {"exec": executor.stats}
+        if executor.cache is not None:
+            stats["exec.cache"] = executor.cache.stats
+        for prefix, record in stats.items():
+            for name, value in vars(record).items():
+                telemetry.registry.gauge(f"{prefix}.{name}").set(value)
         telemetry.write_metrics(args.metrics_out)
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     if args.journal:
         print(f"journal written to {args.journal}", file=sys.stderr)
     if args.trace:
-        telemetry.trace.write_jsonl(args.trace)
-        suffix = f" ({telemetry.trace.dropped} dropped at capacity)" \
-            if telemetry.trace.dropped else ""
+        trace = BoundedTrace()
+        records = telemetry.journal.records if args.journal is None \
+            else read_journal(args.journal)
+        trace.extend(record for record in records
+                     if record["kind"] == "mitigation")
+        trace.write_jsonl(args.trace)
+        suffix = f" ({trace.dropped} dropped at capacity)" \
+            if trace.dropped else ""
         print(f"trace written to {args.trace} "
-              f"({len(telemetry.trace)} events){suffix}", file=sys.stderr)
+              f"({len(trace)} events){suffix}", file=sys.stderr)
     if args.spans:
         telemetry.write_spans(args.spans)
         print(f"spans written to {args.spans} "
@@ -288,9 +310,9 @@ def _run_experiments(args: argparse.Namespace, emit,
     if unknown:
         _input_error(f"unknown experiment {', '.join(unknown)} (see "
                      f"'dream-repro list')")
-    telemetry = _build_telemetry(args)
     executor = _build_executor(args)
     options = _run_options(args)
+    telemetry = _build_telemetry(args)
     failed: list[str] = []
     with obs_runtime.activated(telemetry), \
             exec_runtime.activated(executor):
@@ -310,7 +332,7 @@ def _run_experiments(args: argparse.Namespace, emit,
     if finish is not None:
         finish()
     print(f"[repro.exec] {executor.describe()}", file=sys.stderr)
-    _emit_telemetry(args, telemetry)
+    _emit_telemetry(args, telemetry, executor)
     if not failed:
         return 0
     cache = executor.cache
@@ -472,7 +494,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     summaries = analyze_trace(records)
     if not any(summary.events for summary in summaries.values()):
         print(f"{args.trace}: no mitigation events "
-              f"(run with --journal or --trace on a mitigated design)")
+              f"(run with --journal on a mitigated design)")
         return 1
     print(render_trace(summaries, width=args.width))
     return 0
@@ -727,9 +749,8 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
                         help="per-attempt wall-clock limit in seconds "
                              "(default unlimited)")
     parser.add_argument("--progress", action="store_true",
-                        help="live sweep progress line on stderr (TTY); "
-                             "mirrored into exec.progress.* metrics "
-                             "elsewhere")
+                        help="live sweep progress line on stderr "
+                             "(plain lines when not a TTY)")
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
@@ -741,8 +762,9 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
                         help="print wall-clock phase timings to "
                              "stderr")
     parser.add_argument("--trace", metavar="FILE",
-                        help="write a bounded JSONL mitigation event "
-                             "trace for the `trace` subcommand")
+                        help="deprecated (4.0 removes it): write the "
+                             "journal's mitigation records as JSONL; "
+                             "`trace` reads a --journal file")
     parser.add_argument("--sample-every", type=_at_least(1), metavar="N",
                         help="timeline sampling period in tREFI "
                              "(default 8)")
@@ -915,8 +937,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser.set_defaults(func=_cmd_stats)
 
     trace_parser = sub.add_parser(
-        "trace", help="analyse a DRFM/RLP mitigation event trace "
-                      "(journal or --trace output, JSONL)")
+        "trace", help="analyse the DRFM/RLP mitigation events of a "
+                      "journal (--journal output, JSONL)")
     trace_parser.add_argument("trace",
                               help="journal / event-trace file to read")
     trace_parser.add_argument("--width", type=int, default=40,

@@ -398,7 +398,6 @@ class SweepExecutor:
         self._policy = policy if policy is not None else CellPolicy()
         self._progress_sink = progress
         self.stats = ExecutorStats()
-        self.failures: list[FailedCell] = []
         #: fingerprint -> (result, snapshot-or-None); snapshots are kept
         #: so a memo hit under telemetry can replay the cell's capture.
         self._memo: dict[str, tuple[object,
@@ -407,9 +406,9 @@ class SweepExecutor:
         self._pool_breaks = 0
         self._pool_disabled = False
         #: One reentrant lock guards all cross-thread state: memo,
-        #: global stats, failures, the pool handle and the in-flight
-        #: table.  Held across each sweep's whole scan phase so
-        #: claim-or-attach is atomic per sweep.
+        #: global stats, the pool handle and the in-flight table.  Held
+        #: across each sweep's whole scan phase so claim-or-attach is
+        #: atomic per sweep.
         self._lock = threading.RLock()
         #: fingerprint -> _Flight for cells being computed right now.
         self._inflight: dict[str, _Flight] = {}
@@ -527,7 +526,6 @@ class SweepExecutor:
             self._pool_disabled = True
             breaks = self._pool_breaks
         self._stat("fallbacks")
-        self._obs_inc("exec.fallbacks")
         self._span_event("pool_fallback", {"breaks": breaks})
         print(f"[repro.exec] worker pool failed {breaks} times; "
               f"falling back to in-process serial execution",
@@ -579,8 +577,6 @@ class SweepExecutor:
                 telemetry.spans.end(sweep_span)
         self._stat("wall_seconds", time.perf_counter() - started)
         if failures:
-            with self._lock:
-                self.failures.extend(failures)
             raise SweepFailure(failures)
         return results
 
@@ -767,7 +763,6 @@ class SweepExecutor:
                 known = self._lookup(fp, capture)
                 if known is not None:
                     self._stat("dedup_hits")
-                    self._obs_inc("exec.dedup_hits")
                     self._span_event("dedup_hit",
                                      {"fingerprint": fp[:12]})
                     return known
@@ -782,7 +777,6 @@ class SweepExecutor:
             flight.done.wait()
             if flight.outcome is not None:
                 self._stat("failed")
-                self._obs_inc("exec.failed")
                 self._progress("failed")
                 return flight.outcome
             # outcome None: success (memo will hit on re-check) or an
@@ -839,7 +833,6 @@ class SweepExecutor:
                     f"attempt exceeded {self.policy.timeout_s:g}s"
                     if self.policy.timeout_s else "attempt timed out")
                 self._stat("timeouts")
-                self._obs_inc("exec.timeouts")
                 self._span_event("timeout",
                                  {"policy": cell.policy_name,
                                   "attempt": attempt})
@@ -854,7 +847,6 @@ class SweepExecutor:
             attempt += 1
             if attempt >= self.policy.attempts:
                 self._stat("failed")
-                self._obs_inc("exec.failed")
                 self._progress("failed")
                 self._span_event("cell_failed",
                                  {"policy": cell.policy_name,
@@ -865,7 +857,6 @@ class SweepExecutor:
                     policy_name=cell.policy_name,
                     attempts=attempt, kind=kind, error=error)
             self._stat("retries")
-            self._obs_inc("exec.retries")
             self._progress("retried")
             self._span_event("retry", {"policy": cell.policy_name,
                                        "kind": kind,
@@ -920,12 +911,6 @@ class SweepExecutor:
         if status == "err":
             raise payload
         return payload
-
-    def _obs_inc(self, name: str) -> None:
-        """Mirror a resilience event into the ambient metrics registry."""
-        telemetry = obs_runtime.active()
-        if telemetry is not None:
-            telemetry.registry.counter(name).inc()
 
     def _span_event(self, name: str, meta: dict | None = None) -> None:
         """Record an exec-side event on the open sweep span, if any."""

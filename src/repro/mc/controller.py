@@ -181,11 +181,6 @@ class SubChannelController:
             bank.precharge(finish)
         return finish
 
-    @property
-    def now_hint_ps(self) -> int:
-        """Latest activity timestamp (refresh progress marker)."""
-        return self.refresh.next_ref_ps - self.timing.t_refi
-
 
 class MemoryController:
     """Front door: routes requests to per-sub-channel controllers.

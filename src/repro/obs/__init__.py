@@ -10,14 +10,14 @@ The :class:`Telemetry` facade ties eight modules together:
 
 * :mod:`repro.obs.metrics`   — counters / gauges / histograms with
   hierarchical names (``mc.sc0.drfm_sb_issued``);
-* :mod:`repro.obs.timeline`  — per-sub-channel time series sampled every
-  N tREFI of *simulated* time;
+* :mod:`repro.obs.timeline`  — per-sub-channel ``sample`` journal
+  records taken every N tREFI of *simulated* time;
 * :mod:`repro.obs.journal`   — schema-versioned JSONL run journal
   (file-backed or in-memory);
 * :mod:`repro.obs.profiling` — the wall-clock phase table and engine
   events/sec, rendered from the span tree;
-* :mod:`repro.obs.trace`     — bounded structured trace of mitigation
-  events (analysed by ``repro trace``);
+* :mod:`repro.obs.trace`     — bounded copy of the journal's mitigation
+  records (deprecated in 3.4: ``repro trace`` reads the journal);
 * :mod:`repro.obs.snapshot`  — picklable per-cell snapshots plus the
   deterministic cross-process merge used by ``repro.exec``;
 * :mod:`repro.obs.progress`  — TTY-aware live sweep progress reporter;
@@ -40,6 +40,7 @@ merged metrics and journals (``tests/test_obs_parallel.py``).
 from __future__ import annotations
 
 import json
+import warnings
 
 from repro.dram.commands import Command
 from repro.obs import runtime
@@ -49,9 +50,9 @@ from repro.obs.journal import (RunJournal, SCHEMA_VERSION, load_journal,
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                RLP_BUCKETS)
 from repro.obs.profiling import ProfileView, Stopwatch
-from repro.obs.timeline import (DEFAULT_SAMPLE_EVERY_REFI, TimelineSample,
-                                TimelineSampler)
-from repro.obs.trace import DEFAULT_TRACE_LIMIT, EventTrace
+from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI, TimelineSampler
+from repro.obs.trace import (DEFAULT_TRACE_LIMIT, BoundedTrace, EventTrace,
+                             trace_deprecation)
 from repro.obs.snapshot import (CaptureSpec, SNAPSHOT_SCHEMA_VERSION,
                                 TelemetrySnapshot, capture_snapshot,
                                 merge_snapshot, snapshot_from_doc,
@@ -83,7 +84,6 @@ __all__ = [
     "SweepProgress",
     "Telemetry",
     "TelemetrySnapshot",
-    "TimelineSample",
     "TimelineSampler",
     "capture_snapshot",
     "load_journal",
@@ -169,11 +169,10 @@ class Telemetry:
         gates reporting (including the journal's closing ``profile``
         record — wall-clock is nondeterministic, so it only enters the
         journal on request).
-    trace:
-        Keep a bounded :class:`~repro.obs.trace.EventTrace` of
-        individual mitigation events for the ``repro trace`` analyzer.
-    trace_limit:
-        Event capacity of that trace.
+    trace, trace_limit:
+        Deprecated in 3.4 (each warns once; pass ``journal_path``):
+        keep a bounded copy of the journal's mitigation records, of
+        ``trace_limit`` events, as :attr:`trace`.
 
     :attr:`spans`, a hierarchical :class:`~repro.obs.spans.SpanTracer`
     of sweep execution (exported by ``repro spans``), is always
@@ -195,8 +194,11 @@ class Telemetry:
         self.timeline = TimelineSampler(sample_every_refi,
                                         journal=self.journal)
         self.profile = profile
-        self.trace: EventTrace | None = \
-            EventTrace(trace_limit) if trace else None
+        if trace or trace_limit != DEFAULT_TRACE_LIMIT:
+            warnings.warn(
+                trace_deprecation("Telemetry(trace=..., trace_limit=...)"),
+                DeprecationWarning, stacklevel=2)
+        self.trace = BoundedTrace(trace_limit) if trace else None
         self.spans = SpanTracer()
         self.run_index = -1
         self._channels: dict[int, SubchannelTelemetry] = {}
@@ -258,10 +260,6 @@ class Telemetry:
                 rlp=round(result.average_rlp, 3),
                 bus_utilization=round(result.bus_utilization, 4))
 
-    def absorb(self, snapshot: TelemetrySnapshot) -> None:
-        """Merge one cell's captured snapshot into this telemetry."""
-        merge_snapshot(self, snapshot)
-
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
@@ -269,10 +267,11 @@ class Telemetry:
         """Registry plus profile as one JSON-serialisable dict.
 
         The ``metrics`` section holds only deterministic, simulated-time
-        instruments; execution-side counters (``exec.*`` — retries,
-        cache traffic, progress events) are split into ``exec`` and
+        instruments; execution-side instruments (``exec.*``, such as the
+        cache-hit latency histogram) are split into ``exec`` and
         wall-clock figures into ``profiling``, so ``metrics`` can be
         compared byte-for-byte across execution modes.
+        ``timeline_samples`` counts the timeline ticks taken or merged.
         """
         metrics = {}
         executor = {}
@@ -286,7 +285,7 @@ class Telemetry:
             "metrics": metrics,
             "exec": executor,
             "profiling": span_profile(self.spans.roots),
-            "timeline_samples": len(self.timeline.samples),
+            "timeline_samples": self.timeline.ticks,
         }
 
     def write_metrics(self, path: str) -> None:

@@ -16,21 +16,16 @@ with carriage returns; when the stream is not a terminal (CI logs,
 pipes) the reporter instead prints plain full lines — one when cells
 are announced, then at most one every :attr:`plain_interval_s` seconds,
 then a final summary line from :meth:`finish` — so a captured log shows
-the sweep advancing instead of nothing at all.  Every event also
-mirrors into the ambient obs metrics registry as ``exec.progress.*``
-counters, so non-interactive runs additionally expose progress through
-``--metrics-out``.  Those counters are execution-side quantities and
-live in the ``exec`` section of the metrics dump, outside the
-deterministic ``metrics`` section (a warm-cache run legitimately has
-different hit counts).
+the sweep advancing instead of nothing at all.  The reporter only
+renders the line: the counts of record are the executor's
+:class:`~repro.exec.executor.ExecutorStats`, which ``--metrics-out``
+reports in its ``exec`` section.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-
-from repro.obs import runtime as obs_runtime
 
 #: Completion event kinds (each advances the done count by one cell).
 _DONE_KINDS = ("computed", "hit")
@@ -71,7 +66,6 @@ class SweepProgress:
         """Announce ``count`` more cells entering the sweep."""
         self.total += count
         self._finished = False
-        self._mirror("submitted", count)
         if not self.interactive:
             # Always open a sweep with a line, whatever the throttle
             # says — a CI log should show the sweep starting.
@@ -91,7 +85,6 @@ class SweepProgress:
                 self.ewma_s = seconds
             else:
                 self.ewma_s += EWMA_ALPHA * (seconds - self.ewma_s)
-        self._mirror(kind, 1)
         self._render()
 
     def finish(self) -> None:
@@ -156,8 +149,3 @@ class SweepProgress:
         self._last_plain = now
         self.stream.write(self.describe() + "\n")
         self.stream.flush()
-
-    def _mirror(self, kind: str, amount: int) -> None:
-        telemetry = obs_runtime.active()
-        if telemetry is not None:
-            telemetry.registry.counter(f"exec.progress.{kind}").inc(amount)

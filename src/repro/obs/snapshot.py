@@ -4,8 +4,8 @@ A sweep cell executed in a worker process records into a private,
 in-memory :class:`~repro.obs.Telemetry` built from a :class:`CaptureSpec`
 (the picklable recipe the parent ships with the cell).  When the cell
 finishes, :func:`capture_snapshot` freezes everything that telemetry
-observed — metric values, journal records, full-precision timeline
-samples and the span subtree — into a :class:`TelemetrySnapshot`: a
+observed — metric values, journal records (``sample`` ticks included)
+and the span subtree — into a :class:`TelemetrySnapshot`: a
 plain-data record that survives both pickling (worker → parent) and JSON
 (the content-addressed telemetry artifact stored next to the
 :class:`~repro.exec.cache.RunCache` entry).
@@ -17,10 +17,9 @@ deterministic by construction:
 * **counters** sum;
 * **gauges** are last-write-wins in cell order;
 * **histograms** merge element-wise (bucket bounds must match);
-* **timeline samples** interleave by ``(time_ps, subchannel, tick)``
-  within each cell;
 * **journal records** append in cell order with the per-worker ``run``
-  index remapped to the parent's global run sequence;
+  index remapped to the parent's global run sequence, and each
+  ``sample`` record counts as one tick of the parent's timeline;
 * **span subtrees** graft under the parent's open span, carrying the
   cell's phase and engine spans — and with them its wall-clock profile.
 
@@ -37,21 +36,18 @@ the snapshot untouched, so the merge copies every record it adapts.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI, TimelineSample
+from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI
 
 #: Version stamped into snapshot documents; bump on breaking changes.
 #: v2 added the ``spans`` section — v1 sidecars are treated as misses so
 #: the cell recomputes and the artifact is rewritten complete.  The
 #: ``phases``/``throughput`` keys that 2.1 wrote duplicate the span
-#: tree; the reader ignores them.
+#: tree, and the ``timeline`` list that 3.3 wrote duplicates the
+#: journal's ``sample`` records; the reader ignores them.
 SNAPSHOT_SCHEMA_VERSION = 2
-
-#: TimelineSample field names, in declaration order (pickle/JSON shape).
-_SAMPLE_FIELDS = tuple(f.name for f in dataclasses.fields(TimelineSample))
 
 
 @dataclass(frozen=True)
@@ -87,15 +83,13 @@ class TelemetrySnapshot:
     (``{"kind": "counter"|"gauge", "value": v}`` or
     ``{"kind": "histogram", "bounds": [...], "counts": [...],
     "overflow": n, "count": n, "total": x}``); ``journal`` holds the
-    cell's journal records verbatim; ``timeline`` holds full-precision
-    ``dataclasses.asdict`` forms of every :class:`TimelineSample`;
+    cell's journal records verbatim, its timeline ticks included;
     ``spans`` holds the cell's span subtree in document form (see
     :mod:`repro.obs.spans`).
     """
 
     metrics: dict = field(default_factory=dict)
     journal: list = field(default_factory=list)
-    timeline: list = field(default_factory=list)
     spans: list = field(default_factory=list)
     schema: int = SNAPSHOT_SCHEMA_VERSION
 
@@ -122,10 +116,7 @@ def capture_snapshot(telemetry) -> TelemetrySnapshot:
                for name in registry.names()}
     journal = [] if telemetry.journal is None \
         else list(telemetry.journal.records)
-    timeline = [dataclasses.asdict(sample)
-                for sample in telemetry.timeline.samples]
     return TelemetrySnapshot(metrics=metrics, journal=journal,
-                             timeline=timeline,
                              spans=telemetry.spans.to_docs())
 
 
@@ -167,9 +158,10 @@ def merge_snapshot(telemetry, snapshot: TelemetrySnapshot) -> None:
     A snapshot whose journal holds a ``run_start`` counts as one run of
     the parent (``run`` indices in replayed journal records are remapped
     to the parent's sequence); a study cell's snapshot, which runs no
-    simulation, uses up no index.  The snapshot is never mutated, so the
-    same object can be merged repeatedly — a memoised cell contributes
-    once per occurrence in the sweep.
+    simulation, uses up no index.  Each replayed ``sample`` record
+    counts as one tick of the parent's timeline.  The snapshot is never
+    mutated, so the same object can be merged repeatedly — a memoised
+    cell contributes once per occurrence in the sweep.
     """
     if any(record.get("kind") == "run_start"
            for record in snapshot.journal):
@@ -177,17 +169,19 @@ def merge_snapshot(telemetry, snapshot: TelemetrySnapshot) -> None:
     run = telemetry.run_index
     journal = telemetry.journal
     trace = telemetry.trace
+    ticks = 0
     for original in snapshot.journal:
         record = dict(original)
         if "run" in record:
             record["run"] = run
         if journal is not None:
             journal.append_record(record)
-        if trace is not None and record.get("kind") == "mitigation":
+        kind = record.get("kind")
+        if kind == "sample":
+            ticks += 1
+        elif trace is not None and kind == "mitigation":
             trace.record(record)
-    samples = [TimelineSample(**sample) for sample in snapshot.timeline]
-    samples.sort(key=lambda s: (s.time_ps, s.subchannel, s.tick))
-    telemetry.timeline.samples.extend(samples)
+    telemetry.timeline.ticks += ticks
     registry = telemetry.registry
     for name in sorted(snapshot.metrics):
         _merge_metric(registry, name, snapshot.metrics[name])
@@ -200,7 +194,6 @@ def snapshot_to_doc(snapshot: TelemetrySnapshot) -> dict:
         "schema": snapshot.schema,
         "metrics": snapshot.metrics,
         "journal": snapshot.journal,
-        "timeline": snapshot.timeline,
         "spans": snapshot.spans,
     }
 
@@ -209,9 +202,10 @@ def snapshot_from_doc(doc) -> TelemetrySnapshot | None:
     """Rebuild a snapshot from its document form.
 
     Returns ``None`` on any structural mismatch (wrong schema, missing
-    or mistyped sections, malformed timeline rows) so callers can treat
-    a damaged telemetry artifact exactly like a cache miss.  Keys outside
-    the sections (a 2.1 sidecar's ``phases``/``throughput``) are ignored.
+    or mistyped sections) so callers can treat a damaged telemetry
+    artifact exactly like a cache miss.  Keys outside the sections (a
+    2.1 sidecar's ``phases``/``throughput``, a 3.3 sidecar's
+    ``timeline``) are ignored.
     """
     if not isinstance(doc, dict):
         return None
@@ -219,19 +213,13 @@ def snapshot_from_doc(doc) -> TelemetrySnapshot | None:
         return None
     metrics = doc.get("metrics")
     journal = doc.get("journal")
-    timeline = doc.get("timeline")
     spans = doc.get("spans")
     if not isinstance(metrics, dict) or not isinstance(journal, list) \
-            or not isinstance(timeline, list) \
             or not isinstance(spans, list):
         return None
     if not all(isinstance(record, dict) for record in journal):
         return None
-    for sample in timeline:
-        if not isinstance(sample, dict) \
-                or tuple(sample) != _SAMPLE_FIELDS:
-            return None
     if not all(isinstance(span, dict) for span in spans):
         return None
     return TelemetrySnapshot(metrics=metrics, journal=journal,
-                             timeline=timeline, spans=spans)
+                             spans=spans)

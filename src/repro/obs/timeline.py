@@ -3,10 +3,11 @@
 The sampler piggybacks on the REF cadence (the simulator's only periodic
 heartbeat, see :class:`~repro.dram.refresh.RefreshScheduler`): every
 ``sample_every_refi`` REF commands it snapshots one sub-channel's
-counters, differences them against the previous tick, and records a
-:class:`TimelineSample` — activations per window, DRFM issue counts and
+counters, differences them against the previous tick, and journals one
+``sample`` record — activations per window, DRFM issue counts and
 achieved RLP, RMAQ hits/skips, row-hit rate, open-bank occupancy and
-event-queue depth.
+event-queue depth.  The journal is the only record of a tick; the
+sampler itself keeps just the tick count.
 
 Sampling is read-only: it never touches policy RNG streams or bank
 timing, so enabling it cannot perturb simulated behaviour.  Because it
@@ -18,55 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.obs.journal import SCHEMA_VERSION
+
 #: Default sampling period in tREFI units.
 DEFAULT_SAMPLE_EVERY_REFI = 8
-
-
-@dataclass(frozen=True)
-class TimelineSample:
-    """One sampler tick for one sub-channel (interval deltas)."""
-
-    subchannel: int
-    tick: int
-    time_ps: int
-    ref_index: int
-    activations: int
-    row_hits: int
-    row_conflicts: int
-    row_hit_rate: float
-    samples: int
-    mitigation_commands: int
-    mitigated_rows: int
-    rlp: float
-    selections: int
-    rmaq_hits: int
-    rmaq_skips: int
-    open_banks: int
-    valid_dars: int
-    queue_depth: int
-
-    def to_record(self) -> dict:
-        """Journal payload for this sample."""
-        return {
-            "sc": self.subchannel,
-            "tick": self.tick,
-            "t_ps": self.time_ps,
-            "ref": self.ref_index,
-            "acts": self.activations,
-            "hits": self.row_hits,
-            "conflicts": self.row_conflicts,
-            "hit_rate": round(self.row_hit_rate, 4),
-            "samples": self.samples,
-            "drfm": self.mitigation_commands,
-            "rows_mitigated": self.mitigated_rows,
-            "rlp": round(self.rlp, 3),
-            "selections": self.selections,
-            "rmaq_hits": self.rmaq_hits,
-            "rmaq_skips": self.rmaq_skips,
-            "open_banks": self.open_banks,
-            "valid_dars": self.valid_dars,
-            "queue_depth": self.queue_depth,
-        }
 
 
 class _Cursor:
@@ -120,17 +76,18 @@ def _rmaq_hits(policy) -> int:
 
 @dataclass
 class TimelineSampler:
-    """Collects :class:`TimelineSample` ticks across sub-channels.
+    """Journals one ``sample`` record per tick across sub-channels.
 
     ``attach`` registers the sampler on one sub-channel controller's
     refresh scheduler; the runner supplies ``queue_depth`` so ticks can
-    record how much work is pending in the event queue.
+    record how much work is pending in the event queue.  ``ticks``
+    counts the ticks taken here or merged from cell snapshots.
     """
 
     sample_every_refi: int = DEFAULT_SAMPLE_EVERY_REFI
     journal: object | None = None
-    samples: list[TimelineSample] = field(default_factory=list)
     queue_depth: Callable[[], int] | None = None
+    ticks: int = field(default=0, init=False)
     _cursors: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -152,50 +109,44 @@ class TimelineSampler:
             return
         self.tick(subchannel, ref_index, time_ps)
 
-    def tick(self, subchannel: int, ref_index: int, time_ps: int) -> \
-            TimelineSample:
-        """Take one sample of ``subchannel`` now (also used by tests)."""
+    def tick(self, subchannel: int, ref_index: int, time_ps: int) -> dict:
+        """Take one sample of ``subchannel`` now and return its
+        ``sample`` record (journalled when a journal is attached)."""
         cursor = self._cursors[subchannel]
         now = cursor.cumulative()
         delta = {key: now[key] - cursor.previous[key] for key in now}
         cursor.previous = now
-        banks = cursor.controller.subchannel.banks
+        controller = cursor.controller
         accesses = delta["activations"] + delta["row_hits"]
         commands = delta["mitigation_commands"]
-        sample = TimelineSample(
-            subchannel=subchannel,
-            tick=cursor.ticks,
-            time_ps=time_ps,
-            ref_index=ref_index,
-            activations=delta["activations"],
-            row_hits=delta["row_hits"],
-            row_conflicts=delta["row_conflicts"],
-            row_hit_rate=(delta["row_hits"] / accesses if accesses
-                          else 0.0),
-            samples=delta["samples"],
-            mitigation_commands=commands,
-            mitigated_rows=delta["mitigated_rows"],
-            rlp=(delta["mitigated_rows"] / commands if commands else 0.0),
-            selections=delta["selections"],
-            rmaq_hits=delta["rmaq_hits"],
-            rmaq_skips=delta["rmaq_skips"],
-            open_banks=sum(1 for bank in banks
-                           if bank.open_row is not None),
-            valid_dars=cursor.controller.subchannel.valid_dar_count(),
-            queue_depth=self.queue_depth() if self.queue_depth is not None
-            else 0,
-        )
+        record = {
+            "v": SCHEMA_VERSION,
+            "kind": "sample",
+            "sc": subchannel,
+            "tick": cursor.ticks,
+            "t_ps": time_ps,
+            "ref": ref_index,
+            "acts": delta["activations"],
+            "hits": delta["row_hits"],
+            "conflicts": delta["row_conflicts"],
+            "hit_rate": round(delta["row_hits"] / accesses, 4)
+            if accesses else 0.0,
+            "samples": delta["samples"],
+            "drfm": commands,
+            "rows_mitigated": delta["mitigated_rows"],
+            "rlp": round(delta["mitigated_rows"] / commands, 3)
+            if commands else 0.0,
+            "selections": delta["selections"],
+            "rmaq_hits": delta["rmaq_hits"],
+            "rmaq_skips": delta["rmaq_skips"],
+            "open_banks": sum(1 for bank in controller.subchannel.banks
+                              if bank.open_row is not None),
+            "valid_dars": controller.subchannel.valid_dar_count(),
+            "queue_depth": self.queue_depth()
+            if self.queue_depth is not None else 0,
+        }
         cursor.ticks += 1
-        self.samples.append(sample)
+        self.ticks += 1
         if self.journal is not None:
-            self.journal.write("sample", **sample.to_record())
-        return sample
-
-    def for_subchannel(self, subchannel: int) -> list[TimelineSample]:
-        """Samples of one sub-channel in tick order."""
-        return [sample for sample in self.samples
-                if sample.subchannel == subchannel]
-
-    def detach_all(self) -> None:
-        """Forget attached controllers (samples are retained)."""
-        self._cursors.clear()
+            self.journal.append_record(record)
+        return record

@@ -15,11 +15,15 @@ mis-configured tracker usually needs.
 
 Analysis lives in :mod:`repro.analysis.trace` (the ``repro trace`` CLI
 subcommand); this module is only the collection surface.
+
+The trace copies the journal's ``mitigation`` records, which ``repro
+trace`` reads just as well, so its spellings are deprecated in 3.4.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 
 from repro.obs.atomic import atomic_writer
 
@@ -27,7 +31,15 @@ from repro.obs.atomic import atomic_writer
 DEFAULT_TRACE_LIMIT = 200_000
 
 
-class EventTrace:
+def trace_deprecation(spelling: str) -> str:
+    """The one message every deprecated trace spelling reports."""
+    return (f"{spelling} is deprecated: the run journal records every "
+            f"mitigation event, so write one with --journal FILE "
+            f"(Telemetry(journal_path=...)) and read it with 'repro "
+            f"trace'; 4.0 removes {spelling}")
+
+
+class BoundedTrace:
     """A bounded, append-only list of mitigation event records."""
 
     __slots__ = ("limit", "events", "dropped")
@@ -59,3 +71,14 @@ class EventTrace:
             for record in self.events:
                 handle.write(json.dumps(record))
                 handle.write("\n")
+
+
+class EventTrace(BoundedTrace):
+    """:class:`BoundedTrace` under its deprecated public name."""
+
+    __slots__ = ()
+
+    def __init__(self, limit: int = DEFAULT_TRACE_LIMIT) -> None:
+        warnings.warn(trace_deprecation("EventTrace(...)"),
+                      DeprecationWarning, stacklevel=2)
+        super().__init__(limit)

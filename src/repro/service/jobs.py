@@ -83,8 +83,8 @@ JOB_STATES = ("queued", "running", "done", "failed")
 #: Terminal states: the job record and its events are final.
 TERMINAL_STATES = ("done", "failed")
 
-#: Executor counters mirrored into each job record (the same counters
-#: the executor mirrors into the obs metrics registry as ``exec.*``).
+#: Executor counters copied into each job record from the job's scoped
+#: :class:`~repro.exec.executor.ExecutorStats`.
 COUNTER_FIELDS = ("cells", "computed", "memo_hits", "dedup_hits",
                   "retries", "timeouts", "failed", "inline")
 
@@ -195,7 +195,7 @@ class JobScheduler:
         self.concurrency = concurrency
         #: Scheduler-lifetime metrics: every finished job's telemetry
         #: registry folds in here (simulated-time counters plus the
-        #: ``exec.*`` mirrors), rendered by ``GET /v1/metrics``.
+        #: cache-hit latency histogram), rendered by ``GET /v1/metrics``.
         self.registry = MetricsRegistry()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)

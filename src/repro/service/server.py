@@ -142,12 +142,15 @@ class AccessLog:
 
 
 class _LoggedWriter:
-    """StreamWriter proxy accounting status/bytes/job for one request."""
+    """StreamWriter proxy accounting method/path (``-`` for a request
+    line that does not split) and status/bytes/job for one request."""
 
-    __slots__ = ("_writer", "status", "sent", "job")
+    __slots__ = ("_writer", "method", "path", "status", "sent", "job")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
+        self.method: str | None = None
+        self.path: str | None = None
         self.status: int | None = None
         self.sent = 0
         self.job: str | None = None
@@ -216,7 +219,6 @@ class SweepService:
     async def _handle(self, reader: asyncio.StreamReader,
                       raw_writer: asyncio.StreamWriter) -> None:
         writer = _LoggedWriter(raw_writer)
-        request = None
         started = time.perf_counter()
         try:
             request = await self._read_request(reader, writer)
@@ -233,10 +235,12 @@ class SweepService:
             except ConnectionError:
                 pass
         finally:
-            if self.access_log is not None and request is not None:
+            # Every request line gets a record, 400s and 413s refused
+            # before routing included; a silent connection gets none.
+            if self.access_log is not None and writer.method is not None:
                 duration_us = int((time.perf_counter() - started) * 1e6)
                 self.access_log.record(
-                    request[0], request[1], writer.status or 0,
+                    writer.method, writer.path, writer.status or 0,
                     duration_us, writer.job, writer.sent)
             try:
                 await writer.drain()
@@ -249,12 +253,15 @@ class SweepService:
         line = await reader.readline()
         if not line:
             return None
+        writer.method = writer.path = "-"
         try:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:
             self._respond_json(writer, 400,
                                {"error": "malformed request line"})
             return None
+        path, _, raw_query = target.partition("?")
+        writer.method, writer.path = method.upper(), path
         headers: dict[str, str] = {}
         while True:
             raw = await reader.readline()
@@ -273,7 +280,6 @@ class SweepService:
             self._respond_json(writer, 413, {"error": "body too large"})
             return None
         body = await reader.readexactly(length) if length else b""
-        path, _, raw_query = target.partition("?")
         query: dict[str, str] = {}
         for pair in raw_query.split("&"):
             if pair:

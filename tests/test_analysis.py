@@ -7,7 +7,7 @@ from repro.analysis.dos import analyze_dos, mitigation_block_ps
 from repro.analysis.rlp import RLPStats, sampling_delays_ps, summarize
 from repro.analysis.selection import (distance_statistics,
                                       monte_carlo_selections)
-from repro.analysis.slowdown import SlowdownSeries, format_table
+from repro.analysis.slowdown import SlowdownSeries
 from repro.dram.commands import Command
 from repro.dram.subchannel import MitigationEvent
 from repro.dram.timing import DDR5Timing
@@ -110,32 +110,6 @@ class TestSlowdownSeries:
         assert series.average_slowdown == pytest.approx(
             ((1 - 100 / 110) + (1 - 100 / 130)) / 2 * 100)
 
-    def test_worst_case(self):
-        series = SlowdownSeries("x")
-        series.add(_comparison("a", [100], [110]))
-        series.add(_comparison("b", [100], [150]))
-        workload, value = series.worst_case
-        assert workload == "b"
-        assert value > 30
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             SlowdownSeries("x").average_slowdown
-
-    def test_row_ordering(self):
-        series = SlowdownSeries("x")
-        series.add(_comparison("a", [100], [110]))
-        series.add(_comparison("b", [100], [120]))
-        row = series.row(["b", "a"])
-        assert row[0] > row[1]
-
-    def test_format_table(self):
-        series = SlowdownSeries("x")
-        series.add(_comparison("a", [100], [110]))
-        text = format_table([series])
-        assert "AVERAGE" in text
-        assert "a" in text
-
-    def test_format_table_rejects_empty(self):
-        with pytest.raises(ValueError):
-            format_table([])

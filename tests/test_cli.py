@@ -407,6 +407,35 @@ class TestResilienceFlags:
         assert " computed=1 " in err
         assert "hits=9 misses=1 " in err
 
+    def test_metrics_out_exec_section_counts_a_retry(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # The file's exec section is the invocation's ExecutorStats and
+        # CacheStats: one crashed first attempt is one retry, and every
+        # count matches the [repro.exec] stats line.
+        reference = tmp_path / "reference"
+        code, clean, _ = self._run_json(capsys, "--cache-dir",
+                                        str(reference))
+        assert code == 0
+        crashed = sorted(reference.rglob("*.json"))[0].stem
+        monkeypatch.setenv("REPRO_FAULTS", f"crash:{crashed[:16]}:1")
+        metrics = tmp_path / "metrics.json"
+        code, out, err = self._run_json(capsys, "--metrics-out",
+                                        str(metrics), "--cache-dir",
+                                        str(tmp_path / "runcache"))
+        assert code == 0
+        assert out == clean
+        section = json.loads(metrics.read_text())["exec"]
+        assert section["exec.retries"] == 1
+        for key in ("timeouts", "failed", "fallbacks", "dedup_hits"):
+            assert section[f"exec.{key}"] == 0, key
+        line = re.search(r"executor\[jobs=1\]: cells=(\d+) "
+                         r"computed=(\d+) .*; cache\[.*\]: hits=(\d+) "
+                         r"misses=(\d+) stores=(\d+)", err)
+        assert [section["exec.cells"], section["exec.computed"],
+                section["exec.cache.hits"], section["exec.cache.misses"],
+                section["exec.cache.stores"]] == \
+            [int(group) for group in line.groups()]
+
     @pytest.mark.parametrize("cached", [True, False],
                              ids=["cache", "no-cache"])
     def test_failure_hint_matches_the_cache(self, tmp_path, monkeypatch,
@@ -447,6 +476,8 @@ BAD_INPUT = {
     "jobs-flag": (["run", "table1", "--jobs", "-1"], {}),
     "jobs-env-negative": (["run", "table1"], {"REPRO_JOBS": "-2"}),
     "jobs-env-not-a-number": (["run", "table1"], {"REPRO_JOBS": "x"}),
+    "jobs-env-with-journal": (["run", "table1", "--journal", "run.jsonl"],
+                              {"REPRO_JOBS": "x"}),
     "serve-jobs-flag": (["serve", "--port", "0", "--jobs", "-1"], {}),
     "serve-concurrency-env": (["serve", "--port", "0"],
                               {"REPRO_JOB_CONCURRENCY": "x"}),
@@ -466,7 +497,8 @@ class TestInputErrors:
     def test_exits_2_with_one_error_line(self, argv, env, tmp_path,
                                          monkeypatch, capsys):
         """Bad input stops before any work: exit 2, one ``error:`` line
-        on stderr, no traceback, nothing on stdout."""
+        on stderr, no traceback, nothing on stdout and no file written
+        (a ``--journal`` is not even opened)."""
         monkeypatch.chdir(tmp_path)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -478,6 +510,7 @@ class TestInputErrors:
                     if "error:" in line]) == 1, captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestServeCommand:
@@ -671,8 +704,28 @@ class TestTrace:
                      "--requests", "500", "--trace", trace]) == 0
         err = capsys.readouterr().err
         assert f"trace written to {trace}" in err
+        # --trace is deprecated: one warning line naming the journal.
+        warnings = [line for line in err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "--trace FILE is deprecated" in warnings[0]
+        assert "--journal FILE" in warnings[0]
         assert main(["trace", trace]) == 0
         assert "== policy:" in capsys.readouterr().out
+
+    def test_cli_trace_holds_the_journals_mitigation_lines(self, tmp_path,
+                                                           capsys):
+        journal = tmp_path / "journal.jsonl"
+        trace = tmp_path / "events.jsonl"
+        assert main(["run", "ablation-atm", "--json", "--requests", "500",
+                     "--journal", str(journal),
+                     "--trace", str(trace)]) == 0
+        lines = journal.read_text().splitlines(keepends=True)
+        mitigations = [line for line in lines
+                       if json.loads(line)["kind"] == "mitigation"]
+        assert mitigations
+        assert trace.read_text() == "".join(mitigations)
+        assert f"({len(mitigations)} events)" in capsys.readouterr().err
 
 
 class TestSpansCommand:

@@ -205,7 +205,7 @@ class TestCountsOnError:
                     cores.append(self)
 
             monkeypatch.setattr(runner_module, "Core", RecordingCore)
-            telemetry = Telemetry(sample_every_refi=1)
+            telemetry = Telemetry(journal_memory=True, sample_every_refi=1)
             with pytest.raises(RuntimeError, match="policy exploded"):
                 runner(system, traces, sim,
                        lambda context: _ExplodingPolicy(fuse=fuse),
@@ -216,5 +216,6 @@ class TestCountsOnError:
                 loop.meta["events"],
                 [(core.issued, core.completed, core.finish_time_ps)
                  for core in cores],
-                [sample.queue_depth for sample in telemetry.timeline.samples]))
+                [record["queue_depth"] for record in telemetry.journal.records
+                 if record["kind"] == "sample"]))
         assert outcomes[0] == outcomes[1]

@@ -236,8 +236,10 @@ class TestTelemetryIntegration:
         with SweepExecutor(policy=CellPolicy(**FAST)) as executor:
             with obs_runtime.activated(telemetry):
                 results = executor.run_cells(cells)
-        assert telemetry.registry.counter("exec.retries").value == 1
+        # ExecutorStats is the one count; ``--metrics-out`` reads it at
+        # write time (tests/test_cli.py), nothing mirrors it meanwhile.
         assert executor.stats.retries == 1
+        assert "exec.retries" not in telemetry.registry
         assert results == reference
 
 

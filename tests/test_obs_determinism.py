@@ -71,7 +71,7 @@ class TestDeterminism:
         assert plain.to_json() == instrumented.to_json()
         # The instrumented run really did record things — the equality
         # above is meaningless if telemetry silently stayed off.
-        assert telemetry.timeline.samples
+        assert telemetry.timeline.ticks
         assert telemetry.journal.kinds().get("mitigation", 0) > 0
 
     def test_ambient_activation_is_equally_inert(self, system, traces,
@@ -163,10 +163,12 @@ class TestMetricsEndToEnd:
 
     def test_timeline_queue_depth_hook_reset_after_run(self, system,
                                                        traces, sim):
-        telemetry = Telemetry(sample_every_refi=2)
+        telemetry = Telemetry(journal_memory=True, sample_every_refi=2)
         _run(system, traces, sim, telemetry)
         assert telemetry.timeline.queue_depth is None
-        assert any(s.queue_depth >= 0 for s in telemetry.timeline.samples)
+        assert any(record["queue_depth"] >= 0
+                   for record in telemetry.journal.records
+                   if record["kind"] == "sample")
 
 
 class TestRuntimeHolder:

@@ -3,11 +3,11 @@
 The tentpole guarantee: a sweep run serially, fanned over workers,
 served from a warm cache, or relaunched over the cache a failed run
 left behind produces **byte-identical** merged telemetry — the
-deterministic ``metrics`` section, the journal records and the timeline
-— because each cell's snapshot is captured where the cell executes and
-merged in the fixed submission order.  The span-derived profile keeps
-the same shape too: phase names, call counts, engine events and
-intervals.
+deterministic ``metrics`` section, the journal records and the
+timeline tick count — because each cell's snapshot is captured where
+the cell executes and merged in the fixed submission order.  The
+span-derived profile keeps the same shape too: phase names, call
+counts, engine events and intervals.
 """
 
 import json
@@ -51,6 +51,32 @@ def designs():
 #: Cells in the sweep: shared baseline + one per design.
 CELLS = 3
 
+#: The ``TimelineSample`` field a 3.3 sidecar's ``timeline`` row held
+#: for each key of a ``sample`` journal record, in row order.
+_V3_3_TIMELINE_FIELDS = {
+    "sc": "subchannel", "tick": "tick", "t_ps": "time_ps",
+    "ref": "ref_index", "acts": "activations", "hits": "row_hits",
+    "conflicts": "row_conflicts", "hit_rate": "row_hit_rate",
+    "samples": "samples", "drfm": "mitigation_commands",
+    "rows_mitigated": "mitigated_rows", "rlp": "rlp",
+    "selections": "selections", "rmaq_hits": "rmaq_hits",
+    "rmaq_skips": "rmaq_skips", "open_banks": "open_banks",
+    "valid_dars": "valid_dars", "queue_depth": "queue_depth"}
+
+
+def _v2_1_keys(snapshot: dict) -> dict:
+    """The span-duplicating keys a 2.1 sidecar carried."""
+    return {"phases": {"build_traces": {"seconds": 0.01, "calls": 1}},
+            "throughput": {"events": 1, "seconds": 0.01, "intervals": 1}}
+
+
+def _v3_3_keys(snapshot: dict) -> dict:
+    """The ``timeline`` copy of the sample records a 3.3 sidecar
+    carried."""
+    return {"timeline": [
+        {field: record[key] for key, field in _V3_3_TIMELINE_FIELDS.items()}
+        for record in snapshot["journal"] if record["kind"] == "sample"]}
+
 
 def _profile_shape(telemetry) -> str:
     """The mode-independent part of the span-derived profile."""
@@ -79,8 +105,7 @@ def _merged(designs, small_system, small_sim, workloads, executor=None,
         "metrics": json.dumps(telemetry.snapshot()["metrics"],
                               sort_keys=True),
         "journal": json.dumps(telemetry.journal.records, default=str),
-        "timeline": json.dumps(
-            [sample.time_ps for sample in telemetry.timeline.samples]),
+        "timeline_samples": telemetry.snapshot()["timeline_samples"],
         "profile": _profile_shape(telemetry),
         "telemetry": telemetry,
     }
@@ -101,7 +126,8 @@ class TestByteIdenticalAcrossModes:
             warm = _merged(designs, small_system, small_sim, workloads,
                            warm_exec)
         assert warm_exec.stats.computed == 0
-        for key in ("metrics", "journal", "timeline", "profile"):
+        assert serial["timeline_samples"] > 0
+        for key in ("metrics", "journal", "timeline_samples", "profile"):
             assert parallel[key] == serial[key], key
             assert cold[key] == serial[key], key
             assert warm[key] == serial[key], key
@@ -112,10 +138,13 @@ class TestByteIdenticalAcrossModes:
         assert shape["events"] == \
             serial["telemetry"].registry.counter("sim.requests").value
 
+    @pytest.mark.parametrize("old_keys", [_v2_1_keys, _v3_3_keys],
+                             ids=["2.1", "3.3"])
     def test_v2_1_sidecars_serve_a_warm_rerun(self, tmp_path, small_system,
                                               small_sim, designs,
-                                              workloads):
-        # 2.1 sidecars carried phases/throughput beside their spans;
+                                              workloads, old_keys):
+        # 2.1 sidecars carried phases/throughput beside their spans, and
+        # 3.3 sidecars a timeline copy of the journal's sample records;
         # upgraded readers ignore the keys and stay fully warm.
         cache_dir = tmp_path / "runcache"
         with SweepExecutor(cache=RunCache(cache_dir)) as cold_exec:
@@ -123,17 +152,20 @@ class TestByteIdenticalAcrossModes:
                            cold_exec)
         sidecars = sorted(cache_dir.rglob("*.obs.json"))
         assert len(sidecars) == CELLS
+        added = []
         for path in sidecars:
             entry = json.loads(path.read_text())
-            entry["snapshot"].update(
-                phases={"build_traces": {"seconds": 0.01, "calls": 1}},
-                throughput={"events": 1, "seconds": 0.01, "intervals": 1})
+            extra = old_keys(entry["snapshot"])
+            added.extend(value for value in extra.values() if value)
+            entry["snapshot"].update(extra)
             path.write_text(json.dumps(entry))
+        assert added, "no sidecar carried the old keys"
         with SweepExecutor(cache=RunCache(cache_dir)) as warm_exec:
             warm = _merged(designs, small_system, small_sim, workloads,
                            warm_exec)
         assert warm_exec.stats.computed == 0
-        for key in ("results", "metrics", "journal", "profile"):
+        for key in ("results", "metrics", "journal", "timeline_samples",
+                    "profile"):
             assert warm[key] == cold[key], key
 
     def test_resume_matches_serial_without_double_counting(
@@ -153,7 +185,7 @@ class TestByteIdenticalAcrossModes:
             relaunched = _merged(designs, small_system, small_sim,
                                  workloads, relaunch)
         assert relaunch.stats.computed == 1
-        for key in ("metrics", "journal", "timeline"):
+        for key in ("metrics", "journal", "timeline_samples"):
             assert relaunched[key] == serial[key], key
         # A relaunched sweep counts every cell exactly once — no
         # double-counted runs, no duplicated journal records or
@@ -163,8 +195,8 @@ class TestByteIdenticalAcrossModes:
         kinds = telemetry.journal.kinds()
         assert kinds["run_start"] == CELLS
         assert kinds["summary"] == CELLS
-        assert len(telemetry.timeline.samples) == \
-            len(serial["telemetry"].timeline.samples)
+        assert kinds["sample"] == telemetry.timeline.ticks == \
+            serial["telemetry"].timeline.ticks
 
     def test_run_result_json_unchanged_by_telemetry(self, small_system,
                                                     small_sim, designs,

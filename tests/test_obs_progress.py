@@ -114,25 +114,18 @@ class TestAccounting:
 
 
 class TestMetricsMirror:
-    def test_events_mirror_into_ambient_registry(self):
+    """Progress only renders: the executor's stats are the count of
+    each cell event, so nothing reaches the metrics registry."""
+
+    def test_events_leave_the_ambient_registry_empty(self):
         telemetry = Telemetry()
         progress = SweepProgress(stream=io.StringIO())
         with obs_runtime.activated(telemetry):
             progress.add_cells(2)
             progress.record("computed")
             progress.record("hit")
-        counters = telemetry.registry
-        assert counters.counter("exec.progress.submitted").value == 2
-        assert counters.counter("exec.progress.computed").value == 1
-        assert counters.counter("exec.progress.hit").value == 1
-
-    def test_mirrored_counters_stay_out_of_metrics_section(self):
-        telemetry = Telemetry()
-        with obs_runtime.activated(telemetry):
-            SweepProgress(stream=io.StringIO()).add_cells(1)
-        snapshot = telemetry.snapshot()
-        assert "exec.progress.submitted" in snapshot["exec"]
-        assert "exec.progress.submitted" not in snapshot["metrics"]
+        assert len(telemetry.registry) == 0
+        assert telemetry.snapshot()["exec"] == {}
 
     def test_no_ambient_telemetry_is_fine(self):
         progress = SweepProgress(stream=io.StringIO())

@@ -3,8 +3,9 @@
 The contract under test: :func:`capture_snapshot` freezes everything a
 cell's telemetry observed, :func:`merge_snapshot` folds it into a parent
 deterministically (counters sum, gauges last-write-wins, histograms
-merge element-wise, journal runs remap), and the snapshot itself is
-never mutated so a memoised cell can be replayed any number of times.
+merge element-wise, journal runs remap, ``sample`` records count as
+timeline ticks), and the snapshot itself is never mutated so a memoised
+cell can be replayed any number of times.
 """
 
 import json
@@ -17,7 +18,6 @@ from repro.obs.snapshot import (CaptureSpec, SNAPSHOT_SCHEMA_VERSION,
                                 merge_snapshot, snapshot_from_doc,
                                 snapshot_to_doc)
 from repro.obs.spans import ENGINE_LOOP, KIND_ENGINE
-from repro.obs.timeline import TimelineSample
 
 
 def _capture(fill) -> TelemetrySnapshot:
@@ -26,16 +26,10 @@ def _capture(fill) -> TelemetrySnapshot:
     return capture_snapshot(telemetry)
 
 
-def _sample(time_ps: int, tick: int = 0,
-            subchannel: int = 0) -> TimelineSample:
-    return TimelineSample(subchannel=subchannel, tick=tick,
-                          time_ps=time_ps, ref_index=tick,
-                          activations=1, row_hits=1, row_conflicts=0,
-                          row_hit_rate=1.0, samples=0,
-                          mitigation_commands=0, mitigated_rows=0,
-                          rlp=0.0, selections=0, rmaq_hits=0,
-                          rmaq_skips=0, open_banks=0, valid_dars=0,
-                          queue_depth=0)
+def _sample(time_ps: int, tick: int = 0) -> dict:
+    """A ``sample`` journal record, as a timeline tick writes one."""
+    return {"v": 1, "kind": "sample", "sc": 0, "tick": tick,
+            "t_ps": time_ps}
 
 
 class TestCaptureSpec:
@@ -124,25 +118,22 @@ class TestMergeJournal:
             {"v": 1, "kind": "mitigation", "cmd": "DRFMsb", "rlp": 3},
             {"v": 1, "kind": "sample", "tick": 0},
         ])
-        parent = Telemetry(trace=True)
+        with pytest.warns(DeprecationWarning, match="--journal FILE"):
+            parent = Telemetry(trace=True)
         merge_snapshot(parent, snap)
         assert len(parent.trace) == 1
         assert parent.trace.events[0]["cmd"] == "DRFMsb"
 
 
 class TestMergeTimeline:
-    def test_samples_sort_by_simulated_time(self):
-        import dataclasses
-
-        snap = TelemetrySnapshot(timeline=[
-            dataclasses.asdict(_sample(200, tick=1)),
-            dataclasses.asdict(_sample(100, tick=0)),
-        ])
+    def test_replayed_sample_records_count_as_ticks(self):
+        snap = TelemetrySnapshot(journal=[_sample(100), _sample(200, 1)])
         parent = Telemetry()
+        parent.timeline.ticks = 3
         merge_snapshot(parent, snap)
-        assert [s.time_ps for s in parent.timeline.samples] == [100, 200]
-        assert all(isinstance(s, TimelineSample)
-                   for s in parent.timeline.samples)
+        merge_snapshot(parent, snap)
+        assert parent.timeline.ticks == 7
+        assert parent.snapshot()["timeline_samples"] == 7
 
 
 class TestMergeProfiling:
@@ -171,7 +162,7 @@ class TestDocRoundTrip:
             telemetry.begin_run("mcf", "mint", seed=7)
             telemetry.registry.counter("sim.runs").inc()
             telemetry.registry.histogram("h", (1, 2)).observe(2)
-            telemetry.timeline.samples.append(_sample(100))
+            telemetry.journal.append_record(_sample(100))
 
         return _capture(fill)
 
@@ -197,18 +188,11 @@ class TestDocRoundTrip:
 
     def test_malformed_sections_rejected(self):
         base = snapshot_to_doc(self._real_snapshot())
-        for key, bad in [("metrics", []), ("journal", {}),
-                         ("timeline", {})]:
+        for key, bad in [("metrics", []), ("journal", {})]:
             doc = dict(base)
             doc[key] = bad
             assert snapshot_from_doc(doc) is None
         assert snapshot_from_doc("nope") is None
-
-    def test_malformed_timeline_row_rejected(self):
-        doc = snapshot_to_doc(self._real_snapshot())
-        doc = json.loads(json.dumps(doc))
-        doc["timeline"][0].pop("rlp")
-        assert snapshot_from_doc(doc) is None
 
 
 class TestSpansInSnapshots:

@@ -1,10 +1,13 @@
-"""Unit tests for the timeline sampler (cadence, deltas, attachment)."""
+"""Unit tests for the timeline sampler (cadence, deltas, attachment).
+
+The sampler's only record of a tick is the ``sample`` journal record,
+so the tests read ticks from an in-memory journal.
+"""
 
 import pytest
 
 from repro.obs.journal import RunJournal
-from repro.obs.timeline import (DEFAULT_SAMPLE_EVERY_REFI, TimelineSampler,
-                                TimelineSample)
+from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI, TimelineSampler
 
 
 class _BankStats:
@@ -56,16 +59,25 @@ class _FakeController:
         self.refresh = _FakeRefresh()
 
 
+def _sampler(sample_every_refi=1):
+    """A sampler journalling into memory, and that journal's records."""
+    journal = RunJournal()
+    sampler = TimelineSampler(sample_every_refi=sample_every_refi,
+                              journal=journal)
+    return sampler, journal.records
+
+
 class TestCadence:
     def test_samples_every_nth_ref(self):
-        sampler = TimelineSampler(sample_every_refi=4)
+        sampler, records = _sampler(sample_every_refi=4)
         controller = _FakeController()
         sampler.attach(controller)
         for ref_index in range(16):
             controller.refresh.fire(ref_index, time_ps=ref_index * 1000)
         # (ref_index + 1) % 4 == 0  ->  refs 3, 7, 11, 15.
-        assert [s.ref_index for s in sampler.samples] == [3, 7, 11, 15]
-        assert [s.tick for s in sampler.samples] == [0, 1, 2, 3]
+        assert [r["ref"] for r in records] == [3, 7, 11, 15]
+        assert [r["tick"] for r in records] == [0, 1, 2, 3]
+        assert sampler.ticks == 4
 
     def test_default_period(self):
         assert TimelineSampler().sample_every_refi == \
@@ -78,7 +90,7 @@ class TestCadence:
 
 class TestDeltas:
     def test_interval_deltas_not_cumulative(self):
-        sampler = TimelineSampler(sample_every_refi=1)
+        sampler, records = _sampler()
         controller = _FakeController()
         sampler.attach(controller)
         bank = controller.subchannel.banks[0]
@@ -90,47 +102,50 @@ class TestDeltas:
         bank.stats.row_hits = 45
         controller.refresh.fire(1, 200)
 
-        first, second = sampler.samples
-        assert first.activations == 10 and first.row_hits == 30
-        assert second.activations == 5 and second.row_hits == 15
-        assert second.row_hit_rate == pytest.approx(15 / 20)
+        first, second = records
+        assert first["acts"] == 10 and first["hits"] == 30
+        assert second["acts"] == 5 and second["hits"] == 15
+        assert second["hit_rate"] == pytest.approx(15 / 20)
 
     def test_rlp_is_rows_per_command_in_interval(self):
-        sampler = TimelineSampler(sample_every_refi=1)
+        sampler, records = _sampler()
         controller = _FakeController()
         sampler.attach(controller)
         controller.subchannel.stats.mitigation_commands = 4
         controller.subchannel.stats.mitigated_rows = 30
         controller.refresh.fire(0, 100)
-        sample = sampler.samples[0]
-        assert sample.mitigation_commands == 4
-        assert sample.rlp == pytest.approx(7.5)
+        (record,) = records
+        assert record["drfm"] == 4
+        assert record["rows_mitigated"] == 30
+        assert record["rlp"] == pytest.approx(7.5)
 
     def test_zero_activity_interval_is_safe(self):
-        sampler = TimelineSampler(sample_every_refi=1)
+        sampler, records = _sampler()
         controller = _FakeController()
         sampler.attach(controller)
         controller.refresh.fire(0, 100)
-        sample = sampler.samples[0]
-        assert sample.row_hit_rate == 0.0
-        assert sample.rlp == 0.0
+        (record,) = records
+        assert record["hit_rate"] == 0.0
+        assert record["rlp"] == 0.0
 
     def test_open_banks_and_queue_depth_snapshotted(self):
-        sampler = TimelineSampler(sample_every_refi=1)
+        sampler, records = _sampler()
         controller = _FakeController()
         sampler.attach(controller)
         controller.subchannel.banks[0].open_row = 12
         controller.subchannel.banks[2].open_row = 7
+        controller.subchannel.dars = 3
         sampler.queue_depth = lambda: 42
         controller.refresh.fire(0, 100)
-        sample = sampler.samples[0]
-        assert sample.open_banks == 2
-        assert sample.queue_depth == 42
+        (record,) = records
+        assert record["open_banks"] == 2
+        assert record["valid_dars"] == 3
+        assert record["queue_depth"] == 42
 
 
 class TestMultiSubchannel:
     def test_samples_tagged_and_filterable(self):
-        sampler = TimelineSampler(sample_every_refi=1)
+        sampler, records = _sampler()
         first = _FakeController(index=0)
         second = _FakeController(index=1)
         sampler.attach(first)
@@ -138,9 +153,9 @@ class TestMultiSubchannel:
         first.refresh.fire(0, 100)
         second.refresh.fire(0, 100)
         first.refresh.fire(1, 200)
-        assert len(sampler.for_subchannel(0)) == 2
-        assert len(sampler.for_subchannel(1)) == 1
-        assert all(s.subchannel == 1 for s in sampler.for_subchannel(1))
+        assert [(r["sc"], r["tick"]) for r in records] == \
+            [(0, 0), (1, 0), (0, 1)]
+        assert sampler.ticks == 3
 
 
 class TestJournalEmission:
@@ -157,14 +172,11 @@ class TestJournalEmission:
         assert set(record) >= {"acts", "hits", "drfm", "rlp",
                                "open_banks", "queue_depth"}
 
-    def test_to_record_round_trips_sample_fields(self):
-        sample = TimelineSample(
-            subchannel=1, tick=3, time_ps=999, ref_index=7,
-            activations=10, row_hits=20, row_conflicts=1,
-            row_hit_rate=0.6667, samples=4, mitigation_commands=2,
-            mitigated_rows=15, rlp=7.5, selections=2, rmaq_hits=1,
-            rmaq_skips=0, open_banks=5, valid_dars=3, queue_depth=12)
-        record = sample.to_record()
-        assert record["sc"] == 1
-        assert record["rlp"] == 7.5
-        assert record["valid_dars"] == 3
+    def test_tick_without_a_journal_still_counts(self):
+        sampler = TimelineSampler(sample_every_refi=1)
+        controller = _FakeController()
+        sampler.attach(controller)
+        record = sampler.tick(0, ref_index=7, time_ps=999)
+        assert record["kind"] == "sample"
+        assert (record["ref"], record["t_ps"]) == (7, 999)
+        assert sampler.ticks == 1

@@ -1,6 +1,8 @@
 """EventTrace capture plus the ``repro trace`` analyzer cross-check.
 
-The load-bearing assertion: the analyzer's per-policy RLP statistics,
+``EventTrace`` and ``Telemetry(trace=...)`` are deprecated since 3.4
+(the journal holds the same records); each use here asserts its
+warning.  The load-bearing assertion: the analyzer's per-policy RLP statistics,
 reduced purely from journal/trace records, must equal
 :func:`repro.analysis.rlp.summarize` over the sub-channel's raw
 :class:`~repro.dram.subchannel.MitigationEvent` log for a real Figure-5
@@ -23,10 +25,15 @@ from repro.obs.snapshot import TelemetrySnapshot
 from repro.obs.trace import EventTrace
 
 
+#: What every deprecated trace spelling's warning points at.
+_JOURNAL_HINT = r"--journal FILE \(Telemetry\(journal_path=\.\.\.\)\)"
+
+
 @pytest.fixture
 def hammered():
     """A fig5 coupled-MINT design driven hard enough to mitigate."""
-    telemetry = Telemetry(journal_memory=True, trace=True)
+    with pytest.warns(DeprecationWarning, match=_JOURNAL_HINT):
+        telemetry = Telemetry(journal_memory=True, trace=True)
     telemetry.begin_run("attack", "mint-drfmsb", seed=99)
     harness = AttackHarness(coupled_mint_factory(500))
     harness.policy.telemetry = telemetry.channel(0)
@@ -111,7 +118,8 @@ def _failing_spans_dump(tmp_path):
 
 
 def _failing_trace_dump(tmp_path):
-    trace = EventTrace()
+    with pytest.warns(DeprecationWarning):
+        trace = EventTrace()
     trace.record({"kind": "mitigation", "rlp": 1})
     trace.record({"kind": "mitigation", "rlp": _UNSERIALIZABLE})
     target = tmp_path / "events.jsonl"
@@ -150,9 +158,37 @@ class TestAtomicWrites:
             [target.name]
 
 
+class TestDeprecation:
+    def test_event_trace_warns_once_and_points_at_the_journal(self):
+        with pytest.warns(DeprecationWarning,
+                          match=r"EventTrace\(\.\.\.\) is deprecated") \
+                as caught:
+            EventTrace(limit=3)
+        assert len(caught) == 1
+        assert "4.0 removes" in str(caught[0].message)
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize("kwargs", [{"trace": True},
+                                        {"trace_limit": 5},
+                                        {"trace": True, "trace_limit": 5}],
+                             ids=["trace", "trace_limit", "both"])
+    def test_telemetry_trace_knobs_warn_once(self, kwargs):
+        with pytest.warns(DeprecationWarning, match=_JOURNAL_HINT) \
+                as caught:
+            telemetry = Telemetry(**kwargs)
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
+        assert (telemetry.trace is not None) == kwargs.get("trace", False)
+
+    def test_telemetry_without_trace_knobs_is_silent(self, recwarn):
+        assert Telemetry(trace=False).trace is None
+        assert not recwarn.list
+
+
 class TestEventTraceBounds:
     def test_capacity_drops_and_counts(self):
-        trace = EventTrace(limit=2)
+        with pytest.warns(DeprecationWarning):
+            trace = EventTrace(limit=2)
         for index in range(5):
             trace.record({"kind": "mitigation", "rlp": index})
         assert len(trace) == 2
@@ -160,7 +196,8 @@ class TestEventTraceBounds:
         assert [event["rlp"] for event in trace.events] == [0, 1]
 
     def test_records_are_json_lines(self, tmp_path):
-        trace = EventTrace()
+        with pytest.warns(DeprecationWarning):
+            trace = EventTrace()
         trace.record({"kind": "mitigation", "cmd": "NRR", "rlp": 1})
         path = tmp_path / "t.jsonl"
         trace.write_jsonl(path)

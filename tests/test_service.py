@@ -15,6 +15,7 @@ from repro.experiments.common import RunOptions
 from repro.service import (BadSubmission, JobScheduler, ServiceThread,
                            SweepClient, UnknownJob)
 from repro.service.jobs import JobFailedError, JobNotDone
+from repro.service.server import AccessLog
 from repro.workloads.builder import clear_cache
 
 #: Small per-core budget so a job is a ~1 s ten-cell sweep.
@@ -224,6 +225,49 @@ class TestHttpSurface:
         head, _, body = response.partition(b"\r\n\r\n")
         assert head.split()[1] == b"400"
         assert "Content-Length" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("head,status,method,path", [
+        ("POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+         400, "POST", "/v1/jobs"),
+        ("POST /v1/jobs?x=1 HTTP/1.1\r\nContent-Length: 999999999\r\n"
+         "\r\n", 413, "POST", "/v1/jobs"),
+        ("HELLO\r\n\r\n", 400, "-", "-"),
+    ], ids=["length-abc", "length-too-large", "one-word-line"])
+    def test_rejected_request_reaches_the_access_log(self, scheduler,
+                                                     tmp_path, head,
+                                                     status, method, path):
+        """Requests refused before routing are logged like any other
+        response, with ``-`` for a request line that does not split."""
+        log_path = tmp_path / "access.jsonl"
+        with ServiceThread(scheduler,
+                           access_log=AccessLog(str(log_path))) \
+                as service:
+            with socket.create_connection((service.host, service.port),
+                                          timeout=30) as sock:
+                sock.sendall(head.encode())
+                response = sock.makefile("rb").read()
+        assert response.split()[1] == str(status).encode()
+        (record,) = [json.loads(line)
+                     for line in log_path.read_text().splitlines()]
+        assert (record["method"], record["path"], record["status"]) == \
+            (method, path, status)
+        assert record["bytes"] == len(response)
+
+    def test_connection_without_request_line_is_not_logged(self, scheduler,
+                                                           tmp_path):
+        log_path = tmp_path / "access.jsonl"
+        with ServiceThread(scheduler,
+                           access_log=AccessLog(str(log_path))) \
+                as service:
+            with socket.create_connection((service.host, service.port),
+                                          timeout=30) as sock:
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.makefile("rb").read() == b""
+            SweepClient(service.url).experiments()
+        records = [json.loads(line)
+                   for line in log_path.read_text().splitlines()]
+        assert [record["path"] for record in records] == \
+            ["/v1/experiments"]
 
     @pytest.mark.parametrize("field,value", [("resume", True),
                                              ("backend", "auto")])
