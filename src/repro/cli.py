@@ -80,7 +80,6 @@ from repro.exec.resilience import SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
-from repro.obs.journal import read_journal
 from repro.obs.profiling import Stopwatch, render_profile
 from repro.obs.trace import BoundedTrace, trace_deprecation
 
@@ -184,8 +183,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 def _build_telemetry(args: argparse.Namespace):
     """Construct a Telemetry from CLI flags, or ``None`` if all are off.
-    The deprecated ``--trace`` warns here and is written from the
-    journal, which it keeps in memory if ``--journal`` is not given."""
+    The deprecated ``--trace`` warns here and keeps a bounded copy of
+    the mitigation records as ``telemetry.trace``."""
     if not (args.journal or args.metrics_out or args.profile
             or args.trace or args.spans):
         return None
@@ -196,10 +195,12 @@ def _build_telemetry(args: argparse.Namespace):
         print(f"warning: {trace_deprecation('--trace FILE')}",
               file=sys.stderr)
     sample_every = args.sample_every or DEFAULT_SAMPLE_EVERY_REFI
-    return Telemetry(journal_path=args.journal,
-                     journal_memory=bool(args.trace),
-                     sample_every_refi=sample_every,
-                     profile=args.profile)
+    telemetry = Telemetry(journal_path=args.journal,
+                          sample_every_refi=sample_every,
+                          profile=args.profile)
+    if args.trace:
+        telemetry.trace = BoundedTrace()
+    return telemetry
 
 
 def _emit_telemetry(args: argparse.Namespace, telemetry,
@@ -227,16 +228,11 @@ def _emit_telemetry(args: argparse.Namespace, telemetry,
     if args.journal:
         print(f"journal written to {args.journal}", file=sys.stderr)
     if args.trace:
-        trace = BoundedTrace()
-        records = telemetry.journal.records if args.journal is None \
-            else read_journal(args.journal)
-        trace.extend(record for record in records
-                     if record["kind"] == "mitigation")
-        trace.write_jsonl(args.trace)
-        suffix = f" ({trace.dropped} dropped at capacity)" \
-            if trace.dropped else ""
+        telemetry.trace.write_jsonl(args.trace)
+        suffix = f" ({telemetry.trace.dropped} dropped at capacity)" \
+            if telemetry.trace.dropped else ""
         print(f"trace written to {args.trace} "
-              f"({len(trace)} events){suffix}", file=sys.stderr)
+              f"({len(telemetry.trace)} events){suffix}", file=sys.stderr)
     if args.spans:
         telemetry.write_spans(args.spans)
         print(f"spans written to {args.spans} "

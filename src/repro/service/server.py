@@ -142,15 +142,15 @@ class AccessLog:
 
 
 class _LoggedWriter:
-    """StreamWriter proxy accounting method/path (``-`` for a request
-    line that does not split) and status/bytes/job for one request."""
+    """StreamWriter proxy accounting method/path (``-`` until a request
+    line splits) and status/bytes/job for one request."""
 
     __slots__ = ("_writer", "method", "path", "status", "sent", "job")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
-        self.method: str | None = None
-        self.path: str | None = None
+        self.method = "-"
+        self.path = "-"
         self.status: int | None = None
         self.sent = 0
         self.job: str | None = None
@@ -219,6 +219,7 @@ class SweepService:
     async def _handle(self, reader: asyncio.StreamReader,
                       raw_writer: asyncio.StreamWriter) -> None:
         writer = _LoggedWriter(raw_writer)
+        request = None
         started = time.perf_counter()
         try:
             request = await self._read_request(reader, writer)
@@ -235,9 +236,11 @@ class SweepService:
             except ConnectionError:
                 pass
         finally:
-            # Every request line gets a record, 400s and 413s refused
-            # before routing included; a silent connection gets none.
-            if self.access_log is not None and writer.method is not None:
+            # Every response written gets a record, those refused
+            # before routing included, and so does every routed
+            # request; a connection answered nothing gets none.
+            if self.access_log is not None and (
+                    request is not None or writer.status is not None):
                 duration_us = int((time.perf_counter() - started) * 1e6)
                 self.access_log.record(
                     writer.method, writer.path, writer.status or 0,
@@ -253,7 +256,6 @@ class SweepService:
         line = await reader.readline()
         if not line:
             return None
-        writer.method = writer.path = "-"
         try:
             method, target, _version = line.decode("latin-1").split()
         except ValueError:

@@ -232,12 +232,15 @@ class TestHttpSurface:
         ("POST /v1/jobs?x=1 HTTP/1.1\r\nContent-Length: 999999999\r\n"
          "\r\n", 413, "POST", "/v1/jobs"),
         ("HELLO\r\n\r\n", 400, "-", "-"),
-    ], ids=["length-abc", "length-too-large", "one-word-line"])
+        ("GET /" + "x" * 70_000 + " HTTP/1.1\r\n\r\n", 500, "-", "-"),
+    ], ids=["length-abc", "length-too-large", "one-word-line",
+            "line-over-stream-limit"])
     def test_rejected_request_reaches_the_access_log(self, scheduler,
                                                      tmp_path, head,
                                                      status, method, path):
         """Requests refused before routing are logged like any other
-        response, with ``-`` for a request line that does not split."""
+        response, with ``-`` for a request line that does not split or
+        is longer than the stream reader's 64 KiB limit."""
         log_path = tmp_path / "access.jsonl"
         with ServiceThread(scheduler,
                            access_log=AccessLog(str(log_path))) \
@@ -253,14 +256,20 @@ class TestHttpSurface:
             (method, path, status)
         assert record["bytes"] == len(response)
 
-    def test_connection_without_request_line_is_not_logged(self, scheduler,
-                                                           tmp_path):
+    @pytest.mark.parametrize("head", [
+        "", "POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+    ], ids=["no-request-line", "body-cut-short"])
+    def test_connection_answered_nothing_is_not_logged(self, scheduler,
+                                                       tmp_path, head):
+        """A client that closes before a request line, or before the
+        body it announced, gets no response and no record."""
         log_path = tmp_path / "access.jsonl"
         with ServiceThread(scheduler,
                            access_log=AccessLog(str(log_path))) \
                 as service:
             with socket.create_connection((service.host, service.port),
                                           timeout=30) as sock:
+                sock.sendall(head.encode())
                 sock.shutdown(socket.SHUT_WR)
                 assert sock.makefile("rb").read() == b""
             SweepClient(service.url).experiments()
