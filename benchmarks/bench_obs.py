@@ -1,14 +1,13 @@
 """Benchmark: telemetry overhead on the simulation hot path.
 
 Runs one fixed, fully mitigated cell (mcf under coupled MINT + DRFMsb —
-a mitigation-heavy configuration, so journal/trace recording is
-exercised, not idle) in four telemetry configurations:
+a mitigation-heavy configuration, so journal recording is exercised,
+not idle) in three telemetry configurations:
 
 * **off** — no telemetry at all (the default path: one pointer check);
 * **on** — in-memory journal + timeline sampling + metrics + the span
   tracer every telemetry records (engine spans bracket the event loop,
   so their per-event cost is nil);
-* **on+trace** — the above plus the bounded DRFM event trace;
 * **on+export** — "on" plus the service observability plane exercised
   concurrently: a background scraper renders the Prometheus exposition
   from the live telemetry registry every 50 ms (a /v1/metrics scrape)
@@ -18,13 +17,13 @@ exercised, not idle) in four telemetry configurations:
   ``export_increment_pct``) must stay <= 2 % events/s.
 
 Two measurement rules keep the comparison honest on a noisy 1-core CI
-box (this benchmark used to report "on+trace" as *cheaper* than "on",
-which is impossible in expectation):
+box (this benchmark once reported a configuration that does strictly
+more work as *cheaper* than "on", which is impossible in expectation):
 
 * **warmup** — each configuration runs one untimed round first, so
   first-touch effects (trace-column materialisation, allocator warm-up,
   branch caches) do not land on whichever config happened to run first;
-* **interleaving** — the timed rounds cycle off -> on -> on+trace
+* **interleaving** — the timed rounds cycle off -> on -> on+export
   rather than measuring each config's rounds back-to-back, so slow
   machine-speed drift (CPU contention on shared runners moves on a
   multi-second timescale) hits every configuration equally.
@@ -64,7 +63,7 @@ OBS_SNAPSHOT = RESULTS_DIR / "BENCH_obs.json"
 ROUNDS = 7
 REQUESTS = 2_000
 WORKLOAD = "mcf"
-CONFIGS = ("off", "on", "on+trace", "on+export")
+CONFIGS = ("off", "on", "on+export")
 
 #: Scrape cadence for the ``on+export`` configuration — far more
 #: aggressive than a real Prometheus (15 s default) so the measured
@@ -75,8 +74,7 @@ SCRAPE_INTERVAL_S = 0.05
 def _telemetry(config: str) -> Telemetry | None:
     if config == "off":
         return None
-    return Telemetry(journal_memory=True, sample_every_refi=8,
-                     trace=(config == "on+trace"))
+    return Telemetry(journal_memory=True, sample_every_refi=8)
 
 
 class _ExportScraper:
@@ -171,8 +169,9 @@ def _update_obs_snapshot(entries: dict[str, dict]) -> None:
         snapshot = json.loads(OBS_SNAPSHOT.read_text())
     except (OSError, ValueError):
         pass
-    configs = snapshot.setdefault("configs", {})
-    configs.update(entries)
+    # Only the configurations measured now: one no longer in CONFIGS
+    # must not linger in the snapshot with a stale figure.
+    configs = snapshot["configs"] = dict(entries)
     baseline = configs.get("off", {})
     best_base = baseline.get("events_per_sec")
     median_base = baseline.get("median_events_per_sec")

@@ -50,7 +50,7 @@ from repro.trackers import (abacus_factory, graphene_factory, moat_factory)
 from repro.workloads import (PROFILES, MemoryTrace, WorkloadProfile,
                              build_traces, profile, profiles_for)
 
-__version__ = "3.4.0"
+__version__ = "4.0.0"
 
 #: Harness-level names resolved lazily: importing the experiment
 #: registry pulls in the whole experiment suite, and the executor would
@@ -72,7 +72,6 @@ _LAZY = {
     "SpanTracer": ("repro.obs.spans", "SpanTracer"),
     "Telemetry": ("repro.obs", "Telemetry"),
     "TelemetrySnapshot": ("repro.obs.snapshot", "TelemetrySnapshot"),
-    "EventTrace": ("repro.obs.trace", "EventTrace"),
     "exec_runtime": ("repro.exec.runtime", None),
     "obs_runtime": ("repro.obs.runtime", None),
     "run_experiment": ("repro.experiments.registry", "run_experiment"),
@@ -108,7 +107,6 @@ __all__ = [
     "DreamCPolicy",
     "DreamRMintPolicy",
     "DreamRParaPolicy",
-    "EventTrace",
     "ExperimentResult",
     "FailedCell",
     "FaultPlan",

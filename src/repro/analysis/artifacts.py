@@ -80,35 +80,30 @@ def load_spans_doc(path: str):
 def load_spans_url(url: str):
     """Fetch and decode a remote spans document for ``spans --url``.
 
-    ``url`` is the service's ``/v1/jobs/<id>/spans`` endpoint.  HTTP
-    errors surface the server's ``{"error": ...}`` detail; transport
-    errors and malformed documents follow the same taxonomy as the
-    file loader, so ``repro spans`` behaves identically on both inputs.
+    ``url`` is the service's ``/v1/jobs/<id>/spans`` endpoint; any other
+    shape is refused before a request is made.  The fetch goes through
+    :class:`~repro.service.client.SweepClient`, so an unreachable
+    service or an HTTP error reads like it does for ``jobs`` and
+    ``submit``; a malformed document follows the file loader's
+    taxonomy, so ``repro spans`` behaves identically on both inputs.
     """
     import json
-    import urllib.error
-    import urllib.request
+    import re
 
     from repro.analysis.spans import SpansFormatError, decode_spans
+    from repro.service.client import ServiceError, SweepClient
 
-    if not url.startswith(("http://", "https://")):
-        raise ArtifactError(f"--url must be an http(s) URL, got {url!r}")
+    match = re.fullmatch(r"http://([^/:?#]+):(\d+)/v1/jobs/([^/?#]+)/spans",
+                         url)
+    if match is None or int(match.group(2)) > 65535:
+        raise ArtifactError(f"--url must be "
+                            f"http://host:port/v1/jobs/<id>/spans, "
+                            f"got {url!r}")
+    host, port, job_id = match.groups()
     try:
-        with urllib.request.urlopen(url) as response:
-            payload = response.read()
-    except urllib.error.HTTPError as error:
-        detail = ""
-        try:
-            body = json.loads(error.read())
-            if isinstance(body, dict):
-                detail = body.get("error", "")
-        except ValueError:
-            pass
-        raise ArtifactError(
-            f"service answered {error.code} for {url}"
-            + (f": {detail}" if detail else "")) from None
-    except (OSError, urllib.error.URLError) as error:
-        raise ArtifactError(f"cannot fetch {url}: {error}") from None
+        payload = SweepClient(f"http://{host}:{port}").spans(job_id)
+    except ServiceError as error:
+        raise ArtifactError(str(error)) from None
     try:
         doc = json.loads(payload)
     except ValueError as error:

@@ -19,11 +19,8 @@ the real wiring lives in :func:`repro.cli._cmd_top`.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 
 from repro.obs.exporter import parse_exposition, sample_value
@@ -63,20 +60,21 @@ class InstanceSample:
         return 100.0 * self.cache_hits / lookups if lookups else 0.0
 
 
-def _get(url: str, timeout_s: float) -> bytes:
-    with urllib.request.urlopen(url, timeout=timeout_s) as response:
-        return response.read()
-
-
 def fetch_instance(url: str,
                    timeout_s: float = FETCH_TIMEOUT_S) -> InstanceSample:
-    """Poll one instance; failures come back as ``ok=False`` samples."""
+    """Poll one instance; failures come back as ``ok=False`` samples.
+
+    The client gets no transport retries, so a dead instance costs a
+    poll one connection attempt, not a backoff schedule.
+    """
+    from repro.service.client import SweepClient
+
     base = url.rstrip("/")
     sample = InstanceSample(url=base)
     try:
-        samples = parse_exposition(
-            _get(f"{base}/v1/metrics", timeout_s).decode("utf-8"))
-        jobs = json.loads(_get(f"{base}/v1/jobs", timeout_s))["jobs"]
+        client = SweepClient(base, timeout_s=timeout_s, backoff_s=())
+        samples = parse_exposition(client.metrics_text())
+        jobs = client.jobs()
     except Exception as error:  # noqa: BLE001 — one row per instance
         sample.error = f"{type(error).__name__}: {error}"
         return sample

@@ -1,8 +1,8 @@
 """Analysis of DRFM/RLP event traces (the ``repro trace`` subcommand).
 
 Input is a JSONL file of journal records: a run journal
-(``--journal``), or the journal's mitigation records alone that the
-deprecated ``--trace`` writes.  Only two record kinds matter here:
+(``--journal``), or the journal's mitigation records alone (what 3.x's
+``--trace`` wrote).  Only two record kinds matter here:
 
 * ``mitigation`` — one executed mitigation command: realised RLP,
   blocked banks, the command mnemonic, and the valid-DAR count at issue

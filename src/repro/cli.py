@@ -41,10 +41,9 @@ line, before any work starts.
 ``run`` and ``report`` accept the telemetry flags ``--journal FILE``
 (JSONL run journal), ``--metrics-out FILE`` (metrics snapshot JSON),
 ``--profile`` (wall-clock phase table on stderr), ``--spans FILE``
-(hierarchical sweep span trace for ``spans``), ``--sample-every N``
-(timeline cadence in tREFI) and the deprecated ``--trace FILE`` (the
-journal's mitigation records alone).  Telemetry is off unless one of
-these is given, and enabling it does not change any simulated result.
+(hierarchical sweep span trace for ``spans``) and ``--sample-every N``
+(timeline cadence in tREFI).  Telemetry is off unless one of these is
+given, and enabling it does not change any simulated result.
 
 They also accept the sweep-execution flags ``--jobs N`` (fan simulation
 cells over N worker processes; ``0`` = all cores), ``--cache-dir DIR``
@@ -81,7 +80,6 @@ from repro.experiments import registry
 from repro.experiments.common import RunOptions
 from repro.obs import runtime as obs_runtime
 from repro.obs.profiling import Stopwatch, render_profile
-from repro.obs.trace import BoundedTrace, trace_deprecation
 
 #: Default sweep-service port (``repro serve`` / ``repro submit``).
 DEFAULT_SERVICE_PORT = 8731
@@ -129,9 +127,9 @@ observability workflows:
 """
 
 
-def _at_least(low: int):
+def _at_least(low: int, at_most: int | None = None):
     """An argparse ``type`` (and environment parser): an integer
-    ``>= low``."""
+    ``>= low`` (and ``<= at_most`` when given)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -140,6 +138,9 @@ def _at_least(low: int):
                 f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, "
+                                             f"got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be <= {at_most}, "
                                              f"got {value}")
         return value
     return parse
@@ -182,25 +183,18 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _build_telemetry(args: argparse.Namespace):
-    """Construct a Telemetry from CLI flags, or ``None`` if all are off.
-    The deprecated ``--trace`` warns here and keeps a bounded copy of
-    the mitigation records as ``telemetry.trace``."""
+    """Construct a Telemetry from CLI flags, or ``None`` if all are
+    off."""
     if not (args.journal or args.metrics_out or args.profile
-            or args.trace or args.spans):
+            or args.spans):
         return None
     from repro.obs import Telemetry
     from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI
 
-    if args.trace:
-        print(f"warning: {trace_deprecation('--trace FILE')}",
-              file=sys.stderr)
     sample_every = args.sample_every or DEFAULT_SAMPLE_EVERY_REFI
-    telemetry = Telemetry(journal_path=args.journal,
-                          sample_every_refi=sample_every,
-                          profile=args.profile)
-    if args.trace:
-        telemetry.trace = BoundedTrace()
-    return telemetry
+    return Telemetry(journal_path=args.journal,
+                     sample_every_refi=sample_every,
+                     profile=args.profile)
 
 
 def _emit_telemetry(args: argparse.Namespace, telemetry,
@@ -227,12 +221,6 @@ def _emit_telemetry(args: argparse.Namespace, telemetry,
         print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     if args.journal:
         print(f"journal written to {args.journal}", file=sys.stderr)
-    if args.trace:
-        telemetry.trace.write_jsonl(args.trace)
-        suffix = f" ({telemetry.trace.dropped} dropped at capacity)" \
-            if telemetry.trace.dropped else ""
-        print(f"trace written to {args.trace} "
-              f"({len(telemetry.trace)} events){suffix}", file=sys.stderr)
     if args.spans:
         telemetry.write_spans(args.spans)
         print(f"spans written to {args.spans} "
@@ -694,7 +682,10 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def _cmd_storage(args: argparse.Namespace) -> int:
-    comparison = compare_storage(args.t_rh)
+    try:
+        comparison = compare_storage(args.t_rh)
+    except ValueError as error:
+        _input_error(str(error))
     print(f"T_RH = {comparison.t_rh}")
     print(f"  DREAM-C : {comparison.dream_c_kb:8.2f} KB/bank")
     print(f"  Graphene: {comparison.graphene_kb:8.2f} KB/bank "
@@ -705,7 +696,11 @@ def _cmd_storage(args: argparse.Namespace) -> int:
 
 
 def _cmd_security(args: argparse.Namespace) -> int:
-    print(revised_parameters(args.t_rh).describe())
+    try:
+        parameters = revised_parameters(args.t_rh)
+    except ValueError as error:
+        _input_error(str(error))
+    print(parameters.describe())
     return 0
 
 
@@ -757,10 +752,6 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="print wall-clock phase timings to "
                              "stderr")
-    parser.add_argument("--trace", metavar="FILE",
-                        help="deprecated (4.0 removes it): write the "
-                             "journal's mitigation records as JSONL; "
-                             "`trace` reads a --journal file")
     parser.add_argument("--sample-every", type=_at_least(1), metavar="N",
                         help="timeline sampling period in tREFI "
                              "(default 8)")
@@ -818,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "(async HTTP job API; see docs/service.md)")
     serve_parser.add_argument("--host", default="127.0.0.1",
                               help="bind address (default 127.0.0.1)")
-    serve_parser.add_argument("--port", type=int,
+    serve_parser.add_argument("--port", type=_at_least(0, at_most=65535),
                               default=DEFAULT_SERVICE_PORT,
                               help=f"bind port (0 = ephemeral; default "
                                    f"{DEFAULT_SERVICE_PORT})")
@@ -865,8 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "instances (default REPRO_SERVICE_URL, "
                                  "else http://127.0.0.1:"
                                  f"{DEFAULT_SERVICE_PORT})")
-    top_parser.add_argument("--interval", type=float, default=2.0,
-                            metavar="S",
+    top_parser.add_argument("--interval", type=_positive_seconds,
+                            default=2.0, metavar="S",
                             help="seconds between polls (default 2)")
     top_parser.add_argument("--once", action="store_true",
                             help="print one snapshot and exit (exit 2 "
@@ -925,10 +916,10 @@ def build_parser() -> argparse.ArgumentParser:
                                    "request log instead (per-route "
                                    "requests, errors, latency "
                                    "percentiles, bytes)")
-    stats_parser.add_argument("--max-bars", type=int, default=24,
+    stats_parser.add_argument("--max-bars", type=_at_least(1), default=24,
                               help="bucket the sample chart to at most "
                                    "this many bars")
-    stats_parser.add_argument("--max-runs", type=int, default=24,
+    stats_parser.add_argument("--max-runs", type=_at_least(0), default=24,
                               help="list at most this many run summaries")
     stats_parser.set_defaults(func=_cmd_stats)
 
@@ -937,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "journal (--journal output, JSONL)")
     trace_parser.add_argument("trace",
                               help="journal / event-trace file to read")
-    trace_parser.add_argument("--width", type=int, default=40,
+    trace_parser.add_argument("--width", type=_at_least(4), default=40,
                               help="histogram bar width in columns")
     trace_parser.set_defaults(func=_cmd_trace)
 

@@ -42,10 +42,10 @@ relaunching an interrupted sweep over the same cache computes only the
 cells it lacks.  Failure paths are exercised deterministically via
 :mod:`repro.exec.faults` (``REPRO_FAULTS``).
 
-Cells whose policy is not a :class:`~repro.exec.spec.PolicySpec` (a bare
-closure) cannot cross a process boundary or be fingerprinted; they are
-executed inline in the parent and never cached — correct, just without
-the speedups.
+A :class:`Cell`'s policy is a :class:`~repro.exec.spec.PolicySpec`
+(what every ``@spec_factory`` factory returns) or ``None``: a bare
+closure can neither cross a process boundary nor key the cache, so
+:func:`cell_fingerprint` refuses it with a ``FingerprintError``.
 
 The executor is **thread-safe**: any number of threads may call
 :meth:`SweepExecutor.run_cells` concurrently on one shared instance (the
@@ -129,7 +129,7 @@ class Cell:
     trace_system: SystemConfig
     run_system: SystemConfig
     sim: SimConfig
-    policy: PolicySpec | Callable | None
+    policy: PolicySpec | None
     policy_name: str
 
     def key(self) -> dict:
@@ -185,15 +185,20 @@ class StudyCell:
         return resolve_ref(self.ref)(**dict(self.kwargs))
 
 
-def cell_fingerprint(cell: Cell | StudyCell) -> str | None:
-    """Content fingerprint of ``cell``, or ``None`` if not spec-backed."""
+def cell_fingerprint(cell: Cell | StudyCell) -> str:
+    """Content fingerprint of ``cell``.
+
+    Raises :class:`FingerprintError` for a :class:`Cell` whose policy is
+    neither a :class:`PolicySpec` nor ``None``, or for any part without
+    a canonical encoding.
+    """
     if isinstance(cell, Cell) and not (
             cell.policy is None or isinstance(cell.policy, PolicySpec)):
-        return None
-    try:
-        return fingerprint(**cell.key())
-    except FingerprintError:
-        return None
+        raise FingerprintError(
+            f"cell {cell.workload_name}/{cell.policy_name}: the policy "
+            f"must be a PolicySpec (decorate its factory with "
+            f"@spec_factory), got {type(cell.policy).__name__}")
+    return fingerprint(**cell.key())
 
 
 def _worker_init() -> None:
@@ -278,7 +283,6 @@ class ExecutorStats:
 
     cells: int = 0
     computed: int = 0
-    inline: int = 0
     #: Always 0: there is one engine.  Kept only because the e2e
     #: benchmark's tracer still reads it (see :mod:`repro.sim.batched`).
     batched: int = 0
@@ -306,8 +310,8 @@ class ExecutorStats:
 
     def describe(self) -> str:
         line = (f"cells={self.cells} computed={self.computed} "
-                f"memo_hits={self.memo_hits} inline={self.inline} "
-                f"retries={self.retries} timeouts={self.timeouts}")
+                f"memo_hits={self.memo_hits} retries={self.retries} "
+                f"timeouts={self.timeouts}")
         if self.dedup_hits:
             line += f" dedup_hits={self.dedup_hits}"
         if self.failed:
@@ -539,8 +543,10 @@ class SweepExecutor:
         :class:`RunResult` per :class:`Cell`, the plain value per
         :class:`StudyCell`.
 
-        Cells that fail terminally (retry budget exhausted) are reported
-        in one :class:`SweepFailure` raised *after* every other cell has
+        A cell :func:`cell_fingerprint` refuses raises before this run
+        claims, counts or computes anything.  Cells that fail
+        terminally (retry budget exhausted) are reported in one
+        :class:`SweepFailure` raised *after* every other cell has
         completed and been cached, so a relaunch over the same cache
         redoes only the losers.
 
@@ -551,6 +557,7 @@ class SweepExecutor:
         occurrence, whatever the execution mode.
         """
         started = time.perf_counter()
+        fps = [cell_fingerprint(cell) for cell in cells]
         self._stat("cells", len(cells))
         failures: list[FailedCell] = []
         telemetry = obs_runtime.active()
@@ -564,7 +571,8 @@ class SweepExecutor:
             self._active_runs += 1
         try:
             try:
-                results, snaps = self._run(cells, failures, capture)
+                results, snaps = self._run(cells, fps, failures,
+                                           capture)
             finally:
                 if self.progress is not None:
                     self.progress.finish()
@@ -605,8 +613,8 @@ class SweepExecutor:
             finally:
                 tracer.end(span)
 
-    def _run(self, cells: list[Cell], failures: list[FailedCell],
-             capture: CaptureSpec | None):
+    def _run(self, cells: list[Cell], fps: list[str],
+             failures: list[FailedCell], capture: CaptureSpec | None):
         results: list = [None] * len(cells)
         snaps: list[TelemetrySnapshot | None] = [None] * len(cells)
         #: fingerprint -> indices this run will compute itself (owned).
@@ -615,17 +623,12 @@ class SweepExecutor:
         attached: dict[str, list[int]] = {}
         #: owned fingerprint -> its claim in the shared in-flight table.
         flights: dict[str, _Flight] = {}
-        inline: list[int] = []
         # The scan holds the lock end to end so claim-or-attach is
         # atomic per sweep: two identical concurrent sweeps partition
         # cleanly — whichever scans first owns every cell, the other
         # attaches to every cell — never an interleaved split.
         with self._lock:
-            for index, cell in enumerate(cells):
-                fp = cell_fingerprint(cell)
-                if fp is None:
-                    inline.append(index)
-                    continue
+            for index, fp in enumerate(fps):
                 if fp in pending:
                     pending[fp].append(index)
                     continue
@@ -644,8 +647,8 @@ class SweepExecutor:
                 pending[fp] = [index]
 
         try:
-            self._run_owned(cells, pending, flights, inline, results,
-                            snaps, failures, capture)
+            self._run_owned(cells, pending, flights, results, snaps,
+                            failures, capture)
             for fp, indices in attached.items():
                 outcome = self._await_flight(fp, cells[indices[0]],
                                              capture)
@@ -666,7 +669,7 @@ class SweepExecutor:
 
     def _run_owned(self, cells: list[Cell],
                    pending: dict[str, list[int]],
-                   flights: dict[str, "_Flight"], inline: list[int],
+                   flights: dict[str, "_Flight"],
                    results: list, snaps: list,
                    failures: list[FailedCell],
                    capture: CaptureSpec | None) -> None:
@@ -703,14 +706,6 @@ class SweepExecutor:
 
         if use_pool:
             fill_window()
-
-        # Spec-less cells run while the pool churns in the background.
-        for index in inline:
-            result, seconds, snap = _execute_cell(cells[index],
-                                                  capture=capture)
-            self._account_computed(result, seconds, inline=True)
-            results[index] = result
-            snaps[index] = snap
 
         for fp, indices in owned:
             future, pool = futures.pop(fp, (None, None))
@@ -800,7 +795,7 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Resilience
     # ------------------------------------------------------------------
-    def _resolve_cell(self, fp: str | None, cell: Cell,
+    def _resolve_cell(self, fp: str, cell: Cell,
                       future: Future | None,
                       pool: ProcessPoolExecutor | None,
                       capture: CaptureSpec | None = None):
@@ -852,7 +847,7 @@ class SweepExecutor:
                                  {"policy": cell.policy_name,
                                   "kind": kind})
                 return FailedCell(
-                    fingerprint=fp or "(unfingerprintable)",
+                    fingerprint=fp,
                     workload=cell.workload_name,
                     policy_name=cell.policy_name,
                     attempts=attempt, kind=kind, error=error)
@@ -861,12 +856,11 @@ class SweepExecutor:
             self._span_event("retry", {"policy": cell.policy_name,
                                        "kind": kind,
                                        "attempt": attempt})
-            time.sleep(self.policy.backoff(fp or cell.policy_name,
-                                           attempt))
+            time.sleep(self.policy.backoff(fp, attempt))
             submitted = self._submit(cell, fp, attempt, capture)
             future, pool = submitted if submitted else (None, None)
 
-    def _submit(self, cell: Cell, fp: str | None, attempt: int,
+    def _submit(self, cell: Cell, fp: str, attempt: int,
                 capture: CaptureSpec | None = None) \
             -> tuple[Future, ProcessPoolExecutor] | None:
         """Submit one attempt to the pool, or ``None`` for inline."""
@@ -880,7 +874,7 @@ class SweepExecutor:
             self._note_pool_failure(self._pool)
             return None
 
-    def _attempt_inline(self, cell: Cell, fp: str | None, attempt: int,
+    def _attempt_inline(self, cell: Cell, fp: str, attempt: int,
                         capture: CaptureSpec | None = None):
         """One in-process attempt, under the policy timeout if set.
 
@@ -902,7 +896,7 @@ class SweepExecutor:
 
         thread = threading.Thread(
             target=target, daemon=True,
-            name=f"repro-cell-{(fp or cell.policy_name)[:12]}")
+            name=f"repro-cell-{fp[:12]}")
         thread.start()
         thread.join(timeout)
         if not box:
@@ -966,11 +960,8 @@ class SweepExecutor:
                 if snap is not None:
                     self.cache.put_telemetry(fp, snap)
 
-    def _account_computed(self, result, seconds: float,
-                          inline: bool = False) -> None:
+    def _account_computed(self, result, seconds: float) -> None:
         self._stat("computed")
-        if inline:
-            self._stat("inline")
         if isinstance(result, RunResult):
             self._stat("engine_events", result.requests_completed)
         self._stat("engine_seconds", seconds)

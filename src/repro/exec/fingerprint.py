@@ -17,8 +17,9 @@ policy spec.  The encoding is a pure-data JSON document:
   digest is platform-stable.
 
 Anything else — in particular a bare ``lambda`` policy factory — raises
-:class:`FingerprintError`, which the executor treats as "run inline,
-never cache".  :data:`CACHE_SCHEMA_VERSION` is folded into every digest;
+:class:`FingerprintError`, and the executor refuses to run the cell
+(decorate the factory with ``@spec_factory``).
+:data:`CACHE_SCHEMA_VERSION` is folded into every digest;
 bump it whenever the meaning of a cached result changes (new RunResult
 fields, changed policy defaults, simulator semantics).
 """

@@ -6,7 +6,7 @@ for) a simulation.  Every instrumented hot-path site in the simulator
 guards on a single ``is None`` check, so the disabled path costs one
 pointer comparison.
 
-The :class:`Telemetry` facade ties eight modules together:
+The :class:`Telemetry` facade ties seven modules together:
 
 * :mod:`repro.obs.metrics`   — counters / gauges / histograms with
   hierarchical names (``mc.sc0.drfm_sb_issued``);
@@ -16,8 +16,6 @@ The :class:`Telemetry` facade ties eight modules together:
   (file-backed or in-memory);
 * :mod:`repro.obs.profiling` — the wall-clock phase table and engine
   events/sec, rendered from the span tree;
-* :mod:`repro.obs.trace`     — bounded copy of the journal's mitigation
-  records (deprecated in 3.4: ``repro trace`` reads the journal);
 * :mod:`repro.obs.snapshot`  — picklable per-cell snapshots plus the
   deterministic cross-process merge used by ``repro.exec``;
 * :mod:`repro.obs.progress`  — TTY-aware live sweep progress reporter;
@@ -40,7 +38,6 @@ merged metrics and journals (``tests/test_obs_parallel.py``).
 from __future__ import annotations
 
 import json
-import warnings
 
 from repro.dram.commands import Command
 from repro.obs import runtime
@@ -51,8 +48,6 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                RLP_BUCKETS)
 from repro.obs.profiling import ProfileView, Stopwatch
 from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI, TimelineSampler
-from repro.obs.trace import (DEFAULT_TRACE_LIMIT, BoundedTrace, EventTrace,
-                             trace_deprecation)
 from repro.obs.snapshot import (CaptureSpec, SNAPSHOT_SCHEMA_VERSION,
                                 TelemetrySnapshot, capture_snapshot,
                                 merge_snapshot, snapshot_from_doc,
@@ -67,8 +62,6 @@ __all__ = [
     "Command",
     "Counter",
     "DEFAULT_SAMPLE_EVERY_REFI",
-    "DEFAULT_TRACE_LIMIT",
-    "EventTrace",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -107,15 +100,14 @@ class SubchannelTelemetry:
     attached) one JSONL record.
     """
 
-    __slots__ = ("index", "journal", "trace", "mitigations",
-                 "rows_mitigated", "rlp_hist", "drfm_sb", "drfm_ab", "nrr")
+    __slots__ = ("index", "journal", "mitigations", "rows_mitigated",
+                 "rlp_hist", "drfm_sb", "drfm_ab", "nrr")
 
     def __init__(self, telemetry: "Telemetry", index: int) -> None:
         registry = telemetry.registry
         prefix = f"mc.sc{index}."
         self.index = index
         self.journal = telemetry.journal
-        self.trace = telemetry.trace
         self.mitigations = registry.counter(prefix + "mitigations")
         self.rows_mitigated = registry.counter(prefix + "rows_mitigated")
         self.rlp_hist = registry.histogram(prefix + "rlp")
@@ -137,17 +129,14 @@ class SubchannelTelemetry:
             self.drfm_ab.inc()
         elif command is Command.NRR:
             self.nrr.inc()
-        if self.journal is not None or self.trace is not None:
-            record = {"v": SCHEMA_VERSION, "kind": "mitigation",
-                      "sc": self.index, "t_ps": event.time_ps,
-                      "cmd": command.value, "policy": policy_name,
-                      "bank": event.trigger_bank,
-                      "blocked": event.blocked_banks,
-                      "rlp": rlp, "dars": valid_dars}
-            if self.journal is not None:
-                self.journal.append_record(record)
-            if self.trace is not None:
-                self.trace.record(record)
+        if self.journal is not None:
+            self.journal.append_record(
+                {"v": SCHEMA_VERSION, "kind": "mitigation",
+                 "sc": self.index, "t_ps": event.time_ps,
+                 "cmd": command.value, "policy": policy_name,
+                 "bank": event.trigger_bank,
+                 "blocked": event.blocked_banks,
+                 "rlp": rlp, "dars": valid_dars})
 
 
 class Telemetry:
@@ -169,10 +158,6 @@ class Telemetry:
         gates reporting (including the journal's closing ``profile``
         record — wall-clock is nondeterministic, so it only enters the
         journal on request).
-    trace, trace_limit:
-        Deprecated in 3.4 (each warns once; pass ``journal_path``):
-        keep a bounded copy of the journal's mitigation records, of
-        ``trace_limit`` events, as :attr:`trace`.
 
     :attr:`spans`, a hierarchical :class:`~repro.obs.spans.SpanTracer`
     of sweep execution (exported by ``repro spans``), is always
@@ -182,9 +167,7 @@ class Telemetry:
     def __init__(self, journal_path: str | None = None,
                  journal_memory: bool = False,
                  sample_every_refi: int = DEFAULT_SAMPLE_EVERY_REFI,
-                 profile: bool = False,
-                 trace: bool = False,
-                 trace_limit: int = DEFAULT_TRACE_LIMIT) -> None:
+                 profile: bool = False) -> None:
         self.registry = MetricsRegistry()
         self.journal: RunJournal | None = None
         if journal_path is not None:
@@ -194,11 +177,6 @@ class Telemetry:
         self.timeline = TimelineSampler(sample_every_refi,
                                         journal=self.journal)
         self.profile = profile
-        if trace or trace_limit != DEFAULT_TRACE_LIMIT:
-            warnings.warn(
-                trace_deprecation("Telemetry(trace=..., trace_limit=...)"),
-                DeprecationWarning, stacklevel=2)
-        self.trace = BoundedTrace(trace_limit) if trace else None
         self.spans = SpanTracer()
         self.run_index = -1
         self._channels: dict[int, SubchannelTelemetry] = {}

@@ -1,5 +1,5 @@
 """Atomic file replacement, shared by every artifact writer: metrics
-dumps, span documents, event traces and run-cache entries."""
+dumps, span documents and run-cache entries."""
 
 from __future__ import annotations
 

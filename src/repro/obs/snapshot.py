@@ -168,7 +168,6 @@ def merge_snapshot(telemetry, snapshot: TelemetrySnapshot) -> None:
         telemetry.run_index += 1
     run = telemetry.run_index
     journal = telemetry.journal
-    trace = telemetry.trace
     ticks = 0
     for original in snapshot.journal:
         record = dict(original)
@@ -176,11 +175,8 @@ def merge_snapshot(telemetry, snapshot: TelemetrySnapshot) -> None:
             record["run"] = run
         if journal is not None:
             journal.append_record(record)
-        kind = record.get("kind")
-        if kind == "sample":
+        if record.get("kind") == "sample":
             ticks += 1
-        elif trace is not None and kind == "mitigation":
-            trace.record(record)
     telemetry.timeline.ticks += ticks
     registry = telemetry.registry
     for name in sorted(snapshot.metrics):

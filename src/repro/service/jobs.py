@@ -86,7 +86,7 @@ TERMINAL_STATES = ("done", "failed")
 #: Executor counters copied into each job record from the job's scoped
 #: :class:`~repro.exec.executor.ExecutorStats`.
 COUNTER_FIELDS = ("cells", "computed", "memo_hits", "dedup_hits",
-                  "retries", "timeouts", "failed", "inline")
+                  "retries", "timeouts", "failed")
 
 
 class UnknownJob(KeyError):

@@ -458,7 +458,7 @@ class SweepService:
         executor = self.scheduler.executor
         exec_stats = getattr(executor, "stats", None)
         if exec_stats is not None:
-            for field in ("cells", "computed", "inline", "memo_hits",
+            for field in ("cells", "computed", "memo_hits",
                           "dedup_hits", "retries", "timeouts", "failed",
                           "fallbacks", "engine_events"):
                 expo.counter(f"repro_executor_{field}",

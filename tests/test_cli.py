@@ -160,19 +160,17 @@ class TestTelemetryFlags:
         assert args.journal is None
         assert args.metrics_out is None
         assert not args.profile
-        assert args.trace is None
         assert args.sample_every is None
         assert args.spans is None
 
     def test_flags_parse(self):
         args = build_parser().parse_args(
             ["run", "fig9", "--journal", "j.jsonl", "--metrics-out",
-             "m.json", "--profile", "--trace", "t.jsonl",
-             "--sample-every", "4", "--spans", "s.json"])
+             "m.json", "--profile", "--sample-every", "4", "--spans",
+             "s.json"])
         assert args.journal == "j.jsonl"
         assert args.metrics_out == "m.json"
         assert args.profile
-        assert args.trace == "t.jsonl"
         assert args.sample_every == 4
         assert args.spans == "s.json"
 
@@ -180,6 +178,14 @@ class TestTelemetryFlags:
         args = build_parser().parse_args(
             ["report", "--profile", "table1"])
         assert args.profile
+
+    def test_trace_flag_removed_in_4_0(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "table1", "--trace", str(tmp_path / "t.jsonl")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --trace" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_metrics_out_writes_snapshot(self, tmp_path, capsys):
         import json
@@ -470,6 +476,11 @@ class TestResilienceFlags:
         assert journal.read_text() == text
 
 
+#: A journal holding samples and mitigations, outside the test's
+#: working directory (which must stay empty).
+_JOURNAL = str(Path(__file__).parent / "data" / "goldens"
+               / "engine_journal.jsonl")
+
 #: Bad input, one case per way in: ``(argv, environment)``.
 BAD_INPUT = {
     "unknown-experiment": (["run", "table1", "nosuch"], {}),
@@ -484,6 +495,15 @@ BAD_INPUT = {
     "sample-every-negative": (["run", "table1", "--sample-every", "-3",
                                "--journal", "run.jsonl"], {}),
     "sample-every-zero": (["run", "table1", "--sample-every", "0"], {}),
+    "stats-max-bars-zero": (["stats", _JOURNAL, "--max-bars", "0"], {}),
+    "stats-max-runs-negative": (["stats", _JOURNAL, "--max-runs", "-1"],
+                                {}),
+    "trace-width-3": (["trace", _JOURNAL, "--width", "3"], {}),
+    "top-interval-negative": (["top", "--url", "http://127.0.0.1:9",
+                               "--interval", "-1"], {}),
+    "serve-port-too-large": (["serve", "--port", "70000"], {}),
+    "security-zero": (["security", "0"], {}),
+    "storage-below-dream-c": (["storage", "100"], {}),
     **{f"{command}-{flag[2:]}": ([command, "table1", flag, value], {})
        for command in ("run", "report", "submit")
        for flag, value in (("--requests", "0"), ("--retries", "-1"),
@@ -698,34 +718,29 @@ class TestTrace:
         assert excinfo.value.code == 2
         assert "cannot read journal" in capsys.readouterr().err
 
-    def test_cli_trace_flag_roundtrip(self, tmp_path, capsys):
-        trace = str(tmp_path / "events.jsonl")
-        assert main(["run", "ablation-atm", "--json",
-                     "--requests", "500", "--trace", trace]) == 0
-        err = capsys.readouterr().err
-        assert f"trace written to {trace}" in err
-        # --trace is deprecated: one warning line naming the journal.
-        warnings = [line for line in err.splitlines()
-                    if line.startswith("warning:")]
-        assert len(warnings) == 1
-        assert "--trace FILE is deprecated" in warnings[0]
-        assert "--journal FILE" in warnings[0]
-        assert main(["trace", trace]) == 0
-        assert "== policy:" in capsys.readouterr().out
-
-    def test_cli_trace_holds_the_journals_mitigation_lines(self, tmp_path,
-                                                           capsys):
+    def test_mitigation_lines_alone_read_like_the_journal(self, tmp_path,
+                                                          capsys):
+        # A file of the journal's mitigation lines alone is what 3.x's
+        # --trace wrote: it reports the same commands and RLP, and only
+        # the RMAQ line, which the journal's sample records feed, goes.
         journal = tmp_path / "journal.jsonl"
-        trace = tmp_path / "events.jsonl"
+        events = tmp_path / "events.jsonl"
         assert main(["run", "ablation-atm", "--json", "--requests", "500",
-                     "--journal", str(journal),
-                     "--trace", str(trace)]) == 0
+                     "--journal", str(journal)]) == 0
         lines = journal.read_text().splitlines(keepends=True)
-        mitigations = [line for line in lines
-                       if json.loads(line)["kind"] == "mitigation"]
-        assert mitigations
-        assert trace.read_text() == "".join(mitigations)
-        assert f"({len(mitigations)} events)" in capsys.readouterr().err
+        events.write_text("".join(
+            line for line in lines
+            if json.loads(line)["kind"] == "mitigation"))
+        capsys.readouterr()
+        assert main(["trace", str(journal)]) == 0
+        from_journal = capsys.readouterr().out
+        assert main(["trace", str(events)]) == 0
+        from_events = capsys.readouterr().out
+        assert "mitigation commands:" in from_events
+        assert "rlp: mean=" in from_events
+        assert from_events.splitlines() == [
+            line for line in from_journal.splitlines()
+            if not line.startswith("RMAQ:")]
 
 
 class TestSpansCommand:

@@ -99,6 +99,9 @@ class TestExitTwoMatrix:
                      id="jobs-one-unreachable"),
         pytest.param(lambda url: ["submit", "table4", "--url", url],
                      id="submit-unreachable"),
+        pytest.param(lambda url: ["spans", "--url",
+                                  f"{url}/v1/jobs/j1/spans"],
+                     id="spans-unreachable"),
     ])
     def test_unreachable_service_exits_2(self, capsys, argv_for):
         with pytest.raises(SystemExit) as excinfo:
@@ -107,6 +110,20 @@ class TestExitTwoMatrix:
         err = capsys.readouterr().err
         assert "error: cannot reach sweep service" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:9/v1/jobs",
+        "http://127.0.0.1:9/v1/jobs/j1/result",
+        "https://127.0.0.1:9/v1/jobs/j1/spans",
+        "http://127.0.0.1/v1/jobs/j1/spans",
+    ], ids=["no-job", "not-spans", "https", "no-port"])
+    def test_spans_url_of_another_shape_exits_2(self, capsys, url):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["spans", "--url", url])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: --url must be http://host:port/v1/jobs/"
+                       f"<id>/spans, got {url!r}\n")
 
 
 class TestLoadersRaiseArtifactError:

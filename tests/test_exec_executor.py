@@ -15,6 +15,7 @@ from repro.exec import runtime as exec_runtime
 from repro.exec.cache import RunCache
 from repro.exec.executor import Cell, SweepExecutor, cell_fingerprint
 from repro.exec.faults import FaultPlan
+from repro.exec.fingerprint import FingerprintError
 from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.experiments.common import (DesignSpec, series_rows,
                                       sweep_cells, sweep_designs)
@@ -56,6 +57,17 @@ def _sweep(designs, small_system, sim, workloads, executor=None):
                              workloads=workloads)
 
 
+def _spec_and_closure_cells(system, sim, workloads):
+    """One cell per policy kind: a ``@spec_factory`` spec, a closure."""
+    def cell(policy, name):
+        return Cell(workload=workloads[0], trace_system=system,
+                    run_system=system, sim=sim, policy=policy,
+                    policy_name=name)
+
+    return (cell(no_mitigation_factory(), "none"),
+            cell(lambda context: NoMitigation(), "closure"))
+
+
 class TestCells:
     def test_canonical_order_baseline_first(self, small_system, small_sim,
                                             designs):
@@ -75,18 +87,29 @@ class TestCells:
         assert cells[1].trace_system == system
         assert cells[1].run_system == prac
 
-    def test_spec_cells_fingerprint_and_closures_do_not(self, small_system,
-                                                        small_sim,
-                                                        workloads):
-        specced = Cell(workload=workloads[0], trace_system=small_system,
-                       run_system=small_system, sim=small_sim,
-                       policy=no_mitigation_factory(), policy_name="none")
-        bare = Cell(workload=workloads[0], trace_system=small_system,
-                    run_system=small_system, sim=small_sim,
-                    policy=lambda context: NoMitigation(),
-                    policy_name="closure")
-        assert cell_fingerprint(specced) is not None
-        assert cell_fingerprint(bare) is None
+    def test_spec_cells_fingerprint_and_closures_are_refused(
+            self, small_system, small_sim, workloads):
+        specced, bare = _spec_and_closure_cells(small_system, small_sim,
+                                                workloads)
+        assert isinstance(cell_fingerprint(specced), str)
+        with pytest.raises(FingerprintError, match="@spec_factory"):
+            cell_fingerprint(bare)
+
+    def test_closure_cell_refused_before_anything_is_claimed(
+            self, small_system, small_sim, workloads):
+        # Fingerprinting comes before the scan claims the first cell:
+        # a claim leaked by the refusal would make any later run of
+        # that cell wait on it forever.
+        specced, bare = _spec_and_closure_cells(small_system, small_sim,
+                                                workloads)
+        executor = SweepExecutor()
+        with pytest.raises(FingerprintError):
+            executor.run_cells([specced, bare])
+        assert executor.inflight_cells() == 0
+        assert executor.stats.cells == 0
+        [result] = executor.run_cells([specced])
+        assert result.requests_completed > 0
+        assert executor.stats.computed == 1
 
 
 class TestDeterminism:
@@ -110,16 +133,15 @@ class TestDeterminism:
         assert _series_json(second) == _series_json(first)
         assert warm.stats.computed == 0
 
-    def test_closure_designs_still_work(self, small_system, small_sim,
-                                        workloads):
+    def test_closure_designs_are_refused(self, small_system, small_sim,
+                                         workloads):
         closure = [DesignSpec("closure",
                               lambda context: NoMitigation())]
         with SweepExecutor(jobs=2) as executor:
-            series = _sweep(closure, small_system, small_sim, workloads,
-                            executor)
-        assert executor.stats.inline > 0
-        assert series["closure"].average_slowdown == \
-            pytest.approx(0.0, abs=0.1)
+            with pytest.raises(FingerprintError, match="@spec_factory"):
+                _sweep(closure, small_system, small_sim, workloads,
+                       executor)
+        assert executor.stats.computed == 0
 
 
 class TestReuse:

@@ -113,17 +113,6 @@ class TestMergeJournal:
         assert json.dumps(snap.journal) == before
         assert snap.journal[0]["run"] == 0
 
-    def test_mitigation_records_feed_parent_trace(self):
-        snap = TelemetrySnapshot(journal=[
-            {"v": 1, "kind": "mitigation", "cmd": "DRFMsb", "rlp": 3},
-            {"v": 1, "kind": "sample", "tick": 0},
-        ])
-        with pytest.warns(DeprecationWarning, match="--journal FILE"):
-            parent = Telemetry(trace=True)
-        merge_snapshot(parent, snap)
-        assert len(parent.trace) == 1
-        assert parent.trace.events[0]["cmd"] == "DRFMsb"
-
 
 class TestMergeTimeline:
     def test_replayed_sample_records_count_as_ticks(self):

@@ -47,7 +47,7 @@ class TestTopLevelExports:
             repro.does_not_exist
 
     def test_version(self):
-        assert repro.__version__ == "3.4.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_core_design_entry_points(self):
         for name in ("dream_r_para_factory", "dream_r_mint_factory",
@@ -88,6 +88,33 @@ class TestRemovedIn30:
         for name in ("SweepCheckpoint", "run_batch", "BatchItem",
                      "BatchCellError", "run_simulation_batched"):
             assert not hasattr(repro, name), name
+
+
+class TestRemovedIn40:
+    """The spellings deprecated in 3.4 are gone, not ignored."""
+
+    @pytest.mark.parametrize("kwargs", [{"trace": True},
+                                        {"trace_limit": 5}],
+                             ids=["trace", "trace_limit"])
+    def test_telemetry_trace_keywords_raise_type_error(self, kwargs):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            repro.Telemetry(**kwargs)
+
+    def test_trace_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.obs.trace  # noqa: F401
+
+    def test_names_are_gone(self):
+        import repro.obs
+        from repro.exec.executor import ExecutorStats
+
+        with pytest.raises(AttributeError):
+            repro.EventTrace
+        for name in ("EventTrace", "BoundedTrace", "DEFAULT_TRACE_LIMIT"):
+            assert not hasattr(repro.obs, name), name
+        assert not hasattr(repro.Telemetry(), "trace")
+        assert "trace" not in repro.obs.SubchannelTelemetry.__slots__
+        assert not hasattr(ExecutorStats(), "inline")
 
 
 class TestFactoryContracts:
