@@ -47,6 +47,7 @@ import json
 import pathlib
 import statistics
 import time
+from concurrent.futures import Future
 
 from repro.exec.executor import SweepExecutor, _execute_cell
 from repro.experiments import registry
@@ -100,10 +101,11 @@ def _sleep_cell(seconds: float, result):
 class SleepCellExecutor(SweepExecutor):
     """A :class:`SweepExecutor` whose computed cells cost a fixed sleep.
 
-    Only the two attempt entry points are replaced — scan, memo,
-    fingerprints, singleflight, the fair-share window and the pool
-    lifecycle all run the real code, so the measured difference between
-    the arms is scheduling, not simulation speed.
+    Only the two places an attempt's future comes from are replaced —
+    the pool submission and the inline attempt; scan, claim table,
+    fingerprints, retries, the fair-share window and the pool lifecycle
+    all run the real code, so the measured difference between the arms
+    is scheduling, not simulation speed.
     """
 
     def __init__(self, *args, cell_seconds: float = CELL_SECONDS,
@@ -124,7 +126,9 @@ class SleepCellExecutor(SweepExecutor):
             return None
 
     def _attempt_inline(self, cell, fp, attempt, capture=None):
-        return _sleep_cell(self.cell_seconds, self.canned)
+        future = Future()
+        future.set_result(_sleep_cell(self.cell_seconds, self.canned))
+        return future, None
 
 
 def _run_sleep_experiment(quick: bool = True,

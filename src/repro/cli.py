@@ -836,8 +836,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="append one JSONL record per request "
                                    "(summarise with 'stats "
                                    "--access-log FILE')")
-    serve_parser.add_argument("--queue-limit", type=int, default=None,
-                              metavar="N",
+    serve_parser.add_argument("--queue-limit", type=_at_least(1),
+                              default=None, metavar="N",
                               help="readiness high-water mark: /v1/readyz"
                                    " (and new submissions) answer 503 "
                                    "while N jobs are already queued "
@@ -946,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     spans_parser.add_argument("--chrome-trace", metavar="OUT",
                               help="also export Chrome trace-event JSON "
                                    "(loadable in Perfetto)")
-    spans_parser.add_argument("--top", type=int, default=10,
+    spans_parser.add_argument("--top", type=_at_least(0), default=10,
                               help="critical-path depth to print "
                                    "(default 10)")
     spans_parser.set_defaults(func=_cmd_spans)
@@ -989,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan_parser = sub.add_parser(
         "plan", help="recommend a deployment for a threshold and budget")
-    plan_parser.add_argument("t_rh", type=int)
+    plan_parser.add_argument("t_rh", type=_at_least(1))
     plan_parser.add_argument("--budget", type=float, default=5.0,
                              help="slowdown budget in percent")
     plan_parser.set_defaults(func=_cmd_plan)

@@ -37,7 +37,6 @@ _LAZY = {
     "CacheStats": ("repro.exec.cache", "CacheStats"),
     "RunCache": ("repro.exec.cache", "RunCache"),
     "CellPolicy": ("repro.exec.resilience", "CellPolicy"),
-    "CellTimeout": ("repro.exec.resilience", "CellTimeout"),
     "FailedCell": ("repro.exec.resilience", "FailedCell"),
     "SweepFailure": ("repro.exec.resilience", "SweepFailure"),
     "backoff_delay": ("repro.exec.resilience", "backoff_delay"),

@@ -39,8 +39,8 @@ from pathlib import Path
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION
 from repro.obs import runtime as obs_runtime
 from repro.obs.atomic import atomic_writer
-from repro.obs.snapshot import (TelemetrySnapshot, snapshot_from_doc,
-                                snapshot_to_doc)
+from repro.obs.snapshot import (CaptureSpec, TelemetrySnapshot,
+                                snapshot_from_doc, snapshot_to_doc)
 from repro.sim.results import RunResult
 
 _RESULT_FIELDS = frozenset(
@@ -113,21 +113,23 @@ class RunCache:
         _observe_hit_latency(time.perf_counter() - started)
         return result
 
-    def get_with_telemetry(self, fingerprint: str) \
+    def get_with_telemetry(self, fingerprint: str, capture: CaptureSpec) \
             -> tuple[object, TelemetrySnapshot] | None:
         """Result *plus* its replayable telemetry snapshot, or ``None``.
 
-        A hit requires both halves: an entry without a (valid) telemetry
-        artifact is a miss, so a cache populated without telemetry never
-        silently serves telemetry-blind results to an instrumented run —
-        the cell recomputes and stores the artifact for next time.
+        A hit requires both halves, the snapshot taken the way
+        ``capture`` takes it: an entry without a (valid) telemetry
+        artifact, or with one captured at another sample period, is a
+        miss, so a cache never silently serves telemetry-blind or
+        differently sampled results to an instrumented run — the cell
+        recomputes and rewrites the artifact.
         """
         started = time.perf_counter()
         result = self._load_result(fingerprint)
         if result is None:
             return None
         snapshot = self._load_telemetry(fingerprint)
-        if snapshot is None:
+        if not capture.accepts(snapshot):
             self.stats.misses += 1
             return None
         self.stats.hits += 1

@@ -50,21 +50,24 @@ closure can neither cross a process boundary nor key the cache, so
 The executor is **thread-safe**: any number of threads may call
 :meth:`SweepExecutor.run_cells` concurrently on one shared instance (the
 sweep service runs up to ``--job-concurrency`` jobs this way).  Shared
-state — memo, stats, the worker pool, the in-flight table — sits behind
-one lock; per-run knobs (cell policy, progress sink) and
-attributed per-run stats bind through :meth:`SweepExecutor.scoped`,
-which is thread-local, so concurrent runs never see each other's
-configuration.  Concurrent runs share the pool fairly: with more than
-one sweep active, each throttles its pooled submissions to roughly
-``jobs / active_runs`` outstanding cells instead of flooding the queue.
+state — the claim table, stats, the worker pool — sits behind one lock;
+per-run knobs (cell policy, progress sink) and attributed per-run stats
+bind through :meth:`SweepExecutor.scoped`, which is thread-local, so
+concurrent runs never see each other's configuration.  Concurrent runs
+share the pool fairly: with more than one sweep active, each throttles
+its pooled submissions to roughly ``jobs / active_runs`` outstanding
+cells instead of flooding the queue.
 
-Concurrent lookups of the *same* fingerprint deduplicate in flight
-(singleflight): the first run to scan a missing fingerprint claims it,
-later runs attach to the claim and wait for the one computation instead
-of redoing it.  The scan is atomic per sweep, so two identical sweeps
-racing each other partition cleanly — one computes everything, the other
-attaches to everything and finishes with ``computed=0`` and a memo hit
-(plus a ``dedup_hits`` mark) per cell: raced, not ordered, same totals.
+One table maps each fingerprint to an entry; it is both the memo and
+the singleflight registry.  The first run to scan a fingerprint that
+nothing serves *claims* it; later runs *attach* and wait for the one
+computation.  The owner settles the entry with its result (a settled
+entry is the memo) or with a terminal failure its followers report too;
+if its run raises first, the followers scan the cell again.  The scan
+is atomic per sweep, so two identical sweeps racing each other
+partition cleanly: one computes everything, the other attaches to
+everything and finishes with ``computed=0`` and a memo hit (plus a
+``dedup_hits`` mark) per cell — raced, not ordered, same totals.
 
 Telemetry (:mod:`repro.obs`) composes with every layer above.  When
 ambient telemetry is active the executor ships a picklable
@@ -72,7 +75,8 @@ ambient telemetry is active the executor ships a picklable
 records into a private in-memory telemetry (worker- or parent-side) and
 returns a :class:`~repro.obs.snapshot.TelemetrySnapshot` alongside its
 result.  Snapshots ride the memo, are persisted as content-addressed
-artifacts next to the cache entry (replayed on warm hits), and are
+artifacts next to the cache entry (replayed on warm hits; a snapshot
+taken at another sample period is not a hit), and are
 merged into the ambient telemetry in cell submission order — so serial,
 parallel, cached and relaunched sweeps produce byte-identical merged
 metrics and journals (see ``docs/observability.md``).
@@ -95,9 +99,9 @@ from repro.exec import faults
 from repro.exec.cache import RunCache
 from repro.exec.fingerprint import (FingerprintError, canonical,
                                     fingerprint)
-from repro.exec.resilience import (CellPolicy, CellTimeout, FailedCell,
-                                   SweepFailure, validate_result,
-                                   validate_snapshot, validate_study_value)
+from repro.exec.resilience import (CellPolicy, FailedCell, SweepFailure,
+                                   validate_result, validate_snapshot,
+                                   validate_study_value)
 from repro.exec.spec import PolicySpec, resolve_ref
 from repro.obs import runtime as obs_runtime
 from repro.obs.progress import SweepProgress
@@ -323,21 +327,23 @@ class ExecutorStats:
         return line
 
 
-class _Flight:
-    """One in-flight fingerprint computation other runs can attach to.
+class _Entry:
+    """One fingerprint of the executor's claim table.
 
-    ``outcome`` is published before ``done`` is set: a
-    :class:`FailedCell` for a terminal failure, else ``None`` — waiters
-    distinguish success from abandonment by whether the memo holds the
-    result when they re-check, and re-claim the fingerprint themselves
-    if it does not.
+    In flight until its owner settles it with ``value`` — the
+    ``(result, snapshot)`` pair, which makes the entry the memo — or a
+    terminal ``failure`` its followers report.  A claim to recompute a
+    memoised cell (for a snapshot the memo lacks) carries the old value,
+    which still serves runs that need no such snapshot.
     """
 
-    __slots__ = ("done", "outcome")
+    __slots__ = ("settled", "value", "failure")
 
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.outcome: FailedCell | None = None
+    def __init__(self, value: tuple | None = None,
+                 settled: bool = False) -> None:
+        self.settled = settled
+        self.value = value
+        self.failure: FailedCell | None = None
 
 
 @dataclass
@@ -402,20 +408,18 @@ class SweepExecutor:
         self._policy = policy if policy is not None else CellPolicy()
         self._progress_sink = progress
         self.stats = ExecutorStats()
-        #: fingerprint -> (result, snapshot-or-None); snapshots are kept
-        #: so a memo hit under telemetry can replay the cell's capture.
-        self._memo: dict[str, tuple[object,
-                                    TelemetrySnapshot | None]] = {}
+        #: The claim table: fingerprint -> _Entry, in flight or settled.
+        self._entries: dict[str, _Entry] = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_breaks = 0
         self._pool_disabled = False
-        #: One reentrant lock guards all cross-thread state: memo,
-        #: global stats, the pool handle and the in-flight table.  Held
-        #: across each sweep's whole scan phase so claim-or-attach is
-        #: atomic per sweep.
+        #: One reentrant lock guards all cross-thread state: the claim
+        #: table, global stats and the pool handle.  Held across each
+        #: sweep's whole scan phase so claim-or-attach is atomic per
+        #: sweep.
         self._lock = threading.RLock()
-        #: fingerprint -> _Flight for cells being computed right now.
-        self._inflight: dict[str, _Flight] = {}
+        #: Notified, under ``_lock``, each time an owner settles a claim.
+        self._claim_settled = threading.Condition(self._lock)
         self._active_runs = 0
         self._local = threading.local()
 
@@ -617,67 +621,75 @@ class SweepExecutor:
              failures: list[FailedCell], capture: CaptureSpec | None):
         results: list = [None] * len(cells)
         snaps: list[TelemetrySnapshot | None] = [None] * len(cells)
-        #: fingerprint -> indices this run will compute itself (owned).
-        pending: dict[str, list[int]] = {}
-        #: fingerprint -> indices attached to another run's computation.
-        attached: dict[str, list[int]] = {}
-        #: owned fingerprint -> its claim in the shared in-flight table.
-        flights: dict[str, _Flight] = {}
-        # The scan holds the lock end to end so claim-or-attach is
-        # atomic per sweep: two identical concurrent sweeps partition
-        # cleanly — whichever scans first owns every cell, the other
-        # attaches to every cell — never an interleaved split.
-        with self._lock:
-            for index, fp in enumerate(fps):
-                if fp in pending:
-                    pending[fp].append(index)
-                    continue
-                if fp in attached:
-                    attached[fp].append(index)
-                    continue
-                known = self._lookup(fp, capture)
-                if known is not None:
-                    results[index], snaps[index] = known
-                    continue
-                flight = self._inflight.get(fp)
-                if flight is not None:
-                    attached[fp] = [index]
-                    continue
-                flights[fp] = self._inflight[fp] = _Flight()
-                pending[fp] = [index]
-
-        try:
-            self._run_owned(cells, pending, flights, results, snaps,
-                            failures, capture)
-            for fp, indices in attached.items():
-                outcome = self._await_flight(fp, cells[indices[0]],
-                                             capture)
-                if isinstance(outcome, FailedCell):
+        todo = list(range(len(cells)))
+        while todo:
+            owned, attached = self._scan(fps, todo, results, snaps,
+                                         capture)
+            try:
+                self._run_owned(cells, owned, results, snaps, failures,
+                                capture)
+            finally:
+                # Abandon mop-up: if anything above raised, release every
+                # claim this run still holds so its followers scan those
+                # cells again instead of waiting forever.
+                for fp, (entry, _) in owned.items():
+                    self._settle(fp, entry)
+            todo = []
+            for fp, (entry, indices) in attached.items():
+                outcome = self._follow(fp, entry, capture)
+                if outcome is None:
+                    todo.extend(indices)
+                elif isinstance(outcome, FailedCell):
                     failures.append(outcome)
-                    continue
-                result, snap = outcome
-                for index in indices:
-                    results[index] = result
-                    snaps[index] = snap
-        finally:
-            # Abandon mop-up: if anything above raised, release every
-            # claim this run still holds so attached runs re-claim and
-            # compute instead of waiting forever.
-            for fp, flight in flights.items():
-                self._finish_flight(fp, flight)
+                else:
+                    for index in indices:
+                        results[index], snaps[index] = outcome
         return results, snaps
 
+    def _scan(self, fps: list[str], todo: list[int], results: list,
+              snaps: list, capture: CaptureSpec | None):
+        """Serve, attach to or claim the cells at ``todo``.
+
+        Returns the claimed and the attached fingerprints, each mapped
+        to ``(entry, indices)``.  The scan holds the lock end to end so
+        claim-or-attach is atomic per sweep: two identical concurrent
+        sweeps partition cleanly — whichever scans first owns every
+        cell, the other attaches to every cell — never an interleaved
+        split.
+        """
+        owned: dict[str, tuple[_Entry, list[int]]] = {}
+        attached: dict[str, tuple[_Entry, list[int]]] = {}
+        with self._lock:
+            for index in todo:
+                fp = fps[index]
+                known = owned.get(fp) or attached.get(fp)
+                if known is not None:
+                    known[1].append(index)
+                    continue
+                served = self._served(fp, capture) or \
+                    self._from_cache(fp, capture)
+                if served is not None:
+                    results[index], snaps[index] = served
+                    continue
+                entry = self._entries.get(fp)
+                if entry is None or entry.settled:
+                    carried = None if entry is None else entry.value
+                    entry = self._entries[fp] = _Entry(carried)
+                    owned[fp] = (entry, [index])
+                else:
+                    attached[fp] = (entry, [index])
+        return owned, attached
+
     def _run_owned(self, cells: list[Cell],
-                   pending: dict[str, list[int]],
-                   flights: dict[str, "_Flight"],
+                   owned: dict[str, tuple[_Entry, list[int]]],
                    results: list, snaps: list,
                    failures: list[FailedCell],
                    capture: CaptureSpec | None) -> None:
-        """Compute every fingerprint this run owns (claimed at scan)."""
-        owned = list(pending.items())
+        """Compute every fingerprint this run claimed at its scan."""
+        owned = list(owned.items())
         with self._lock:
             shared = self._active_runs > 1
-        use_pool = self._pool_usable() and (shared or len(owned) > 1)
+        use_pool = shared or len(owned) > 1
 
         # Fair-share sliding window: a lone run submits every cell
         # eagerly (the historical behaviour); with other runs active,
@@ -690,139 +702,165 @@ class SweepExecutor:
 
         def fill_window() -> None:
             nonlocal cursor
-            while cursor < len(owned):
+            while use_pool and cursor < len(owned):
                 with self._lock:
                     active = max(1, self._active_runs)
                 if active > 1 and \
                         len(futures) >= -(-self.jobs // active) + 1:
                     return
-                fp, indices = owned[cursor]
+                fp, (_, indices) = owned[cursor]
                 submitted = self._submit(cells[indices[0]], fp, 0,
                                          capture)
                 if submitted is None:
-                    return  # pool unusable; resolve loop runs inline
+                    return  # pool unusable; the attempt runs inline
                 futures[fp] = submitted
                 cursor += 1
 
-        if use_pool:
+        fill_window()
+        for fp, (entry, indices) in owned:
+            cell = cells[indices[0]]
+            future, pool = futures.pop(fp, None) or \
+                self._attempt_inline(cell, fp, 0, capture)
+            outcome = self._resolve_cell(fp, cell, future, pool, capture)
             fill_window()
-
-        for fp, indices in owned:
-            future, pool = futures.pop(fp, (None, None))
-            outcome = self._resolve_cell(fp, cells[indices[0]], future,
-                                         pool, capture)
-            if use_pool:
-                fill_window()
             if isinstance(outcome, FailedCell):
                 failures.append(outcome)
-                self._finish_flight(fp, flights[fp], failed=outcome)
+                self._settle(fp, entry, failure=outcome)
                 continue
             result, seconds, snap = outcome
             self._account_computed(result, seconds)
-            self._store(fp, cells[indices[0]], result, snap)
-            self._finish_flight(fp, flights[fp])
+            self._settle(fp, entry, (result, snap), cell)
             for index in indices:
-                results[index] = result
-                snaps[index] = snap
+                results[index], snaps[index] = result, snap
 
     # ------------------------------------------------------------------
-    # In-flight deduplication (singleflight)
+    # The claim table: memo and singleflight
     # ------------------------------------------------------------------
-    def _finish_flight(self, fp: str, flight: "_Flight",
-                       failed: FailedCell | None = None) -> None:
-        """Retire ``fp``'s claim and wake attached waiters (idempotent).
+    def _served(self, fp: str, capture: CaptureSpec | None) \
+            -> tuple[object, TelemetrySnapshot | None] | None:
+        """What the table serves this run for ``fp`` — counted as a memo
+        hit — or ``None`` (call with ``_lock`` held).
 
-        The identity check keeps a late mop-up from evicting a *new*
-        claim another run installed after this one abandoned the
-        fingerprint.
+        An entry serves when it holds a result and, under telemetry
+        capture, a snapshot taken at the capture's sample period;
+        otherwise the cell recomputes so the merged telemetry stays
+        complete.  Without capture no snapshot is served, so nothing
+        gets merged.
+        """
+        entry = self._entries.get(fp)
+        if entry is None or entry.value is None:
+            return None
+        result, snap = entry.value
+        if capture is not None and not capture.accepts(snap):
+            return None
+        self._stat("memo_hits")
+        self._progress("hit")
+        self._span_event("memo_hit", {"fingerprint": fp[:12]})
+        return result, (snap if capture is not None else None)
+
+    def _from_cache(self, fp: str, capture: CaptureSpec | None) \
+            -> tuple[object, TelemetrySnapshot | None] | None:
+        """Serve ``fp`` from the disk cache into the table, or ``None``
+        (call with ``_lock`` held).  Under capture only a result with a
+        sidecar taken at the capture's period is a hit."""
+        if self.cache is None:
+            return None
+        if capture is not None:
+            cached = self.cache.get_with_telemetry(fp, capture)
+        else:
+            plain = self.cache.get(fp)
+            cached = None if plain is None else (plain, None)
+        if cached is not None:
+            self._progress("hit")
+            self._span_event("cache_hit", {"fingerprint": fp[:12]})
+            # Into the memo; an entry in flight keeps its owner.
+            self._entries.setdefault(fp, _Entry(settled=True)).value = \
+                cached
+        return cached
+
+    def _settle(self, fp: str, entry: _Entry, value: tuple | None = None,
+                cell: Cell | StudyCell | None = None,
+                failure: FailedCell | None = None) -> None:
+        """Settle this run's claim on ``fp`` and wake its followers
+        (idempotent).
+
+        A computed ``value`` becomes the memo and reaches the cache.  A
+        claim settled without one — a terminal ``failure``, or abandoned
+        by a run that raised — leaves the table unless it carries an
+        earlier result, so the next scan claims the cell afresh.
         """
         with self._lock:
-            if self._inflight.get(fp) is flight:
-                del self._inflight[fp]
-        if not flight.done.is_set():
-            flight.outcome = failed
-            flight.done.set()
+            if entry.settled:
+                return
+            if value is not None:
+                entry.value = value
+                if self.cache is not None:
+                    result, snap = value
+                    self.cache.put(fp, result, key=canonical(cell.key()))
+                    if snap is not None:
+                        self.cache.put_telemetry(fp, snap)
+            elif entry.value is None:
+                del self._entries[fp]
+            entry.failure = failure
+            entry.settled = True
+            self._claim_settled.notify_all()
 
-    def _await_flight(self, fp: str, cell: Cell,
-                      capture: CaptureSpec | None):
-        """Take ``fp`` from the run that owns it (or inherit the claim).
+    def _follow(self, fp: str, entry: _Entry,
+                capture: CaptureSpec | None):
+        """Wait for the run that owns ``fp`` and take its outcome.
 
-        Returns ``(result, snapshot)`` — counted as a memo hit plus a
-        dedup hit, since the fingerprint was raced rather than replayed
-        from an earlier run — or the owner's :class:`FailedCell`.  If
-        the owner abandoned the claim without publishing a result, this
-        run re-claims and computes the cell itself.
+        Returns the owner's :class:`FailedCell`, or ``(result,
+        snapshot)`` — counted as a memo hit plus a dedup hit, since the
+        fingerprint was raced rather than replayed from an earlier run —
+        or ``None`` when nothing serves this run (the owner abandoned
+        its claim), so the caller scans the cell again.
         """
-        while True:
-            with self._lock:
-                known = self._lookup(fp, capture)
-                if known is not None:
-                    self._stat("dedup_hits")
-                    self._span_event("dedup_hit",
-                                     {"fingerprint": fp[:12]})
-                    return known
-                flight = self._inflight.get(fp)
-                if flight is None:
-                    flight = self._inflight[fp] = _Flight()
-                    claimed = True
-                else:
-                    claimed = False
-            if claimed:
-                break
-            flight.done.wait()
-            if flight.outcome is not None:
+        with self._lock:
+            self._claim_settled.wait_for(lambda: entry.settled)
+            if entry.failure is not None:
                 self._stat("failed")
                 self._progress("failed")
-                return flight.outcome
-            # outcome None: success (memo will hit on re-check) or an
-            # abandoned claim (re-check finds nothing and re-claims).
-        outcome = self._resolve_cell(fp, cell, None, None, capture)
-        if isinstance(outcome, FailedCell):
-            self._finish_flight(fp, flight, failed=outcome)
-            return outcome
-        result, seconds, snap = outcome
-        self._account_computed(result, seconds)
-        self._store(fp, cell, result, snap)
-        self._finish_flight(fp, flight)
-        return result, snap
+                return entry.failure
+            served = self._served(fp, capture)
+            if served is not None:
+                self._stat("dedup_hits")
+                self._span_event("dedup_hit", {"fingerprint": fp[:12]})
+        return served
 
     def inflight_cells(self) -> int:
         """Unique fingerprints currently being computed, across all
         concurrent runs (the ``repro_scheduler_inflight_cells`` gauge)."""
         with self._lock:
-            return len(self._inflight)
+            return sum(not entry.settled
+                       for entry in self._entries.values())
 
     # ------------------------------------------------------------------
     # Resilience
     # ------------------------------------------------------------------
-    def _resolve_cell(self, fp: str, cell: Cell,
-                      future: Future | None,
+    def _resolve_cell(self, fp: str, cell: Cell, future: Future,
                       pool: ProcessPoolExecutor | None,
                       capture: CaptureSpec | None = None):
         """Drive one cell through the retry policy.
 
         Returns ``(result, seconds, snapshot)`` on success or a
-        :class:`FailedCell` once the attempt budget is spent.  ``future``
-        is the already in-flight first attempt (pooled path); retries
-        re-submit to the pool while it is healthy and drop to inline
-        execution otherwise.  Under telemetry capture, a structurally
-        missing snapshot is treated exactly like a corrupt result.
+        :class:`FailedCell` once the attempt budget is spent.
+        ``future`` is the first attempt and ``pool`` the worker pool it
+        runs on (``None`` inline); retries re-submit to the pool while
+        it is healthy and run inline otherwise.  Under telemetry
+        capture, a structurally missing snapshot is treated exactly like
+        a corrupt result.
         """
         attempt = 0
         while True:
             kind = error = None
             try:
-                if future is not None:
-                    result, seconds, snap = future.result(
-                        timeout=self.policy.timeout_s)
-                else:
-                    result, seconds, snap = self._attempt_inline(
-                        cell, fp, attempt, capture)
+                result, seconds, snap = future.result(
+                    timeout=self.policy.timeout_s)
                 problem = _problem(cell, result, snap, capture)
                 if problem is None:
                     return result, seconds, snap
                 kind, error = "corrupt", problem
-            except (FuturesTimeout, CellTimeout) as exc:
+            except FuturesTimeout as exc:
                 kind = "timeout"
                 error = str(exc) or (
                     f"attempt exceeded {self.policy.timeout_s:g}s"
@@ -857,8 +895,8 @@ class SweepExecutor:
                                        "kind": kind,
                                        "attempt": attempt})
             time.sleep(self.policy.backoff(fp, attempt))
-            submitted = self._submit(cell, fp, attempt, capture)
-            future, pool = submitted if submitted else (None, None)
+            future, pool = self._submit(cell, fp, attempt, capture) or \
+                self._attempt_inline(cell, fp, attempt, capture)
 
     def _submit(self, cell: Cell, fp: str, attempt: int,
                 capture: CaptureSpec | None = None) \
@@ -875,36 +913,30 @@ class SweepExecutor:
             return None
 
     def _attempt_inline(self, cell: Cell, fp: str, attempt: int,
-                        capture: CaptureSpec | None = None):
-        """One in-process attempt, under the policy timeout if set.
+                        capture: CaptureSpec | None = None) \
+            -> tuple[Future, None]:
+        """One in-process attempt as a future (with no pool).
 
-        The timeout runs the cell on a daemon watchdog thread and
-        abandons it on expiry — the thread finishes (or sleeps out an
-        injected hang) in the background while the retry proceeds.
+        It runs to completion here, or — under a policy timeout — on a
+        daemon watchdog thread that the resolve loop abandons on expiry:
+        the thread finishes (or sleeps out an injected hang) in the
+        background while the retry proceeds.
         """
-        timeout = self.policy.timeout_s
-        if timeout is None:
-            return _execute_cell(cell, fp, attempt, capture)
-        box: list = []
+        future: Future = Future()
 
-        def target() -> None:
+        def run() -> None:
             try:
-                box.append(("ok", _execute_cell(cell, fp, attempt,
-                                                capture)))
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box.append(("err", exc))
+                future.set_result(_execute_cell(cell, fp, attempt,
+                                                capture))
+            except BaseException as exc:  # noqa: BLE001 — result() raises
+                future.set_exception(exc)
 
-        thread = threading.Thread(
-            target=target, daemon=True,
-            name=f"repro-cell-{fp[:12]}")
-        thread.start()
-        thread.join(timeout)
-        if not box:
-            raise CellTimeout(f"inline attempt exceeded {timeout:g}s")
-        status, payload = box[0]
-        if status == "err":
-            raise payload
-        return payload
+        if self.policy.timeout_s is None:
+            run()
+        else:
+            threading.Thread(target=run, daemon=True,
+                             name=f"repro-cell-{fp[:12]}").start()
+        return future, None
 
     def _span_event(self, name: str, meta: dict | None = None) -> None:
         """Record an exec-side event on the open sweep span, if any."""
@@ -915,50 +947,6 @@ class SweepExecutor:
     def _progress(self, kind: str, seconds: float | None = None) -> None:
         if self.progress is not None:
             self.progress.record(kind, seconds)
-
-    # ------------------------------------------------------------------
-    # Reuse layers
-    # ------------------------------------------------------------------
-    def _lookup(self, fp: str, capture: CaptureSpec | None = None) \
-            -> tuple[object, TelemetrySnapshot | None] | None:
-        """Serve ``fp`` from memo or cache (call with ``_lock`` held).
-
-        Under telemetry capture a known result only counts when its
-        snapshot is also available (memoised or as the cache's telemetry
-        artifact) — otherwise the cell recomputes so the merged
-        telemetry stays complete.  Without capture, any stored snapshot
-        is withheld from the return value so nothing gets merged.
-        """
-        entry = self._memo.get(fp)
-        if entry is not None:
-            result, snap = entry
-            if capture is None or snap is not None:
-                self._stat("memo_hits")
-                self._progress("hit")
-                self._span_event("memo_hit", {"fingerprint": fp[:12]})
-                return result, (snap if capture is not None else None)
-        if self.cache is not None:
-            if capture is not None:
-                cached = self.cache.get_with_telemetry(fp)
-            else:
-                plain = self.cache.get(fp)
-                cached = None if plain is None else (plain, None)
-            if cached is not None:
-                result, snap = cached
-                self._progress("hit")
-                self._span_event("cache_hit", {"fingerprint": fp[:12]})
-                self._memo[fp] = (result, snap)
-                return result, snap
-        return None
-
-    def _store(self, fp: str, cell: Cell | StudyCell, result,
-               snap: TelemetrySnapshot | None = None) -> None:
-        with self._lock:
-            self._memo[fp] = (result, snap)
-            if self.cache is not None:
-                self.cache.put(fp, result, key=canonical(cell.key()))
-                if snap is not None:
-                    self.cache.put_telemetry(fp, snap)
 
     def _account_computed(self, result, seconds: float) -> None:
         self._stat("computed")

@@ -37,10 +37,6 @@ DEFAULT_BACKOFF_S = 0.05
 DEFAULT_BACKOFF_CAP_S = 2.0
 
 
-class CellTimeout(RuntimeError):
-    """An attempt exceeded its :class:`CellPolicy` timeout."""
-
-
 def backoff_delay(fp: str, attempt: int,
                   base_s: float = DEFAULT_BACKOFF_S,
                   cap_s: float = DEFAULT_BACKOFF_CAP_S) -> float:
@@ -64,9 +60,9 @@ class CellPolicy:
     Parameters
     ----------
     timeout_s:
-        Per-attempt wall-clock budget (``None`` = unlimited).  Pooled
-        attempts time out the future; inline attempts run on a watchdog
-        thread that is abandoned on expiry.
+        Per-attempt wall-clock budget (``None`` = unlimited), applied
+        by waiting on the attempt's future: a pool submission, or an
+        inline run on a watchdog thread that is abandoned on expiry.
     retries:
         Failed attempts retried before the cell becomes a
         :class:`FailedCell` (total attempts = ``retries + 1``).

@@ -42,12 +42,13 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.timeline import DEFAULT_SAMPLE_EVERY_REFI
 
 #: Version stamped into snapshot documents; bump on breaking changes.
-#: v2 added the ``spans`` section — v1 sidecars are treated as misses so
-#: the cell recomputes and the artifact is rewritten complete.  The
-#: ``phases``/``throughput`` keys that 2.1 wrote duplicate the span
+#: v2 added the ``spans`` section and v3 the ``sample_every_refi``
+#: period the snapshot was captured at — older sidecars are treated as
+#: misses so the cell recomputes and the artifact is rewritten complete.
+#: The ``phases``/``throughput`` keys that 2.1 wrote duplicate the span
 #: tree, and the ``timeline`` list that 3.3 wrote duplicates the
 #: journal's ``sample`` records; the reader ignores them.
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,13 @@ class CaptureSpec:
         return Telemetry(journal_memory=True,
                          sample_every_refi=self.sample_every_refi)
 
+    def accepts(self, snapshot: TelemetrySnapshot | None) -> bool:
+        """Whether ``snapshot`` is what this spec would capture: a
+        snapshot taken at the same timeline period (its ``sample``
+        records depend on it)."""
+        return snapshot is not None and \
+            snapshot.sample_every_refi == self.sample_every_refi
+
 
 @dataclass
 class TelemetrySnapshot:
@@ -85,12 +93,14 @@ class TelemetrySnapshot:
     "overflow": n, "count": n, "total": x}``); ``journal`` holds the
     cell's journal records verbatim, its timeline ticks included;
     ``spans`` holds the cell's span subtree in document form (see
-    :mod:`repro.obs.spans`).
+    :mod:`repro.obs.spans`); ``sample_every_refi`` is the timeline
+    period the journal's ``sample`` records were taken at.
     """
 
     metrics: dict = field(default_factory=dict)
     journal: list = field(default_factory=list)
     spans: list = field(default_factory=list)
+    sample_every_refi: int = DEFAULT_SAMPLE_EVERY_REFI
     schema: int = SNAPSHOT_SCHEMA_VERSION
 
 
@@ -116,8 +126,9 @@ def capture_snapshot(telemetry) -> TelemetrySnapshot:
                for name in registry.names()}
     journal = [] if telemetry.journal is None \
         else list(telemetry.journal.records)
-    return TelemetrySnapshot(metrics=metrics, journal=journal,
-                             spans=telemetry.spans.to_docs())
+    return TelemetrySnapshot(
+        metrics=metrics, journal=journal, spans=telemetry.spans.to_docs(),
+        sample_every_refi=telemetry.timeline.sample_every_refi)
 
 
 def _merge_metric(registry: MetricsRegistry, name: str,
@@ -191,6 +202,7 @@ def snapshot_to_doc(snapshot: TelemetrySnapshot) -> dict:
         "metrics": snapshot.metrics,
         "journal": snapshot.journal,
         "spans": snapshot.spans,
+        "sample_every_refi": snapshot.sample_every_refi,
     }
 
 
@@ -210,12 +222,13 @@ def snapshot_from_doc(doc) -> TelemetrySnapshot | None:
     metrics = doc.get("metrics")
     journal = doc.get("journal")
     spans = doc.get("spans")
+    period = doc.get("sample_every_refi")
     if not isinstance(metrics, dict) or not isinstance(journal, list) \
-            or not isinstance(spans, list):
+            or not isinstance(spans, list) or type(period) is not int:
         return None
     if not all(isinstance(record, dict) for record in journal):
         return None
     if not all(isinstance(span, dict) for span in spans):
         return None
     return TelemetrySnapshot(metrics=metrics, journal=journal,
-                             spans=spans)
+                             spans=spans, sample_every_refi=period)

@@ -6,7 +6,10 @@ with a **deterministic** retry/backoff discipline on transport errors:
 * Only transport-level failures are retried — refused/reset
   connections, a server that closed before answering, a torn read.
   HTTP-level errors (400/404/409/410/...) are *protocol* answers and
-  raise immediately.
+  raise immediately.  A ``POST`` (job creation is not idempotent) is
+  retried only while its connection cannot be opened: once the request
+  may have reached the service, a transport error raises instead of
+  risking a duplicate job.
 * The backoff schedule is a fixed tuple (:data:`RETRY_BACKOFF_S`), not
   wall-clock- or random-jittered: attempt *n* always sleeps
   ``RETRY_BACKOFF_S[n]``.  Tests inject a recording ``sleep`` and
@@ -56,8 +59,10 @@ class ServiceError(Exception):
     taken from the ``Retry-After`` header or the body's
     ``retry_after_s`` field — so callers can implement their own
     resubmission policy.  The client itself never retries a 503 on
-    ``POST /v1/jobs``: job creation is not idempotent, and only
-    *transport* failures (where no response arrived) are ever retried.
+    ``POST /v1/jobs``: job creation is not idempotent, so a POST is
+    retried only when its connection could not be opened, and a
+    transport error after that (a timeout, a reset, a torn answer)
+    raises this error rather than risk submitting the job twice.
     """
 
     def __init__(self, message: str, status: int | None = None,
@@ -302,14 +307,19 @@ class SweepClient:
         Retries cover *transport* failures only — once any HTTP status
         arrives it is returned as-is, so non-idempotent requests
         (``POST /v1/jobs``) are never replayed on a 503 or any other
-        protocol-level answer.
+        protocol-level answer.  A POST is retried only when its
+        connection could not be opened: after that the service may have
+        the request, so a transport error raises :class:`ServiceError`.
         """
         error: Exception | None = None
         for delay in self._attempts():
             if delay is not None:
                 self.sleep(delay)
             connection = self._connect()
+            opened = False
             try:
+                connection.connect()
+                opened = True
                 headers = {"Content-Type": "application/json"} \
                     if body is not None else {}
                 connection.request(method, path, body=body,
@@ -319,6 +329,12 @@ class SweepClient:
                                     in response.getheaders()}
                 return response.status, response.read(), response_headers
             except TRANSPORT_ERRORS as exc:
+                if opened and method == "POST":
+                    raise ServiceError(
+                        f"{method} {path} to {self.base_url} got no "
+                        f"answer ({type(exc).__name__}: {exc}); not "
+                        f"retried, since the service may have it") \
+                        from None
                 error = exc
             finally:
                 connection.close()

@@ -18,6 +18,7 @@ from repro.analysis import load_spans
 from repro.cli import build_parser, main
 from repro.experiments import registry
 from repro.experiments.common import RunOptions
+from repro.obs import Telemetry
 from repro.obs.exporter import parse_exposition, sample_value
 from repro.obs.spans import normalized_tree
 from repro.service import SweepClient
@@ -292,6 +293,25 @@ class TestExecFlags:
         assert "misses=0" in warm_err
         assert "hits=10" in warm_err
 
+    def test_warm_cache_keeps_the_sample_period(self, tmp_path, capsys):
+        """Sidecars taken at the default period do not serve a
+        ``--sample-every 2`` run: it recomputes and writes the cold
+        run's journal, and its rewritten sidecars serve the next."""
+        cold = tmp_path / "cold.jsonl"
+        self._run_json(capsys, "--journal", str(cold),
+                       "--sample-every", "2")
+        assert '"kind": "sample"' in cold.read_text()
+        cache = str(tmp_path / "runcache")
+        self._run_json(capsys, "--cache-dir", cache, "--journal",
+                       str(tmp_path / "default.jsonl"))
+        for name, computed in (("recomputed", 10), ("warm", 0)):
+            journal = tmp_path / f"{name}.jsonl"
+            _, err = self._run_json(capsys, "--cache-dir", cache,
+                                    "--journal", str(journal),
+                                    "--sample-every", "2")
+            assert journal.read_bytes() == cold.read_bytes(), name
+            assert f" computed={computed} " in err, name
+
     def test_no_cache_disables_cache_dir(self, tmp_path, capsys):
         cache = str(tmp_path / "runcache")
         self._run_json(capsys, "--cache-dir", cache, "--no-cache")
@@ -481,6 +501,10 @@ class TestResilienceFlags:
 _JOURNAL = str(Path(__file__).parent / "data" / "goldens"
                / "engine_journal.jsonl")
 
+#: Stands in for a valid spans file, which the test writes outside its
+#: working directory.
+_SPANS = "<spans file>"
+
 #: Bad input, one case per way in: ``(argv, environment)``.
 BAD_INPUT = {
     "unknown-experiment": (["run", "table1", "nosuch"], {}),
@@ -504,6 +528,12 @@ BAD_INPUT = {
     "serve-port-too-large": (["serve", "--port", "70000"], {}),
     "security-zero": (["security", "0"], {}),
     "storage-below-dream-c": (["storage", "100"], {}),
+    "plan-zero": (["plan", "0"], {}),
+    # The port file's directory does not exist, so a service that
+    # wrongly starts stops there instead of serving forever.
+    "serve-queue-limit-zero": (["serve", "--port", "0", "--queue-limit",
+                                "0", "--port-file", "none/port.txt"], {}),
+    "spans-top-negative": (["spans", _SPANS, "--top", "-1"], {}),
     **{f"{command}-{flag[2:]}": ([command, "table1", flag, value], {})
        for command in ("run", "report", "submit")
        for flag, value in (("--requests", "0"), ("--retries", "-1"),
@@ -511,14 +541,25 @@ BAD_INPUT = {
 }
 
 
+@pytest.fixture(scope="module")
+def spans_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spans") / "spans.json"
+    telemetry = Telemetry()
+    with telemetry.phase("build_traces"):
+        pass
+    telemetry.write_spans(str(path))
+    return str(path)
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("argv,env", list(BAD_INPUT.values()),
                              ids=list(BAD_INPUT))
     def test_exits_2_with_one_error_line(self, argv, env, tmp_path,
-                                         monkeypatch, capsys):
+                                         monkeypatch, capsys, spans_file):
         """Bad input stops before any work: exit 2, one ``error:`` line
         on stderr, no traceback, nothing on stdout and no file written
         (a ``--journal`` is not even opened)."""
+        argv = [spans_file if arg == _SPANS else arg for arg in argv]
         monkeypatch.chdir(tmp_path)
         for name, value in env.items():
             monkeypatch.setenv(name, value)

@@ -104,7 +104,7 @@ class TestBatchFaultIsolation:
                 assert excinfo.value.failures[0].fingerprint == victim
                 # The other cells survived and are memoised.
                 for fp in fps:
-                    assert (fp in executor._memo) == (fp != victim)
+                    assert (fp in executor._entries) == (fp != victim)
         finally:
             faults.install(None)
 

@@ -168,6 +168,20 @@ class TestByteIdenticalAcrossModes:
                     "profile"):
             assert warm[key] == cold[key], key
 
+    def test_memo_keeps_the_sample_period(self, small_system, small_sim,
+                                          designs, workloads):
+        # The same executor first ran the sweep sampling every 8 REFs;
+        # a run sampling every 2 must not replay those snapshots.
+        cold = _merged(designs, small_system, small_sim, workloads)
+        with SweepExecutor() as executor:
+            _merged(designs, small_system, small_sim, workloads, executor,
+                    Telemetry(journal_memory=True, sample_every_refi=8))
+            rerun = _merged(designs, small_system, small_sim, workloads,
+                            executor)
+        assert executor.stats.computed == 2 * CELLS
+        for key in ("results", "metrics", "journal", "timeline_samples"):
+            assert rerun[key] == cold[key], key
+
     def test_resume_matches_serial_without_double_counting(
             self, tmp_path, small_system, small_sim, designs, workloads):
         serial = _merged(designs, small_system, small_sim, workloads)

@@ -11,6 +11,7 @@ final result after any number of reconnects.
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -164,6 +165,50 @@ def _reset(sock: socket.socket) -> None:
     sock.close()
 
 
+class SilentServer:
+    """Accepts connections and reads each request, but never answers.
+
+    ``methods`` records the request method of every connection, so a
+    test can count how often a client sent its request.
+    """
+
+    def __init__(self) -> None:
+        self.methods: list[str] = []
+        self._connections: list[socket.socket] = []
+        self._listener = socket.socket()
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(16)
+        self.port = self._listener.getsockname()[1]
+        threading.Thread(target=self._accept_loop, daemon=True).start()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.port}"
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                connection, _ = self._listener.accept()
+                self._connections.append(connection)
+                request = connection.recv(65536)
+            except OSError:
+                return
+            self.methods.append(request.split(b" ", 1)[0].decode())
+
+    def close(self) -> None:
+        for sock in (self._listener, *self._connections):
+            sock.close()
+
+
+def _dead_port() -> int:
+    """A local port with no listener: every connect is refused."""
+    placeholder = socket.socket()
+    placeholder.bind(("127.0.0.1", 0))
+    port = placeholder.getsockname()[1]
+    placeholder.close()
+    return port
+
+
 def _recording_client(url: str) -> tuple[SweepClient, list[float]]:
     sleeps: list[float] = []
     return SweepClient(url, sleep=sleeps.append), sleeps
@@ -183,16 +228,38 @@ class TestBackoffSchedule:
         assert sleeps == list(RETRY_BACKOFF_S[:3])
 
     def test_exhausted_schedule_raises(self):
-        # A port with no listener: every attempt fails immediately.
-        placeholder = socket.socket()
-        placeholder.bind(("127.0.0.1", 0))
-        dead_port = placeholder.getsockname()[1]
-        placeholder.close()
         client, sleeps = _recording_client(
-            f"http://127.0.0.1:{dead_port}")
+            f"http://127.0.0.1:{_dead_port()}")
         with pytest.raises(ServiceError, match="cannot reach"):
             client.experiments()
         assert sleeps == list(RETRY_BACKOFF_S)
+
+    def test_refused_submission_retries_on_schedule(self):
+        # A refused connection never carried the request, so resending
+        # it cannot create a second job.
+        client, sleeps = _recording_client(
+            f"http://127.0.0.1:{_dead_port()}")
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.submit("table1")
+        assert sleeps == list(RETRY_BACKOFF_S)
+
+    def test_unanswered_submission_is_sent_once(self):
+        # The service may hold a request it never answered, so a resent
+        # POST could queue the job twice: it raises instead.
+        server = SilentServer()
+        try:
+            sleeps: list[float] = []
+            client = SweepClient(server.url, timeout_s=0.2,
+                                 sleep=sleeps.append)
+            with pytest.raises(ServiceError, match="not retried"):
+                client.submit("table1")
+            deadline = time.monotonic() + 5
+            while not server.methods and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.methods == ["POST"]
+            assert sleeps == []
+        finally:
+            server.close()
 
     def test_http_errors_are_not_retried(self, service):
         client, sleeps = _recording_client(service.url)

@@ -12,6 +12,8 @@ byte-identity of every result against a local ``run_experiment``.
 
 import io
 import json
+import math
+import sys
 import threading
 import time
 import urllib.error
@@ -20,10 +22,13 @@ import urllib.request
 import pytest
 
 from repro.analysis.top import InstanceSample, TopDashboard
-from repro.exec.executor import Cell, SweepExecutor
+from repro.exec import faults
+from repro.exec.executor import Cell, SweepExecutor, cell_fingerprint
+from repro.exec.resilience import CellPolicy, SweepFailure
 from repro.experiments import registry
 from repro.experiments.common import ExperimentResult, RunOptions
 from repro.obs.exporter import parse_exposition, sample_value
+from repro.obs.progress import SweepProgress
 from repro.service import (JobScheduler, ServiceThread, SweepClient)
 from repro.sim.config import SimConfig, SystemConfig
 from repro.workloads.builder import clear_cache
@@ -172,9 +177,9 @@ class _GatedInlineExecutor(SweepExecutor):
         assert self.release.wait(30), "executor gate never opened"
         return super()._attempt_inline(cell, fp, attempt, capture)
 
-    def _await_flight(self, fp, cell, capture):
+    def _follow(self, fp, entry, capture):
         self.attached.set()
-        return super()._await_flight(fp, cell, capture)
+        return super()._follow(fp, entry, capture)
 
 
 def _tiny_cell(seed=3):
@@ -222,6 +227,183 @@ class TestExecutorSingleflight:
                 stats.dedup_hits) == (2, 1, 1, 1)
         assert out["a_result"].requests_completed == \
             out["b_result"].requests_completed
+
+
+class _RaisingProgress(SweepProgress):
+    """A progress sink that raises once a cell is computed, so its run
+    raises before it publishes the result (abandons its claim)."""
+
+    def __init__(self):
+        super().__init__(stream=io.StringIO())
+
+    def record(self, kind, seconds=None):
+        if kind == "computed":
+            raise RuntimeError("progress sink failed")
+        super().record(kind, seconds)
+
+
+def _race(executor, cell, owner_progress=None):
+    """Run ``cell`` on an owner thread, attach a follower while the
+    owner's first compute is held, then let both finish; returns each
+    thread's ``(stats, result or exception)``."""
+    out = {}
+
+    def run(tag, progress):
+        with executor.scoped(progress=progress) as scope:
+            try:
+                out[tag] = (scope, executor.run_cells([cell])[0])
+            except Exception as exc:  # noqa: BLE001 — inspected below
+                out[tag] = (scope, exc)
+
+    owner = threading.Thread(target=run, args=("owner", owner_progress))
+    owner.start()
+    assert executor.compute_started.wait(10)
+    follower = threading.Thread(target=run, args=("follower", None))
+    follower.start()
+    assert executor.attached.wait(10)
+    executor.release.set()
+    for thread in (owner, follower):
+        thread.join(60)
+        assert not thread.is_alive()
+    return {tag: (scope.stats, value)
+            for tag, (scope, value) in out.items()}
+
+
+class TestClaimOutcomes:
+    def test_abandoned_claim_is_computed_once_by_the_follower(self):
+        cell = _tiny_cell(seed=5)
+        with SweepExecutor() as reference:
+            expected = reference.run_cells([cell])[0].to_json()
+        executor = _GatedInlineExecutor()
+        out = _race(executor, cell, owner_progress=_RaisingProgress())
+        _, owner_value = out["owner"]
+        follower_stats, follower_value = out["follower"]
+        assert isinstance(owner_value, RuntimeError)
+        # The follower scans the abandoned cell again and claims it.
+        assert (follower_stats.computed, follower_stats.memo_hits,
+                follower_stats.dedup_hits) == (1, 0, 0)
+        assert follower_value.to_json() == expected
+        assert executor.calls == 2  # the owner's attempt + the follower's
+        assert executor.inflight_cells() == 0
+
+    def test_terminal_failure_is_shared_with_the_follower(self):
+        cell = _tiny_cell(seed=6)
+        fp = cell_fingerprint(cell)
+        faults.install(faults.FaultPlan.parse(f"crash:{fp[:12]}:99"))
+        try:
+            executor = _GatedInlineExecutor(
+                policy=CellPolicy(retries=1, backoff_s=0.0,
+                                  backoff_cap_s=0.0))
+            out = _race(executor, cell)
+        finally:
+            faults.install(None)
+        _, owner_value = out["owner"]
+        follower_stats, follower_value = out["follower"]
+        assert isinstance(owner_value, SweepFailure)
+        assert isinstance(follower_value, SweepFailure)
+        assert follower_value.failures == owner_value.failures
+        assert owner_value.failures[0].fingerprint == fp
+        assert owner_value.failures[0].attempts == 2
+        assert executor.calls == 2  # both attempts were the owner's
+        assert (follower_stats.computed, follower_stats.failed) == (0, 1)
+        assert executor.inflight_cells() == 0
+
+
+class TestClaimTableStress:
+    def test_overlapping_runs_compute_every_cell_once(self):
+        """Six threads race over a ring of six cells, each run taking
+        three of them, with the interpreter switching threads as often
+        as it can: every cell is computed exactly once, every other
+        occurrence is a memo hit, and every result is right."""
+        ring = [_tiny_cell(seed=seed) for seed in range(60, 66)]
+        runs = [[ring[(i + k) % 6] for k in range(3)] for i in range(6)]
+        with SweepExecutor() as reference:
+            expected = {cell: result.to_json() for cell, result in
+                        zip(ring, reference.run_cells(ring))}
+        executor = SweepExecutor()
+        out = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(
+                target=lambda i=i: out.__setitem__(
+                    i, executor.run_cells(runs[i])))
+                for i in range(len(runs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        stats = executor.stats
+        assert (stats.cells, stats.computed, stats.memo_hits) == \
+            (18, 6, 12)
+        for i, run in enumerate(runs):
+            assert [result.to_json() for result in out[i]] == \
+                [expected[cell] for cell in run]
+        assert executor.inflight_cells() == 0
+
+
+class _WindowProbe(SweepExecutor):
+    """Records, per run, how many pooled first attempts are outstanding
+    each time one is submitted, against the fair-share bound."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.both_running = threading.Barrier(2, timeout=30)
+        self.outstanding: dict[int, int] = {}
+        #: (outstanding first attempts of the run, active runs) at
+        #: each pooled first attempt.
+        self.samples: list[tuple[int, int]] = []
+
+    def _run_owned(self, *args, **kwargs):
+        self.both_running.wait()
+        return super()._run_owned(*args, **kwargs)
+
+    def _submit(self, cell, fp, attempt, capture=None):
+        submitted = super()._submit(cell, fp, attempt, capture)
+        if submitted is not None and attempt == 0:
+            with self._lock:
+                run = threading.get_ident()
+                self.outstanding[run] = self.outstanding.get(run, 0) + 1
+                self.samples.append((self.outstanding[run],
+                                     self._active_runs))
+        return submitted
+
+    def _resolve_cell(self, fp, cell, future, pool, capture=None):
+        try:
+            return super()._resolve_cell(fp, cell, future, pool, capture)
+        finally:
+            if pool is not None:
+                with self._lock:
+                    self.outstanding[threading.get_ident()] -= 1
+
+
+class TestFairShareWindow:
+    def test_two_runs_keep_their_share_of_the_pool(self):
+        jobs = 2
+        sweeps = [[_tiny_cell(seed=seed) for seed in range(base, base + 5)]
+                  for base in (20, 40)]
+        results = {}
+        with _WindowProbe(jobs=jobs) as executor:
+            threads = [threading.Thread(
+                target=lambda i=i: results.__setitem__(
+                    i, executor.run_cells(sweeps[i])))
+                for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+        assert sorted(results) == [0, 1]
+        shared = [(count, active) for count, active in executor.samples
+                  if active > 1]
+        assert shared, "no first attempt was pooled while both ran"
+        for count, active in shared:
+            assert count <= math.ceil(jobs / active) + 1
+        assert max(count for count, _ in shared) == \
+            math.ceil(jobs / 2) + 1
 
 
 @pytest.fixture
