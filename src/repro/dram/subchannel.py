@@ -14,13 +14,15 @@ the 64-byte bursts.  DRFM commands are sub-channel scoped:
 
 The number of *valid* DARs consumed by a single DRFM is the command's
 realised Rowhammer-mitigation Level Parallelism (RLP); the sub-channel
-records it for every mitigation command so experiments can reproduce the
-paper's Table 5.
+counts every mitigation command by kind and by RLP
+(:class:`SubChannelStats`) so experiments can reproduce the paper's
+Table 5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, blocking_banks
@@ -45,15 +47,22 @@ class MitigationEvent:
 
 @dataclass
 class SubChannelStats:
-    """Aggregated sub-channel activity."""
+    """Aggregated sub-channel activity: the one count of mitigation
+    commands and mitigated rows."""
 
     refreshes: int = 0
     mitigation_commands: int = 0
     mitigated_rows: int = 0
+    #: Mitigation commands per kind (NRR, DRFMsb, DRFMab).
+    commands: Counter[Command] = field(default_factory=Counter)
+    #: Mitigation commands per realised RLP.
+    rlp_counts: Counter[int] = field(default_factory=Counter)
 
     def record_mitigation(self, event: MitigationEvent) -> None:
         self.mitigation_commands += 1
         self.mitigated_rows += event.rlp
+        self.commands[event.command] += 1
+        self.rlp_counts[event.rlp] += 1
 
 
 class SubChannel:

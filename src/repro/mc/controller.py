@@ -7,6 +7,10 @@ primitives the mitigation policies drive.  The
 :class:`MemoryController` is the per-channel front door the simulation
 runner talks to.
 
+The port's ``issue`` is the one place a mitigation command is recorded:
+the sub-channel counts it, and with a journal attached the controller
+appends its ``mitigation`` record.  No policy reports a command.
+
 The controller owns its sub-channel's data bus; no other module models
 it.  A burst starts once its data is ready and the previous burst has
 finished, and holds the bus for tBUS, so the bus state is one
@@ -53,6 +57,9 @@ class SubChannelController:
         self.policy = policy
         self.page_policy = page_policy
         self.tracer: CommandTracer | None = None
+        #: The :class:`~repro.obs.journal.RunJournal` each issued
+        #: command is journalled to, or ``None``.
+        self.journal = None
         # Hot-path caches: ``service`` runs once per request and must
         # not re-chase attribute chains or property descriptors.  The
         # cached ``next_ref_ps`` mirror is a lower bound on the
@@ -87,13 +94,19 @@ class SubChannelController:
         """Issue NRR/DRFMsb/DRFMab (see SubChannel.issue_mitigation).
 
         The one place a mitigation is recorded: the sub-channel counts
-        it, and the policy reports it to telemetry.
+        it, and with a journal attached this appends its ``mitigation``
+        record, whose ``dars`` is the DAR occupancy after the command.
         """
         if self.tracer is not None:
             self.tracer.record(now_ps, command, bank, row)
-        event = self.subchannel.issue_mitigation(command, bank, now_ps, row)
-        if self.policy is not None:
-            self.policy.record_event(event)
+        subchannel = self.subchannel
+        event = subchannel.issue_mitigation(command, bank, now_ps, row)
+        if self.journal is not None:
+            self.journal.write(
+                "mitigation", sc=subchannel.index, t_ps=event.time_ps,
+                cmd=command.value, policy=self.policy.name,
+                bank=event.trigger_bank, blocked=event.blocked_banks,
+                rlp=event.rlp, dars=subchannel.valid_dar_count())
         return event
 
     def explicit_sample(self, bank: int, row: int, now_ps: int) -> int:
@@ -186,9 +199,10 @@ class MemoryController:
     """Front door: routes requests to per-sub-channel controllers.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) is strictly opt-in:
-    when given, each policy receives its per-sub-channel instrument
-    handle and the timeline sampler hooks onto every refresh scheduler.
-    When ``None`` (the default) no observability code runs at all.
+    when given, each controller journals its mitigation commands to
+    ``telemetry.journal`` and the timeline sampler hooks onto every
+    refresh scheduler.  When ``None`` (the default) no observability
+    code runs at all.
     """
 
     def __init__(self, organization: Organization, timing: DDR5Timing,
@@ -201,7 +215,6 @@ class MemoryController:
                              record_mitigations=record_mitigations)
         self.timing = timing
         self.organization = organization
-        self.telemetry = telemetry
         self.controllers: list[SubChannelController] = []
         self.policies: list[MitigationPolicy] = []
         for index, subchannel in enumerate(self.device.subchannels):
@@ -220,8 +233,7 @@ class MemoryController:
             controller = SubChannelController(subchannel, timing, policy,
                                               page_policy=page_policy)
             if telemetry is not None:
-                if policy is not None:
-                    policy.telemetry = telemetry.channel(index)
+                controller.journal = telemetry.journal
                 telemetry.timeline.attach(controller, policy)
             self.controllers.append(controller)
 

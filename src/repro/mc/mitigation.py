@@ -7,10 +7,9 @@ improves.  The policy base classes live in :mod:`repro.mc.policy`; the
 decoupled DREAM designs live in :mod:`repro.core.dream_r` and
 :mod:`repro.core.dream_c`.
 
-The controller's port reports every command it issues through the
-bound policy's :meth:`~repro.mc.policy.MitigationPolicy.record_event`,
-so these designs, like every other, are fully visible to the
-event-trace surface: ``repro trace`` renders their per-command RLP
+These designs only decide when to mitigate: the controller's port
+counts and journals every command they issue, as it does for every
+other design, so ``repro trace`` renders their per-command RLP
 histograms and DAR-occupancy summaries, which the aggregate checks in
 :mod:`repro.analysis.rlp` cross-validate.
 """

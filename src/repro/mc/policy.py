@@ -40,9 +40,12 @@ class MitigationPort(Protocol):
 
     def issue(self, command: Command, bank: int, now_ps: int,
               row: int | None = None) -> MitigationEvent:
-        """Issue a mitigation command (NRR needs an explicit ``row``)
-        and report it through the bound policy's
-        :meth:`MitigationPolicy.record_event`."""
+        """Issue a mitigation command (NRR needs an explicit ``row``).
+
+        The one place a mitigation is recorded: the sub-channel counts
+        it (:class:`~repro.dram.subchannel.SubChannelStats`) and, when
+        a journal is attached, the port journals it.  A policy only
+        calls this; it never reports a command itself."""
         ...
 
     def explicit_sample(self, bank: int, row: int, now_ps: int) -> int:
@@ -125,30 +128,10 @@ class MitigationPolicy(abc.ABC):
     def __init__(self) -> None:
         self.port: MitigationPort | None = None
         self.stats = PolicyStats()
-        #: Optional per-sub-channel telemetry handle
-        #: (:class:`repro.obs.SubchannelTelemetry`); ``None`` keeps the
-        #: instrumented paths to a single pointer check.
-        self.telemetry = None
 
     def bind(self, port: MitigationPort) -> None:
         """Attach the policy to its sub-channel controller."""
         self.port = port
-
-    def record_event(self, event: MitigationEvent) -> None:
-        """Report one executed mitigation command to telemetry.
-
-        The port calls this once for every command it issues, so it is
-        the single place where the observability layer sees mitigations,
-        whatever the design.  The counts themselves are the
-        sub-channel's (:class:`~repro.dram.subchannel.SubChannelStats`).
-        The telemetry record also captures the DAR occupancy at issue
-        time (how many DARs held a valid row when the command went
-        out), which the ``repro trace`` analyzer summarises per design.
-        """
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.mitigation(self.name, event,
-                                 self.port.valid_dar_count())
 
     @abc.abstractmethod
     def before_activate(self, bank: int, row: int, now_ps: int) -> bool:

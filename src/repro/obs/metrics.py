@@ -87,15 +87,15 @@ class Histogram:
         self.count = 0
         self.total = 0.0
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
+        self.count += count
+        self.total += value * count
         index = bisect.bisect_left(self.bounds, value)
         if index >= len(self.bounds):
-            self.overflow += 1
+            self.overflow += count
         else:
-            self.counts[index] += 1
+            self.counts[index] += count
 
     @property
     def mean(self) -> float:

@@ -119,7 +119,10 @@ def _finish(mc, cores, workload: str, policy_name: str, completed: int,
         policy_summaries=mc.policy_summaries(),
     )
     if telemetry is not None:
-        telemetry.end_run(result, events=completed)
+        telemetry.end_run(result, events=completed,
+                          subchannels=[controller.subchannel
+                                       for controller in mc.controllers
+                                       if controller.policy is not None])
     return result
 
 

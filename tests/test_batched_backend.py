@@ -102,7 +102,6 @@ class _ExplodingPolicy:
 
     def __init__(self, fuse: int) -> None:
         self.fuse = fuse
-        self.telemetry = None
         self.stats = PolicyStats()
 
     def bind(self, port) -> None:

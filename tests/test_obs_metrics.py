@@ -58,6 +58,17 @@ class TestHistogram:
         assert hist.mean == pytest.approx(4.5)
         assert hist.count == 2
 
+    def test_observe_with_count_equals_repeated_observations(self):
+        folded = Histogram("rlp")
+        repeated = Histogram("rlp")
+        for value, count in ((1, 3), (7, 2), (40, 1)):
+            folded.observe(value, count)
+            for _ in range(count):
+                repeated.observe(value)
+        assert folded.snapshot() == repeated.snapshot()
+        assert folded.total == 57.0
+        assert folded.overflow == 1
+
     def test_default_rlp_buckets_cover_32_banks(self):
         assert RLP_BUCKETS[-1] == 32
 

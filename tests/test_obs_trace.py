@@ -25,7 +25,7 @@ def hammered():
     telemetry = Telemetry(journal_memory=True)
     telemetry.begin_run("attack", "mint-drfmsb", seed=99)
     harness = AttackHarness(coupled_mint_factory(500))
-    harness.policy.telemetry = telemetry.channel(0)
+    harness.controller.journal = telemetry.journal
     pattern = [(bank, row) for _ in range(40)
                for bank in range(4) for row in (10, 20)]
     harness.run(pattern)

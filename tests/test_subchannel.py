@@ -106,6 +106,20 @@ class TestRLPAccounting:
         assert subchannel.stats.mitigated_rows == 3
         assert subchannel.average_rlp == pytest.approx(1.5)
 
+    def test_counts_per_kind_and_rlp(self, subchannel):
+        _sample(subchannel, 0, 10)
+        _sample(subchannel, 4, 11)
+        subchannel.issue_mitigation(Command.DRFM_SB, 0, ns(1000))
+        subchannel.issue_mitigation(Command.DRFM_AB, 0, ns(2000))
+        subchannel.issue_mitigation(Command.NRR, 3, ns(3000), row=7)
+        stats = subchannel.stats
+        assert stats.commands == {Command.DRFM_SB: 1, Command.DRFM_AB: 1,
+                                  Command.NRR: 1}
+        assert stats.rlp_counts == {2: 1, 0: 1, 1: 1}
+        assert sum(stats.commands.values()) == stats.mitigation_commands
+        assert sum(rlp * count for rlp, count in stats.rlp_counts.items()) \
+            == stats.mitigated_rows
+
     def test_empty_average(self, subchannel):
         assert subchannel.average_rlp == 0.0
 
