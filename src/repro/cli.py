@@ -65,6 +65,7 @@ the merged metrics/journal outputs are byte-identical too (see
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import NoReturn
@@ -146,16 +147,29 @@ def _at_least(low: int, at_most: int | None = None):
     return parse
 
 
-def _positive_seconds(text: str) -> float:
-    """An argparse ``type``: a number of seconds ``> 0``."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+def _number(accept, bound: str):
+    """An argparse ``type``: a number for which ``accept`` holds
+    (``bound`` says which in the error)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    return parse
+
+
+#: Seconds ``> 0``.
+_positive_seconds = _number(lambda value: value > 0, "> 0")
+#: A slowdown budget in percent: finite and ``>= 0``.
+_budget_pct = _number(lambda value: 0 <= value < math.inf,
+                      "a finite number >= 0")
+#: A regression threshold in percent.  NaN would pass every comparison
+#: vacuously, and at 100 or more no drop of a positive figure exceeds it.
+_threshold_pct = _number(lambda value: 0 < value < 100, "> 0 and < 100")
 
 
 def _input_error(message: str) -> NoReturn:
@@ -781,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("experiments", nargs="*",
                             help="experiment names (default: all)")
     _add_mode_flags(run_parser)
-    run_parser.add_argument("--seed", type=int, default=2025)
+    run_parser.add_argument("--seed", type=_at_least(0), default=2025)
     run_parser.add_argument("--json", action="store_true",
                             help="emit machine-readable JSON")
     run_parser.add_argument("--chart", action="store_true",
@@ -797,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("experiments", nargs="*",
                                help="experiment names (default: all)")
     _add_mode_flags(report_parser)
-    report_parser.add_argument("--seed", type=int, default=2025)
+    report_parser.add_argument("--seed", type=_at_least(0), default=2025)
     report_parser.add_argument("-o", "--output",
                                help="write the report to a file")
     _add_exec_flags(report_parser)
@@ -876,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "http://127.0.0.1:"
                                     f"{DEFAULT_SERVICE_PORT})")
     _add_mode_flags(submit_parser)
-    submit_parser.add_argument("--seed", type=int, default=2025)
+    submit_parser.add_argument("--seed", type=_at_least(0), default=2025)
     submit_parser.add_argument("--requests", type=_at_least(1),
                                metavar="N",
                                help="per-core request-budget override "
@@ -967,11 +981,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--history", metavar="FILE",
                               help="history JSONL (default "
                                    "<results-dir>/BENCH_history.jsonl)")
-    bench_parser.add_argument("--threshold", type=float, default=20.0,
-                              metavar="PCT",
-                              help="regression threshold in percent; "
-                                   "best AND median must both drop "
-                                   "beyond it (default 20)")
+    bench_parser.add_argument("--threshold", type=_threshold_pct,
+                              default=20.0, metavar="PCT",
+                              help="regression threshold in percent, "
+                                   "above 0 and below 100; best AND "
+                                   "median must both drop beyond it "
+                                   "(default 20)")
     bench_parser.add_argument("--note", default="",
                               help="free-form note stored with a "
                                    "recorded entry")
@@ -990,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan_parser = sub.add_parser(
         "plan", help="recommend a deployment for a threshold and budget")
     plan_parser.add_argument("t_rh", type=_at_least(1))
-    plan_parser.add_argument("--budget", type=float, default=5.0,
+    plan_parser.add_argument("--budget", type=_budget_pct, default=5.0,
                              help="slowdown budget in percent")
     plan_parser.set_defaults(func=_cmd_plan)
     return parser

@@ -39,8 +39,9 @@ from pathlib import Path
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION
 from repro.obs import runtime as obs_runtime
 from repro.obs.atomic import atomic_writer
-from repro.obs.snapshot import (CaptureSpec, TelemetrySnapshot,
-                                snapshot_from_doc, snapshot_to_doc)
+from repro.obs.snapshot import (CaptureSpec, SNAPSHOT_SCHEMA_VERSION,
+                                TelemetrySnapshot, snapshot_from_doc,
+                                snapshot_to_doc)
 from repro.sim.results import RunResult
 
 _RESULT_FIELDS = frozenset(
@@ -153,7 +154,8 @@ class RunCache:
 
     def _load_telemetry(self, fingerprint: str) \
             -> TelemetrySnapshot | None:
-        """Decode the telemetry artifact (no hit/miss accounting)."""
+        """Decode the telemetry artifact (no hit/miss accounting); one
+        whose snapshot another schema wrote is outdated, not corrupt."""
         path = self.telemetry_path_for(fingerprint)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -166,7 +168,11 @@ class RunCache:
                 or entry.get("schema") != CACHE_SCHEMA_VERSION \
                 or entry.get("fingerprint") != fingerprint:
             return self._discard_corrupt_artifact(path)
-        snapshot = snapshot_from_doc(entry.get("snapshot"))
+        doc = entry.get("snapshot")
+        if isinstance(doc, dict) and type(doc.get("schema")) is int \
+                and doc["schema"] != SNAPSHOT_SCHEMA_VERSION:
+            return None
+        snapshot = snapshot_from_doc(doc)
         if snapshot is None:
             return self._discard_corrupt_artifact(path)
         return snapshot

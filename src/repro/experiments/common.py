@@ -70,7 +70,7 @@ class RunOptions:
         Per-core request-budget override; ``None`` uses the mode's
         default (:data:`QUICK_REQUESTS` / :data:`FULL_REQUESTS`).
     seed:
-        Master seed deriving every per-cell seed.
+        Master seed deriving every per-cell seed (``>= 0``).
     retries:
         Per-cell retry budget (``None`` keeps the executor's).
     timeout_s:
@@ -91,6 +91,8 @@ class RunOptions:
         if self.requests_per_core is not None and \
                 self.requests_per_core <= 0:
             raise ValueError("requests_per_core must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.retries is not None and self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:

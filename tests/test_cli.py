@@ -501,6 +501,9 @@ class TestResilienceFlags:
 _JOURNAL = str(Path(__file__).parent / "data" / "goldens"
                / "engine_journal.jsonl")
 
+#: The committed benchmark snapshots and their history.
+_RESULTS = str(Path(__file__).parents[1] / "benchmarks" / "results")
+
 #: Stands in for a valid spans file, which the test writes outside its
 #: working directory.
 _SPANS = "<spans file>"
@@ -529,6 +532,13 @@ BAD_INPUT = {
     "security-zero": (["security", "0"], {}),
     "storage-below-dream-c": (["storage", "100"], {}),
     "plan-zero": (["plan", "0"], {}),
+    "plan-budget-negative": (["plan", "500", "--budget", "-5"], {}),
+    "plan-budget-nan": (["plan", "500", "--budget", "nan"], {}),
+    # The committed snapshots, which pass the gate at any sane threshold.
+    "bench-threshold-nan": (["bench", "check", "--results-dir", _RESULTS,
+                             "--threshold", "nan"], {}),
+    "bench-threshold-zero": (["bench", "check", "--results-dir", _RESULTS,
+                              "--threshold", "0"], {}),
     # The port file's directory does not exist, so a service that
     # wrongly starts stops there instead of serving forever.
     "serve-queue-limit-zero": (["serve", "--port", "0", "--queue-limit",
@@ -537,7 +547,7 @@ BAD_INPUT = {
     **{f"{command}-{flag[2:]}": ([command, "table1", flag, value], {})
        for command in ("run", "report", "submit")
        for flag, value in (("--requests", "0"), ("--retries", "-1"),
-                           ("--timeout", "0"))},
+                           ("--timeout", "0"), ("--seed", "-1"))},
 }
 
 

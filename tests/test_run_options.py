@@ -54,6 +54,7 @@ class TestRecord:
         dict(retries=-1),
         dict(timeout_s=0.0),
         dict(timeout_s=-1.0),
+        dict(seed=-1),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

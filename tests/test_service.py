@@ -293,6 +293,19 @@ class TestHttpSurface:
         assert excinfo.value.code == 400
         assert field in json.loads(excinfo.value.read())["error"]
 
+    def test_negative_seed_is_400(self, service):
+        """A seed numpy cannot take is refused at submission, naming the
+        field, instead of failing every cell of the job."""
+        options = dict(OPTIONS.to_dict(), seed=-1)
+        body = json.dumps({"experiment": "ablation-atm",
+                           "options": options}).encode()
+        request = urllib.request.Request(service.url + "/v1/jobs",
+                                         method="POST", data=body)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert "seed" in json.loads(excinfo.value.read())["error"]
+
     def test_result_of_failed_job_is_410(self, service, client):
         from repro.exec import faults
 
