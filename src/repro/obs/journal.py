@@ -7,8 +7,8 @@ and a record kind (``"kind"``); the kinds the simulator emits are:
   (workload, policy, seed);
 * ``sample``     — one per timeline-sampler tick (per sub-channel
   interval deltas, see :mod:`repro.obs.timeline`);
-* ``mitigation`` — one per mitigation command any policy issues
-  (command, trigger bank, realised RLP, valid DAR count at issue);
+* ``mitigation`` — one per mitigation command the controller's port
+  issues (command, trigger bank, realised RLP, valid DARs after it);
 * ``summary``    — one per completed run (the
   :class:`~repro.sim.results.RunResult` headline numbers);
 * ``profile``    — wall-clock phase timings when profiling is enabled.
