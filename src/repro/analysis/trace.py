@@ -5,8 +5,8 @@ Input is a JSONL file of journal records: a run journal
 ``--trace`` wrote).  Only two record kinds matter here:
 
 * ``mitigation`` — one executed mitigation command: realised RLP,
-  blocked banks, the command mnemonic, and the valid-DAR count at issue
-  time (``dars``);
+  blocked banks, the command mnemonic, and the valid DARs after the
+  command (``dars``, read once the command has consumed its DARs);
 * ``sample`` — timeline ticks, whose ``rmaq_hits``/``rmaq_skips``
   interval deltas attribute RMAQ behaviour to the run in flight
   (``run_start`` records carry the policy).
@@ -42,7 +42,7 @@ class TraceSummary:
     #: (inclusive upper bounds) plus an overflow bucket.
     rlp_buckets: list = field(
         default_factory=lambda: [0] * (len(RLP_BUCKETS) + 1))
-    #: Valid-DAR occupancy at issue, summed over events carrying it.
+    #: Valid DARs after the command, summed over events carrying it.
     dars_total: int = 0
     dars_events: int = 0
     #: RMAQ interval deltas attributed from surrounding sample records.
@@ -63,7 +63,8 @@ class TraceSummary:
 
     @property
     def mean_dars(self) -> float:
-        """Mean valid-DAR count at issue (0.0 without ``dars`` fields)."""
+        """Mean valid DARs after the command (0.0 without ``dars``
+        fields)."""
         return self.dars_total / self.dars_events if self.dars_events \
             else 0.0
 
@@ -131,8 +132,8 @@ def render_summary(summary: TraceSummary, width: int = 40) -> str:
              in zip(labels, summary.rlp_buckets)]
     lines.append(bar_chart(items, width=width, unit=""))
     if summary.dars_events:
-        lines.append(f"DAR occupancy at issue: mean "
-                     f"{summary.mean_dars:.2f} valid DARs "
+        lines.append(f"valid DARs after the command: mean "
+                     f"{summary.mean_dars:.2f} "
                      f"({summary.dars_events} events)")
     rmaq_total = summary.rmaq_hits + summary.rmaq_skips
     if rmaq_total:

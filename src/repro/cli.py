@@ -68,6 +68,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 from typing import NoReturn
 
 from repro.analysis.artifacts import ArtifactError
@@ -162,8 +163,11 @@ def _number(accept, bound: str):
     return parse
 
 
-#: Seconds ``> 0``.
-_positive_seconds = _number(lambda value: value > 0, "> 0")
+#: Seconds ``> 0`` that a thread can wait: finite and at most
+#: ``threading.TIMEOUT_MAX``.
+_positive_seconds = _number(
+    lambda value: 0 < value <= threading.TIMEOUT_MAX,
+    f"> 0 and <= {threading.TIMEOUT_MAX:g}")
 #: A slowdown budget in percent: finite and ``>= 0``.
 _budget_pct = _number(lambda value: 0 <= value < math.inf,
                       "a finite number >= 0")

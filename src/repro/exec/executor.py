@@ -23,6 +23,11 @@ Every experiment decomposes its work into flat lists of cells —
    near-instant across invocations;
 3. a **process pool** (``jobs > 1``) fanning the remaining cells out.
 
+A cell that does get computed may still not be simulated: without
+telemetry, a mitigated cell first replays its baseline's recorded
+activations and takes the baseline's result when its policy never acts
+(:mod:`repro.sim.replay`; counted as ``replayed``).
+
 Every cell is deterministic — traces and policies derive all randomness
 from the cell's own seeds — so execution order cannot change any result:
 serial, parallel and cached paths return byte-identical results, and
@@ -219,8 +224,9 @@ def _execute_cell(cell: Cell | StudyCell, fp: str | None = None,
 
     Returns the result, the engine wall-seconds (excluding trace
     building — they feed the executor's aggregate events/sec figure;
-    zero for a study, which runs no engine), and — when ``capture`` is
-    given — the cell's telemetry snapshot.  The capture telemetry is
+    zero for a study, which runs no engine, and ``None`` for a cell a
+    replay served), and — when ``capture`` is given — the cell's
+    telemetry snapshot.  The capture telemetry is
     private to this call and passed explicitly, so an ambient parent
     telemetry can never double-count an inline cell.
     ``fp``/``attempt`` key deterministic fault injection
@@ -245,9 +251,16 @@ def _execute_cell(cell: Cell | StudyCell, fp: str | None = None,
     return result, seconds, capture_snapshot(local)
 
 
-def _compute(cell: Cell | StudyCell, telemetry) -> tuple[object, float]:
-    """The cell's own work and its engine seconds, recorded as phases
-    of ``telemetry`` when given."""
+def _compute(cell: Cell | StudyCell, telemetry) \
+        -> tuple[object, float | None]:
+    """The cell's own work and its engine seconds (``None`` when a
+    replay served it), recorded as phases of ``telemetry`` when given.
+
+    With no telemetry at all, a policy-less cell records its activation
+    streams, and a mitigated cell first replays its baseline's; it is
+    simulated only when none is recorded or its policy acts (see
+    :mod:`repro.sim.replay`).
+    """
     def phase(name: str):
         return nullcontext() if telemetry is None else \
             telemetry.phase(name)
@@ -255,16 +268,33 @@ def _compute(cell: Cell | StudyCell, telemetry) -> tuple[object, float]:
     if isinstance(cell, StudyCell):
         with phase(f"study:{cell.policy_name}"):
             return cell.run(), 0.0
+    from repro.sim import replay
     from repro.sim.runner import run_simulation
     from repro.workloads.builder import build_traces
 
+    quiet = telemetry is None and obs_runtime.active() is None
+    key = replay.baseline_key(cell.workload, cell.trace_system,
+                              cell.run_system, cell.sim)
+    if quiet and cell.policy is not None:
+        recording = replay.STORE.get(key)
+        result = None if recording is None else replay.replay(
+            recording, cell.run_system, cell.sim, cell.policy,
+            cell.policy_name)
+        if result is not None:
+            return result, None
     with phase("build_traces"):
         traces = build_traces(cell.workload, cell.trace_system, cell.sim)
     started = time.perf_counter()
     with phase(f"run:{cell.policy_name}"):
-        result = run_simulation(cell.run_system, traces, cell.sim,
-                                cell.policy, cell.policy_name,
-                                telemetry=telemetry)
+        if quiet and cell.policy is None:
+            recording = replay.record(cell.run_system, traces, cell.sim,
+                                      cell.policy_name)
+            replay.STORE.put(key, recording)
+            result = recording.result
+        else:
+            result = run_simulation(cell.run_system, traces, cell.sim,
+                                    cell.policy, cell.policy_name,
+                                    telemetry=telemetry)
     return result, time.perf_counter() - started
 
 
@@ -297,6 +327,10 @@ class ExecutorStats:
     #: counted as a memo hit — dedup refines the hit, it does not
     #: replace it.
     dedup_hits: int = 0
+    #: computed cells a replay of their baseline's activations served
+    #: (:mod:`repro.sim.replay`); each is also counted as computed, and
+    #: adds nothing to ``engine_events`` or ``engine_seconds``.
+    replayed: int = 0
     retries: int = 0
     timeouts: int = 0
     failed: int = 0
@@ -307,7 +341,7 @@ class ExecutorStats:
 
     @property
     def events_per_sec(self) -> float:
-        """Aggregate engine throughput over all computed cells."""
+        """Aggregate engine throughput over all simulated cells."""
         if self.engine_seconds <= 0:
             return 0.0
         return self.engine_events / self.engine_seconds
@@ -318,6 +352,8 @@ class ExecutorStats:
                 f"timeouts={self.timeouts}")
         if self.dedup_hits:
             line += f" dedup_hits={self.dedup_hits}"
+        if self.replayed:
+            line += f" replayed={self.replayed}"
         if self.failed:
             line += f" failed={self.failed}"
         if self.fallbacks:
@@ -948,11 +984,16 @@ class SweepExecutor:
         if self.progress is not None:
             self.progress.record(kind, seconds)
 
-    def _account_computed(self, result, seconds: float) -> None:
+    def _account_computed(self, result, seconds: float | None) -> None:
+        """Count one computed cell; ``seconds`` is ``None`` for a
+        replayed one, which ran no engine."""
         self._stat("computed")
-        if isinstance(result, RunResult):
-            self._stat("engine_events", result.requests_completed)
-        self._stat("engine_seconds", seconds)
+        if seconds is None:
+            self._stat("replayed")
+        else:
+            if isinstance(result, RunResult):
+                self._stat("engine_events", result.requests_completed)
+            self._stat("engine_seconds", seconds)
         self._progress("computed", seconds)
 
     # ------------------------------------------------------------------

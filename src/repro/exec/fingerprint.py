@@ -22,6 +22,12 @@ Anything else — in particular a bare ``lambda`` policy factory — raises
 :data:`CACHE_SCHEMA_VERSION` is folded into every digest;
 bump it whenever the meaning of a cached result changes (new RunResult
 fields, changed policy defaults, simulator semantics).
+
+The encoding of a frozen dataclass whose fields are all immutable is
+memoised by identity: a sweep's cells share their system, sim, workload
+and policy objects, so each is walked once, not once per cell.  The
+memo returns the very document it first built, so callers must not
+mutate an encoding.
 """
 
 from __future__ import annotations
@@ -34,6 +40,17 @@ import json
 #: Version of the cell-key/entry layout.  Part of every fingerprint, so
 #: bumping it invalidates the whole cache at once.
 CACHE_SCHEMA_VERSION = 1
+
+#: Encodings the memo holds at most before it starts afresh.
+_MEMO_CAPACITY = 512
+
+#: ``id(obj) -> (obj, encoding)`` for deeply immutable dataclasses.
+#: Holding ``obj`` keeps its id from being reused while its entry lives.
+#: No lock: each dict operation is atomic, every entry is checked by
+#: identity before use, and a race between the size check and an insert
+#: only lets the memo run a few entries over its capacity.  (A lock
+#: could also be inherited held by a forked pool worker.)
+_memo: dict[int, tuple[object, dict]] = {}
 
 
 class FingerprintError(TypeError):
@@ -52,9 +69,16 @@ def canonical(obj):
     if isinstance(obj, enum.Enum):
         return {"__enum__": _type_ref(obj), "value": canonical(obj.value)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        hit = _memo.get(id(obj))
+        if hit is not None and hit[0] is obj:
+            return hit[1]
         encoded = {"__dataclass__": _type_ref(obj)}
         for field in dataclasses.fields(obj):
             encoded[field.name] = canonical(getattr(obj, field.name))
+        if _immutable(obj):
+            if len(_memo) >= _MEMO_CAPACITY:
+                _memo.clear()
+            _memo[id(obj)] = (obj, encoded)
         return encoded
     if isinstance(obj, (list, tuple)):
         return [canonical(item) for item in obj]
@@ -68,6 +92,20 @@ def canonical(obj):
         return out
     raise FingerprintError(
         f"no canonical encoding for {type(obj).__name__}: {obj!r}")
+
+
+def _immutable(obj) -> bool:
+    """Whether ``obj`` (already canonically encodable) can never change:
+    a scalar, an enum, or a tuple or frozen dataclass of such values."""
+    if obj is None or isinstance(obj, (str, bool, int, float, enum.Enum)):
+        return True
+    if isinstance(obj, tuple):
+        return all(_immutable(item) for item in obj)
+    if dataclasses.is_dataclass(obj):
+        return obj.__dataclass_params__.frozen and all(
+            _immutable(getattr(obj, field.name))
+            for field in dataclasses.fields(obj))
+    return False
 
 
 def fingerprint(**parts) -> str:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 from dataclasses import dataclass, field
 
 from repro.analysis.slowdown import SlowdownSeries
@@ -74,8 +75,9 @@ class RunOptions:
     retries:
         Per-cell retry budget (``None`` keeps the executor's).
     timeout_s:
-        Per-attempt wall-clock timeout in seconds (``None`` keeps the
-        executor's, which is unlimited by default).
+        Per-attempt wall-clock timeout in seconds, ``> 0`` and at most
+        ``threading.TIMEOUT_MAX`` (``None`` keeps the executor's, which
+        is unlimited by default).
     """
 
     mode: str = "quick"
@@ -95,8 +97,11 @@ class RunOptions:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.retries is not None and self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        if self.timeout_s is not None and \
+                not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout_s must be > 0 and <= "
+                             f"{threading.TIMEOUT_MAX:g}, "
+                             f"got {self.timeout_s}")
 
     @property
     def quick(self) -> bool:

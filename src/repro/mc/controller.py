@@ -27,6 +27,9 @@ The service path for one request:
 5. if the policy asked for implicit sampling, close the row with
    Pre+Sample immediately after the access (Listing 1 of the paper) and
    notify the policy.
+
+Without a policy, step 3 instead hands the ACT to ``record_act`` when
+one is set: the activation stream :mod:`repro.sim.replay` replays.
 """
 
 from __future__ import annotations
@@ -41,6 +44,22 @@ from repro.mc.page_policy import PagePolicy
 from repro.mc.policy import (MitigationPolicy, PolicyContext,
                              PolicyFactory)
 from repro.mc.tracer import CommandTracer
+
+
+def build_policies(policy_factory: PolicyFactory,
+                   organization: Organization, timing: DDR5Timing,
+                   seed: int) -> list[MitigationPolicy]:
+    """One policy per sub-channel, each built from its sub-channel's
+    :class:`PolicyContext` (shape plus the seed its random stream
+    derives from)."""
+    return [policy_factory(PolicyContext(
+                subchannel=index,
+                num_banks=organization.banks,
+                banks_per_group=organization.banks_per_group,
+                rows_per_bank=organization.rows_per_bank,
+                timing=timing,
+                seed=seed))
+            for index in range(organization.subchannels)]
 
 
 class SubChannelController:
@@ -60,6 +79,10 @@ class SubChannelController:
         #: The :class:`~repro.obs.journal.RunJournal` each issued
         #: command is journalled to, or ``None``.
         self.journal = None
+        #: Without a policy, called with each ACT's ``(bank, row,
+        #: now_ps)`` where the policy would be consulted, or ``None``.
+        #: It reads the ACT and never steers it.
+        self.record_act = None
         # Hot-path caches: ``service`` runs once per request and must
         # not re-chase attribute chains or property descriptors.  The
         # cached ``next_ref_ps`` mirror is a lower bound on the
@@ -168,6 +191,8 @@ class SubChannelController:
             sample_after = policy.before_activate(bank_index, row, now_ps)
             # The policy may have re-opened state questions: a mitigation
             # it issued blocks the bank; the ACT below waits naturally.
+        elif self.record_act is not None:
+            self.record_act(bank_index, row, now_ps)
         if bank.open_row is not None:
             bank.stats.row_conflicts += 1
             if tracer is not None:
@@ -217,19 +242,11 @@ class MemoryController:
         self.organization = organization
         self.controllers: list[SubChannelController] = []
         self.policies: list[MitigationPolicy] = []
+        if policy_factory is not None:
+            self.policies = build_policies(policy_factory, organization,
+                                           timing, seed)
         for index, subchannel in enumerate(self.device.subchannels):
-            policy = None
-            if policy_factory is not None:
-                context = PolicyContext(
-                    subchannel=index,
-                    num_banks=organization.banks,
-                    banks_per_group=organization.banks_per_group,
-                    rows_per_bank=organization.rows_per_bank,
-                    timing=timing,
-                    seed=seed,
-                )
-                policy = policy_factory(context)
-                self.policies.append(policy)
+            policy = self.policies[index] if self.policies else None
             controller = SubChannelController(subchannel, timing, policy,
                                               page_policy=page_policy)
             if telemetry is not None:

@@ -459,8 +459,8 @@ class SweepService:
         exec_stats = getattr(executor, "stats", None)
         if exec_stats is not None:
             for field in ("cells", "computed", "memo_hits",
-                          "dedup_hits", "retries", "timeouts", "failed",
-                          "fallbacks", "engine_events"):
+                          "dedup_hits", "replayed", "retries", "timeouts",
+                          "failed", "fallbacks", "engine_events"):
                 expo.counter(f"repro_executor_{field}",
                              getattr(exec_stats, field),
                              help_text=f"Executor lifetime "

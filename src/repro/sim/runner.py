@@ -47,6 +47,9 @@ Invariants any further optimization must keep (see
 * telemetry reads simulator state but never steers it, and the
   timeline's ``queue_depth`` closure is detached even when a policy or
   bank model raises;
+* recording a policy-less run's activation streams reads state and
+  never steers it, and a replayed result equals the simulated one byte
+  for byte (:mod:`repro.sim.replay`);
 * the controller owns the data bus; a generator served through
   :func:`~repro.mc.policy.uniform_draws` draws nothing else; DREAM-C's
   DCT and gang masks are lists of Python ints.
@@ -130,7 +133,7 @@ def run_simulation(system: SystemConfig, traces: list[MemoryTrace],
                    sim: SimConfig,
                    policy_factory: PolicyFactory | None = None,
                    policy_name: str = "none",
-                   telemetry=None) -> RunResult:
+                   telemetry=None, streams=None) -> RunResult:
     """Run one closed-loop simulation to completion.
 
     Parameters
@@ -152,11 +155,20 @@ def run_simulation(system: SystemConfig, traces: list[MemoryTrace],
         been activated; otherwise the run is entirely uninstrumented.
         Telemetry only reads simulator state, so the returned
         :class:`RunResult` is bit-identical with it on or off.
+    streams:
+        Optional per-sub-channel
+        :class:`~repro.sim.replay.ActivationStream` objects: a run
+        without a policy appends each ACT to its sub-channel's stream
+        (see :mod:`repro.sim.replay`).  Recording only reads simulator
+        state, so the result is bit-identical with it on or off.
     """
     mc, cores, workload, telemetry = _setup(system, traces, sim,
                                             policy_factory, policy_name,
                                             telemetry)
     controllers = mc.controllers
+    if streams is not None:
+        for controller, stream in zip(controllers, streams):
+            controller.record_act = stream.append
     # Bare-list heap of (time, sequence, core, sub, bank, row) tuples:
     # unique monotone sequence numbers reproduce EventQueue's FIFO
     # tie-break exactly (comparison never reaches the payload).

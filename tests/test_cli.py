@@ -528,6 +528,8 @@ BAD_INPUT = {
     "trace-width-3": (["trace", _JOURNAL, "--width", "3"], {}),
     "top-interval-negative": (["top", "--url", "http://127.0.0.1:9",
                                "--interval", "-1"], {}),
+    "top-interval-inf": (["top", "--url", "http://127.0.0.1:9",
+                          "--interval", "inf"], {}),
     "serve-port-too-large": (["serve", "--port", "70000"], {}),
     "security-zero": (["security", "0"], {}),
     "storage-below-dream-c": (["storage", "100"], {}),
@@ -548,6 +550,11 @@ BAD_INPUT = {
        for command in ("run", "report", "submit")
        for flag, value in (("--requests", "0"), ("--retries", "-1"),
                            ("--timeout", "0"), ("--seed", "-1"))},
+    # No thread can wait longer than threading.TIMEOUT_MAX (~9.2e9 s).
+    **{f"{command}-timeout-{value}": ([command, "table1", "--timeout",
+                                       value], {})
+       for command in ("run", "report", "submit")
+       for value in ("inf", "nan", "1e10")},
 }
 
 
@@ -750,7 +757,7 @@ class TestTrace:
         assert "DRFMsb=2" in out
         assert "rlp: mean=4.000" in out
         assert "rlp<=4" in out and "overflow" in out
-        assert "DAR occupancy" in out
+        assert "valid DARs after the command: mean 3.00 (2 events)" in out
         assert "RMAQ: hits=4 skips=1" in out
 
     def test_no_mitigations_exits_1(self, tmp_path, capsys):

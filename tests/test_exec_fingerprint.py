@@ -1,18 +1,25 @@
 """Unit tests for canonical encoding, fingerprints and policy specs."""
 
+import dataclasses
 import pickle
 
 import pytest
 
+from repro.core.dream_c import dream_c_factory
 from repro.core.dream_r import dream_r_mint_factory
 from repro.dram.commands import Command
 from repro.exec.fingerprint import (CACHE_SCHEMA_VERSION, FingerprintError,
                                     canonical, fingerprint)
+from repro.exec.executor import Cell, StudyCell, cell_fingerprint
 from repro.exec.spec import PolicySpec, spec_factory
+from repro.experiments.common import default_system
+from repro.experiments.motivation import trr_outcome
 from repro.mc.mitigation import coupled_para_factory
 from repro.mc.policy import NoMitigation, no_mitigation_factory
 from repro.sim.config import SimConfig, SystemConfig
-from repro.workloads.profiles import profiles_for
+from repro.trackers.trr import trr_factory
+from repro.workloads.mixes import MixRecipe
+from repro.workloads.profiles import profile, profiles_for
 
 
 class TestCanonical:
@@ -97,6 +104,60 @@ class TestFingerprint:
         document = canonical(dict(self._key(),
                                   schema=CACHE_SCHEMA_VERSION))
         assert document["schema"] == CACHE_SCHEMA_VERSION
+
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    """A frozen dataclass whose field can still change."""
+
+    items: list
+
+
+class TestPinnedDigests:
+    """Cell fingerprints key every run cache: any change to one makes a
+    filled cache go cold.  These digests were taken before the
+    canonical encodings were memoised."""
+
+    SYSTEM = default_system()
+    SIM = SimConfig(requests_per_core=1000, seed=2025)
+
+    def test_baseline_cell(self):
+        cell = Cell(workload=profile("mcf"), trace_system=self.SYSTEM,
+                    run_system=self.SYSTEM, sim=self.SIM, policy=None,
+                    policy_name="none")
+        assert cell_fingerprint(cell) == (
+            "86c60c090c5caa75c1697e8e55aa9dc1"
+            "2d9a44e2160f8e0a7820f91867fed448")
+
+    def test_policy_spec_cell(self):
+        cell = Cell(workload=MixRecipe(0), trace_system=self.SYSTEM,
+                    run_system=self.SYSTEM, sim=self.SIM,
+                    policy=dream_c_factory(500, vertical=1),
+                    policy_name="dream-c-rand-500")
+        assert cell_fingerprint(cell) == (
+            "f312ea9d8d7cd6c53f5ced419ad04afe"
+            "82ea70fc81c9545b514f056d06b15144")
+
+    def test_study_cell(self):
+        cell = StudyCell.of(trr_outcome, "double-sided", "trr",
+                            defense=trr_factory(entries=4),
+                            builder="double_sided", args=[100, 1000],
+                            seed=2025)
+        assert cell_fingerprint(cell) == (
+            "63d8693e6b14311441257085c19dd4b3"
+            "1cba8966c8adad113be078142ca3b49f")
+
+    def test_repeat_encodings_are_identical(self):
+        """A memoised encoding equals a fresh walk of an equal object."""
+        first = canonical(self.SYSTEM)
+        assert canonical(self.SYSTEM) is first
+        assert canonical(default_system()) == first
+
+    def test_mutable_fields_are_walked_each_time(self):
+        holder = _Holder(items=[1])
+        assert canonical(holder)["items"] == [1]
+        holder.items.append(2)
+        assert canonical(holder)["items"] == [1, 2]
 
 
 class TestPolicySpec:

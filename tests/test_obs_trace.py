@@ -57,7 +57,7 @@ class TestAnalyzerCrossCheck:
         assert "== policy: mint-drfmsb ==" in out
         assert "rlp: mean=" in out
         assert "efficiency=" in out
-        assert "DAR occupancy" in out
+        assert "valid DARs after the command: mean" in out
 
 
 #: Serialises to nothing: a write that reaches it fails midway, after

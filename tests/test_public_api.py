@@ -47,7 +47,7 @@ class TestTopLevelExports:
             repro.does_not_exist
 
     def test_version(self):
-        assert repro.__version__ == "4.1.0"
+        assert repro.__version__ == "4.2.0"
 
     def test_core_design_entry_points(self):
         for name in ("dream_r_para_factory", "dream_r_mint_factory",

@@ -4,6 +4,8 @@
 
 import dataclasses
 import json
+import math
+import threading
 
 import pytest
 
@@ -54,11 +56,22 @@ class TestRecord:
         dict(retries=-1),
         dict(timeout_s=0.0),
         dict(timeout_s=-1.0),
+        dict(timeout_s=math.inf),
+        dict(timeout_s=math.nan),
+        dict(timeout_s=threading.TIMEOUT_MAX * 2),
         dict(seed=-1),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RunOptions(**kwargs)
+
+    def test_timeout_up_to_the_longest_thread_wait(self):
+        """A timeout a thread can wait is accepted; an infinite one is
+        refused by name before any cell runs."""
+        assert RunOptions(timeout_s=threading.TIMEOUT_MAX).timeout_s == \
+            threading.TIMEOUT_MAX
+        with pytest.raises(ValueError, match="timeout_s"):
+            RunOptions.from_json('{"timeout_s": Infinity}')
 
     def test_resilience_knobs_detected(self):
         # Each knob set replaces its one field of the base policy.

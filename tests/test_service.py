@@ -306,6 +306,20 @@ class TestHttpSurface:
         assert excinfo.value.code == 400
         assert "seed" in json.loads(excinfo.value.read())["error"]
 
+    def test_infinite_timeout_is_400(self, service):
+        """A timeout no thread can wait is refused at submission, naming
+        the field, instead of failing every cell of the job."""
+        options = json.dumps(OPTIONS.to_dict()).replace(
+            '"timeout_s": null', '"timeout_s": Infinity')
+        body = (f'{{"experiment": "ablation-atm", '
+                f'"options": {options}}}').encode()
+        request = urllib.request.Request(service.url + "/v1/jobs",
+                                         method="POST", data=body)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert "timeout_s" in json.loads(excinfo.value.read())["error"]
+
     def test_result_of_failed_job_is_410(self, service, client):
         from repro.exec import faults
 

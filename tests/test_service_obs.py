@@ -151,6 +151,9 @@ class TestMetrics:
                             state="done") == 1
         assert sample_value(samples, "repro_executor_cells_total") > 0
         assert sample_value(samples, "repro_executor_computed_total") > 0
+        # Jobs run with spans, and a cell run with telemetry never
+        # replays.
+        assert sample_value(samples, "repro_executor_replayed_total") == 0
 
     def test_cache_counters_when_cache_configured(self, tmp_path):
         from repro.exec.cache import RunCache
