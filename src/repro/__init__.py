@@ -50,7 +50,7 @@ from repro.trackers import (abacus_factory, graphene_factory, moat_factory)
 from repro.workloads import (PROFILES, MemoryTrace, WorkloadProfile,
                              build_traces, profile, profiles_for)
 
-__version__ = "4.2.0"
+__version__ = "4.3.0"
 
 #: Harness-level names resolved lazily: importing the experiment
 #: registry pulls in the whole experiment suite, and the executor would

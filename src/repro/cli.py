@@ -96,6 +96,9 @@ environment variables (command-line flags always win):
                        http://127.0.0.1:8731)
   REPRO_JOBS=N         default worker count when --jobs is not given
                        (0 = all cores)
+  REPRO_JOB_CONCURRENCY=N
+                       default job count serve runs at once when
+                       --job-concurrency is not given (otherwise 1)
   REPRO_CACHE_DIR=DIR  default run-cache directory when --cache-dir is
                        not given (--no-cache disables either source)
   REPRO_FAULTS=SPEC    deterministic fault injection for soak testing,
@@ -646,7 +649,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     event.get("state") == "failed":
                 failed_error = event.get("error") or "job failed"
         if failed_error is None:
-            text = client.result(job_id)
+            text = client.result(job_id, wait=False)
     except ServiceError as error:
         print(f"error: {error}", file=sys.stderr)
         raise SystemExit(2)
@@ -672,14 +675,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     if not records:
         print("no jobs")
         return 0
-    # The service lists by submission time already; re-sort defensively
-    # (older services predate the ordering contract) with queued jobs'
-    # queue position as the tiebreak so the start order reads top-down.
-    records.sort(key=lambda record: (
-        record.get("submitted_unix", 0.0),
-        record.get("queue_position")
-        if record.get("queue_position") is not None else -1,
-        record.get("job", "")))
     for record in records:
         counters = record.get("counters", {})
         line = (f"{record['job']:6} {record['state']:8} "
@@ -691,8 +686,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
             line += (f"  cells={counters.get('cells', 0)} "
                      f"computed={counters.get('computed', 0)} "
                      f"memo_hits={counters.get('memo_hits', 0)}")
-            if counters.get("dedup_hits"):
-                line += f" dedup_hits={counters['dedup_hits']}"
+            for name in ("dedup_hits", "replayed"):
+                if counters.get(name):
+                    line += f" {name}={counters[name]}"
         if record.get("error"):
             line += f"  error: {record['error']}"
         print(line)
@@ -862,7 +858,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default 64)")
     serve_parser.add_argument("--no-spans", action="store_true",
                               help="disable per-job span capture "
-                                   "(/v1/jobs/<id>/spans answers 404)")
+                                   "(/v1/jobs/<id>/spans answers 404); "
+                                   "with spans on, the default, every "
+                                   "cell is simulated, never replayed")
     serve_parser.set_defaults(func=_cmd_serve)
 
     top_parser = sub.add_parser(

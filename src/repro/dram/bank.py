@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dram.commands import Command
 from repro.dram.timing import DDR5Timing
 
 
@@ -85,6 +86,10 @@ class Bank:
         self._t_rcd = timing.t_rcd
         self._t_ras = timing.t_ras
         self._t_rp = timing.t_rp
+        #: The tracer :meth:`SubChannel.attach_tracer
+        #: <repro.dram.subchannel.SubChannel.attach_tracer>` set, or
+        #: ``None``; ACT, PRE and PRE+S are recorded at their start.
+        self.tracer = None
 
     # ------------------------------------------------------------------
     # Availability / blocking
@@ -122,6 +127,8 @@ class Bank:
         self.last_act_ps = start
         self.busy_until_ps = start + self._t_rcd
         self.stats.activations += 1
+        if self.tracer is not None:
+            self.tracer.record(start, Command.ACT, self.index, row)
         return self.busy_until_ps
 
     def precharge(self, now_ps: int, sample: bool = False) -> int:
@@ -142,6 +149,10 @@ class Bank:
             busy = now_ps
         earliest = self.last_act_ps + self._t_ras
         start = earliest if earliest > busy else busy
+        if self.tracer is not None:
+            self.tracer.record(
+                start, Command.PRE_SAMPLE if sample else Command.PRE,
+                self.index, self.open_row)
         self.open_row = None
         self.busy_until_ps = start + self._t_rp
         self.stats.precharges += 1

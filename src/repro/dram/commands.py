@@ -63,7 +63,8 @@ class IssuedCommand:
     bank:
         Bank index for bank-scoped commands, ``None`` for all-bank ones.
     row:
-        Row address for row-scoped commands (ACT, PRE+S), else ``None``.
+        The row an ACT opens, a PRE or PRE+S closes, or an NRR
+        mitigates; else ``None``.
     """
 
     time_ps: int

@@ -81,12 +81,29 @@ class SubChannel:
         self.stats = SubChannelStats()
         self.record_mitigations = record_mitigations
         self.mitigation_log: list[MitigationEvent] = []
+        #: The command tracer :meth:`attach_tracer` set, or ``None``.
+        self.tracer = None
+
+    def attach_tracer(self, tracer) -> None:
+        """Record every command this sub-channel executes in ``tracer``
+        (a :class:`~repro.mc.tracer.CommandTracer`): the banks record
+        ACT, PRE and PRE+Sample at their start time, the sub-channel
+        REF and the mitigation commands at their issue time.  The tracer
+        also learns the sub-channel's index and shape."""
+        tracer.subchannel = self.index
+        tracer.num_banks = self.num_banks
+        tracer.banks_per_group = self.banks_per_group
+        self.tracer = tracer
+        for bank in self.banks:
+            bank.tracer = tracer
 
     # ------------------------------------------------------------------
     # Refresh
     # ------------------------------------------------------------------
     def refresh(self, now_ps: int) -> int:
         """Execute an all-bank REF: close rows, block every bank for tRFC."""
+        if self.tracer is not None:
+            self.tracer.record(now_ps, Command.REF, None)
         until = now_ps + self.timing.t_rfc
         for bank in self.banks:
             bank.open_row = None
@@ -143,6 +160,8 @@ class SubChannel:
             blocked_banks=len(targets),
             mitigated_rows=tuple(mitigated),
         )
+        if self.tracer is not None:
+            self.tracer.record(now_ps, command, trigger_bank, row)
         self.stats.record_mitigation(event)
         if self.record_mitigations:
             self.mitigation_log.append(event)

@@ -43,7 +43,6 @@ from repro.dram.timing import DDR5Timing
 from repro.mc.page_policy import PagePolicy
 from repro.mc.policy import (MitigationPolicy, PolicyContext,
                              PolicyFactory)
-from repro.mc.tracer import CommandTracer
 
 
 def build_policies(policy_factory: PolicyFactory,
@@ -75,7 +74,6 @@ class SubChannelController:
         self.refresh = RefreshScheduler(timing, subchannel)
         self.policy = policy
         self.page_policy = page_policy
-        self.tracer: CommandTracer | None = None
         #: The :class:`~repro.obs.journal.RunJournal` each issued
         #: command is journalled to, or ``None``.
         self.journal = None
@@ -101,14 +99,6 @@ class SubChannelController:
         if policy is not None:
             policy.bind(self)
 
-    def attach_tracer(self, tracer: CommandTracer) -> None:
-        """Record every issued command (protocol checks / debugging)."""
-        self.tracer = tracer
-        tracer.subchannel = self.subchannel.index
-        self.refresh.on_ref(
-            lambda _index, time_ps: tracer.record(time_ps, Command.REF,
-                                                  None))
-
     # ------------------------------------------------------------------
     # MitigationPort implementation
     # ------------------------------------------------------------------
@@ -120,8 +110,6 @@ class SubChannelController:
         it, and with a journal attached this appends its ``mitigation``
         record, whose ``dars`` is the DAR occupancy after the command.
         """
-        if self.tracer is not None:
-            self.tracer.record(now_ps, command, bank, row)
         subchannel = self.subchannel
         event = subchannel.issue_mitigation(command, bank, now_ps, row)
         if self.journal is not None:
@@ -140,16 +128,9 @@ class SubChannelController:
         """
         target = self.subchannel.banks[bank]
         if target.open_row is not None:
-            if self.tracer is not None:
-                self.tracer.record(now_ps, Command.PRE, bank)
             target.precharge(now_ps)
-        if self.tracer is not None:
-            self.tracer.record(now_ps, Command.ACT, bank, row)
         target.activate(row, now_ps)
-        done = target.precharge(now_ps, sample=True)
-        if self.tracer is not None:
-            self.tracer.record(done, Command.PRE_SAMPLE, bank, row)
-        return done
+        return target.precharge(now_ps, sample=True)
 
     def dar(self, bank: int) -> DARRegister:
         """DAR register of ``bank``."""
@@ -184,7 +165,6 @@ class SubChannelController:
             self._bus_free_ps = finish
             self.bursts += 1
             return finish
-        tracer = self.tracer
         policy = self.policy
         sample_after = False
         if policy is not None:
@@ -195,27 +175,16 @@ class SubChannelController:
             self.record_act(bank_index, row, now_ps)
         if bank.open_row is not None:
             bank.stats.row_conflicts += 1
-            if tracer is not None:
-                tracer.record(now_ps, Command.PRE, bank_index)
             bank.precharge(now_ps)
-        row_ready = bank.activate(row, now_ps)
-        if tracer is not None:
-            tracer.record(row_ready - self.timing.t_rcd, Command.ACT,
-                          bank_index, row)
-        ready = row_ready + self._t_cl
+        ready = bank.activate(row, now_ps) + self._t_cl
         bus_free = self._bus_free_ps
         finish = (ready if ready > bus_free else bus_free) + self._t_bus
         self._bus_free_ps = finish
         self.bursts += 1
         if sample_after:
             bank.precharge(finish, sample=True)
-            if tracer is not None:
-                tracer.record(finish, Command.PRE_SAMPLE, bank_index,
-                              row)
             policy.on_sampled(bank_index, row, finish)
         elif self._closes_after_access:
-            if tracer is not None:
-                tracer.record(finish, Command.PRE, bank_index)
             bank.precharge(finish)
         return finish
 

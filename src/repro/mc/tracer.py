@@ -1,9 +1,12 @@
 """Command-bus tracing for protocol verification and debugging.
 
-An optional :class:`CommandTracer` can be attached to a
-:class:`~repro.mc.controller.SubChannelController`; it then records every
-DRAM command the controller issues (ACT, PRE, PRE+Sample, REF, NRR,
-DRFMsb, DRFMab) as :class:`~repro.dram.commands.IssuedCommand` entries.
+A :class:`CommandTracer` attached to a sub-channel
+(:meth:`repro.dram.subchannel.SubChannel.attach_tracer`) records every
+DRAM command the sub-channel executes as
+:class:`~repro.dram.commands.IssuedCommand` entries.  Each command is
+recorded where it runs: the banks record ACT, PRE and PRE+Sample at the
+start time their timing model computes, and the sub-channel records REF,
+NRR, DRFMsb and DRFMab at their issue time.
 
 Two consumers:
 
@@ -18,54 +21,46 @@ sweeps leave it off.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
-from repro.dram.commands import Command, IssuedCommand
+from repro.dram.commands import (ROW_CLOSING, Command, IssuedCommand,
+                                 blocking_banks)
 
 
 @dataclass
 class CommandTracer:
-    """Bounded in-memory ring buffer of issued commands.
+    """Every command one sub-channel executed, in execution order.
 
-    The buffer retains the most recent ``capacity`` commands: recording
-    beyond capacity evicts the *oldest* entry (and counts it in
-    ``dropped``), so a long simulation always keeps its latest window —
-    the part :func:`verify_protocol` and ``tail`` care about.
+    ``attach_tracer`` sets the sub-channel index and shape; the
+    defaults are the DDR5 sub-channel's 32 banks in groups of 4.
     """
 
     subchannel: int = 0
-    capacity: int = 1_000_000
-    commands: deque[IssuedCommand] = field(default_factory=deque)
-    dropped: int = 0
+    commands: list[IssuedCommand] = field(default_factory=list)
+    num_banks: int = field(default=32, init=False)
+    banks_per_group: int = field(default=4, init=False)
 
     def record(self, time_ps: int, command: Command, bank: int | None,
                row: int | None = None) -> None:
-        """Append one command (oldest entries drop beyond capacity)."""
+        """Append one command."""
         self.commands.append(IssuedCommand(
             time_ps=time_ps, command=command,
             subchannel=self.subchannel, bank=bank, row=row))
-        # Enforced here rather than via deque(maxlen=...) so that
-        # adjusting ``capacity`` after construction keeps working.
-        while len(self.commands) > self.capacity:
-            self.commands.popleft()
-            self.dropped += 1
 
     def count(self, command: Command) -> int:
-        """Number of retained commands of one kind."""
+        """Number of recorded commands of one kind."""
         return sum(1 for issued in self.commands
                    if issued.command is command)
 
     def per_bank(self, bank: int) -> list[IssuedCommand]:
-        """Retained commands targeting one bank, in issue order."""
+        """Recorded commands targeting one bank, in issue order."""
         return [issued for issued in self.commands if issued.bank == bank]
 
     def tail(self, count: int = 20) -> str:
         """Human-readable rendering of the most recent commands."""
         start = max(0, len(self.commands) - count)
-        return "\n".join(issued.describe() for issued in
-                         itertools.islice(self.commands, start, None))
+        return "\n".join(issued.describe()
+                         for issued in self.commands[start:])
 
 
 @dataclass(frozen=True)
@@ -78,61 +73,35 @@ class ProtocolViolation:
 
 
 def verify_protocol(tracer: CommandTracer) -> list[ProtocolViolation]:
-    """Check per-bank command legality over the retained trace window.
+    """Check per-bank command legality over the whole trace.
 
-    Rules enforced (in log order, which is the order the bank state
-    machines applied the commands; the recorded timestamps are
-    best-effort command-bus times and are not themselves checked):
+    Rules enforced, in log order (the order the bank state machines
+    applied the commands; the recorded times are the bank model's start
+    times, which this checker does not itself check):
 
     * ACT requires the bank's row to be closed;
     * PRE / PRE+Sample require an open row;
-    * REF and DRFM close rows implicitly (banks precharge first).
-
-    When the tracer dropped its oldest entries (``dropped > 0``), the
-    retained window may start mid-stream, so a bank's *first* retained
-    command only establishes state — a leading PRE that closes a row
-    opened before the window is not a violation.
+    * REF, NRR, DRFMsb and DRFMab close the row of every bank they
+      block, as :func:`~repro.dram.commands.blocking_banks` names them.
     """
     violations: list[ProtocolViolation] = []
     open_rows: dict[int, int | None] = {}
-    truncated = tracer.dropped > 0
     for index, issued in enumerate(tracer.commands):
         command = issued.command
-        if command is Command.REF:
-            for bank in open_rows:
-                open_rows[bank] = None
-            truncated = False  # REF synchronises every bank's state.
-            continue
-        if command in (Command.DRFM_SB, Command.DRFM_AB):
-            # The device precharges the blocked banks; per-bank scope is
-            # not in the trace, so conservatively close everything for
-            # DRFMab and the trigger bank for DRFMsb.
-            if command is Command.DRFM_AB:
-                for bank in open_rows:
-                    open_rows[bank] = None
-            elif issued.bank is not None:
-                open_rows[issued.bank] = None
-            continue
-        if issued.bank is None:
-            continue
-        if truncated and issued.bank not in open_rows:
-            # First sighting of this bank in a truncated window: adopt
-            # the state the command implies instead of judging it.
-            open_rows[issued.bank] = (issued.row if command is Command.ACT
-                                      else None)
-            continue
-        state = open_rows.get(issued.bank)
+        bank = issued.bank
         if command is Command.ACT:
+            state = open_rows.get(bank)
             if state is not None:
                 violations.append(ProtocolViolation(
-                    index, issued,
-                    f"ACT while row {state} is open"))
-            open_rows[issued.bank] = issued.row
-        elif command in (Command.PRE, Command.PRE_SAMPLE):
-            if state is None:
+                    index, issued, f"ACT while row {state} is open"))
+            open_rows[bank] = issued.row
+        elif command in ROW_CLOSING:
+            if open_rows.get(bank) is None:
                 violations.append(ProtocolViolation(
                     index, issued, "precharge with no open row"))
-            open_rows[issued.bank] = None
-        elif command is Command.NRR:
-            open_rows[issued.bank] = None
+            open_rows[bank] = None
+        else:
+            for blocked in blocking_banks(command, bank, tracer.num_banks,
+                                          tracer.banks_per_group):
+                open_rows[blocked] = None
     return violations

@@ -86,7 +86,7 @@ TERMINAL_STATES = ("done", "failed")
 #: Executor counters copied into each job record from the job's scoped
 #: :class:`~repro.exec.executor.ExecutorStats`.
 COUNTER_FIELDS = ("cells", "computed", "memo_hits", "dedup_hits",
-                  "retries", "timeouts", "failed")
+                  "replayed", "retries", "timeouts", "failed")
 
 
 class UnknownJob(KeyError):
@@ -271,18 +271,13 @@ class JobScheduler:
                 queue_position=self._queue_position_locked(job))
 
     def list(self) -> list[dict]:
-        """Records of every job, sorted by submission time (ties break
-        on submission sequence), queued jobs carrying their current
-        queue position."""
+        """Records of every job in submission order, queued jobs
+        carrying their current queue position."""
         with self._lock:
-            ordered = sorted(
-                enumerate(self._order),
-                key=lambda pair: (self._jobs[pair[1]].submitted_unix,
-                                  pair[0]))
             return [self._jobs[job_id].record(
                         queue_position=self._queue_position_locked(
                             self._jobs[job_id]))
-                    for _, job_id in ordered]
+                    for job_id in self._order]
 
     def _queue_position_locked(self, job: Job) -> int | None:
         """0-based start-queue position, or ``None`` once started."""

@@ -10,6 +10,7 @@ driven through the same fault classes and must behave identically:
 * success → exit 0.
 """
 
+import itertools
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from repro.analysis.artifacts import (ArtifactError, load_bench_metrics,
 from repro.cli import main
 from repro.exec.executor import SweepExecutor
 from repro.service import JobScheduler, ServiceThread
+from repro.service.server import AccessLog
 from repro.workloads.builder import clear_cache
 
 
@@ -174,6 +176,24 @@ class TestServiceCommands:
         clear_cache()
         assert served == local
 
+    def test_submit_fetches_the_result_without_polling(self, tmp_path,
+                                                       capsys):
+        """After the event stream ends, ``submit`` fetches the result
+        and sends no ``GET /v1/jobs/<id>`` poll."""
+        log_path = tmp_path / "access.jsonl"
+        with JobScheduler(SweepExecutor()) as scheduler, \
+                ServiceThread(scheduler,
+                              access_log=AccessLog(str(log_path))) \
+                as service:
+            assert main(["submit", "table4", "--url", service.url,
+                         "--quiet"]) == 0
+        requests = sorted((record["method"], record["path"]) for record in
+                          map(json.loads,
+                              log_path.read_text().splitlines()))
+        assert requests == [("GET", "/v1/jobs/j1/events"),
+                            ("GET", "/v1/jobs/j1/result"),
+                            ("POST", "/v1/jobs")]
+
     def test_submit_unknown_experiment_exits_2(self, service, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["submit", "nope", "--url", service.url])
@@ -211,6 +231,22 @@ class TestServiceCommands:
         record = json.loads(capsys.readouterr().out)
         assert record["state"] == "done"
         assert record["experiment"] == "table4"
+
+    def test_jobs_lists_in_submission_order(self, service, capsys,
+                                            monkeypatch):
+        """The listing follows submission, not the wall clock, which
+        here steps back between the two submissions."""
+        clock = itertools.count(2e9, -1.0)
+        monkeypatch.setattr("repro.service.jobs.time.time",
+                            lambda: next(clock))
+        for name in ("table4", "table1"):
+            assert main(["submit", name, "--url", service.url,
+                         "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["jobs", "--url", service.url]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in lines] == \
+            [["j1", "done", "table4"], ["j2", "done", "table1"]]
 
     def test_jobs_unknown_id_exits_2(self, service, capsys):
         with pytest.raises(SystemExit) as excinfo:

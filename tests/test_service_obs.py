@@ -155,6 +155,19 @@ class TestMetrics:
         # replays.
         assert sample_value(samples, "repro_executor_replayed_total") == 0
 
+    def test_job_record_counts_replays_only_without_spans(self):
+        """A cold job replays the designs that never act when spans are
+        off; with spans on, the default, every cell is simulated."""
+        replayed = {}
+        for spans in (True, False):
+            with JobScheduler(SweepExecutor(), spans=spans) as sched, \
+                    ServiceThread(sched) as service:
+                client = SweepClient(service.url)
+                record = client.wait(client.submit("fig9", OPTIONS))
+                replayed[spans] = record["counters"]["replayed"]
+        assert replayed[True] == 0
+        assert replayed[False] > 0
+
     def test_cache_counters_when_cache_configured(self, tmp_path):
         from repro.exec.cache import RunCache
 

@@ -2,21 +2,60 @@
 
 import pytest
 
-from repro.core.dream_r import dream_r_para_factory
-from repro.dram.commands import Command
+from repro.core.dream_c import dream_c_factory
+from repro.core.dream_r import dream_r_mint_factory, dream_r_para_factory
+from repro.dram.commands import ROW_CLOSING, Command
 from repro.dram.subchannel import SubChannel
-from repro.mc.controller import SubChannelController
-from repro.mc.mitigation import coupled_para_factory
+from repro.mc.controller import MemoryController, SubChannelController
+from repro.mc.mitigation import coupled_mint_factory, coupled_para_factory
 from repro.mc.tracer import CommandTracer, verify_protocol
+from repro.sim.config import SimConfig, SystemConfig
+from repro.sim.runner import run_simulation
+from repro.trackers.abacus import abacus_factory
+from repro.trackers.prac import moat_factory
+from repro.workloads.builder import build_traces
 
 
 def traced_controller(timing, organization, policy=None):
-    subchannel = SubChannel(0, timing, organization.banks,
+    subchannel = SubChannel(3, timing, organization.banks,
                             organization.banks_per_group)
     controller = SubChannelController(subchannel, timing, policy)
     tracer = CommandTracer()
-    controller.attach_tracer(tracer)
+    subchannel.attach_tracer(tracer)
     return controller, tracer
+
+
+def early_commands(tracer, timing):
+    """Row commands recorded before their bank could start them: a
+    precharge before the bank's last ACT + tRAS, or an ACT before its
+    last precharge + tRP."""
+    not_before, early = {}, []
+    for issued in tracer.commands:
+        opens = issued.command is Command.ACT
+        if opens or issued.command in ROW_CLOSING:
+            if issued.time_ps < not_before.get((issued.bank, opens),
+                                               issued.time_ps):
+                early.append(issued)
+            not_before[(issued.bank, not opens)] = issued.time_ps + (
+                timing.t_ras if opens else timing.t_rp)
+    return early
+
+
+#: One design per family and the mitigation command it must issue
+#: within the end-to-end budget (``None``: it need not act on mcf).
+#: MOAT runs on the PRAC system.
+END_TO_END_DESIGNS = {
+    "para-nrr": (coupled_para_factory(500, Command.NRR), Command.NRR),
+    "para-drfmsb": (coupled_para_factory(500), Command.DRFM_SB),
+    "para-drfmab": (coupled_para_factory(500, Command.DRFM_AB),
+                    Command.DRFM_AB),
+    "mint-drfmsb": (coupled_mint_factory(500), Command.DRFM_SB),
+    "dream-r-para": (dream_r_para_factory(500), Command.DRFM_SB),
+    "dream-r-mint": (dream_r_mint_factory(500), Command.DRFM_SB),
+    "dream-c-rand": (dream_c_factory(250), None),
+    "abacus": (abacus_factory(125), Command.DRFM_AB),
+    "moat-prac": (moat_factory(500), None),
+}
 
 
 class TestTracing:
@@ -26,15 +65,26 @@ class TestTracing:
         controller.service(0, 5, finish)  # row hit: no command
         assert tracer.count(Command.ACT) == 1
         act = tracer.per_bank(0)[0]
-        assert act.command is Command.ACT
-        assert act.row == 5
+        assert (act.command, act.subchannel, act.row) == \
+            (Command.ACT, 3, 5)
 
     def test_conflict_records_pre(self, timing, organization):
+        """A conflict PRE on a busy bank is recorded when the bank
+        starts it, not when the request arrives."""
         controller, tracer = traced_controller(timing, organization)
         controller.service(0, 5, 0)
-        controller.service(0, 6, 10 ** 6)
-        assert tracer.count(Command.PRE) == 1
-        assert tracer.count(Command.ACT) == 2
+        controller.block_bank(0, 10 ** 6)
+        controller.service(0, 6, 1)
+        assert [(issued.command, issued.time_ps)
+                for issued in tracer.per_bank(0)] == [
+            (Command.ACT, 0), (Command.PRE, 10 ** 6),
+            (Command.ACT, 10 ** 6 + timing.t_rp)]
+
+    def test_attach_passes_index_and_shape(self, timing):
+        tracer = CommandTracer()
+        SubChannel(1, timing, 16, 2).attach_tracer(tracer)
+        assert (tracer.subchannel, tracer.num_banks,
+                tracer.banks_per_group) == (1, 16, 2)
 
     def test_ref_recorded(self, timing, organization):
         controller, tracer = traced_controller(timing, organization)
@@ -57,119 +107,13 @@ class TestTracing:
         assert tracer.count(Command.DRFM_SB) == 1
         assert tracer.count(Command.PRE_SAMPLE) == 1
 
-    def test_capacity_bound(self, timing, organization):
-        controller, tracer = traced_controller(timing, organization)
-        tracer.capacity = 2
-        finish = 0
-        for row in range(5):
-            finish = controller.service(0, row, finish + 10 ** 6)
-        assert len(tracer.commands) == 2
-        assert tracer.dropped > 0
-
     def test_tail_renders(self, timing, organization):
         controller, tracer = traced_controller(timing, organization)
         controller.service(0, 5, 0)
         assert "ACT" in tracer.tail()
 
 
-class TestRingBuffer:
-    def test_oldest_entries_drop_first(self):
-        tracer = CommandTracer(capacity=3)
-        for row in range(5):
-            tracer.record(row * 10, Command.ACT, bank=0, row=row)
-        assert [issued.row for issued in tracer.commands] == [2, 3, 4]
-        assert tracer.dropped == 2
-
-    def test_dropped_counts_every_eviction(self):
-        tracer = CommandTracer(capacity=1)
-        for row in range(10):
-            tracer.record(row, Command.ACT, bank=0, row=row)
-        assert tracer.dropped == 9
-        assert len(tracer.commands) == 1
-
-    def test_shrinking_capacity_trims_on_next_record(self):
-        tracer = CommandTracer(capacity=10)
-        for row in range(10):
-            tracer.record(row, Command.ACT, bank=0, row=row)
-        tracer.capacity = 4
-        tracer.record(100, Command.ACT, bank=0, row=99)
-        assert len(tracer.commands) == 4
-        assert [issued.row for issued in tracer.commands] == \
-            [7, 8, 9, 99]
-
-    def test_tail_shows_most_recent_after_wrap(self):
-        tracer = CommandTracer(capacity=2)
-        for row in range(4):
-            tracer.record(row, Command.ACT, bank=0, row=row)
-        tail = tracer.tail(1)
-        assert ".r3" in tail
-        assert len(tail.splitlines()) == 1
-
-    def test_no_drops_below_capacity(self):
-        tracer = CommandTracer(capacity=100)
-        tracer.record(0, Command.ACT, bank=0, row=1)
-        assert tracer.dropped == 0
-        assert len(tracer.commands) == 1
-
-
-class TestTruncatedWindowChecker:
-    def test_leading_pre_after_drop_is_not_a_violation(self):
-        tracer = CommandTracer(capacity=2)
-        tracer.record(0, Command.ACT, bank=0, row=1)   # dropped
-        tracer.record(10, Command.PRE, bank=0)          # window starts
-        tracer.record(20, Command.ACT, bank=0, row=2)
-        assert tracer.dropped == 1
-        assert verify_protocol(tracer) == []
-
-    def test_violations_after_first_sighting_still_caught(self):
-        tracer = CommandTracer(capacity=3)
-        tracer.record(0, Command.PRE, bank=9)            # dropped
-        tracer.record(10, Command.ACT, bank=0, row=1)   # establishes state
-        tracer.record(20, Command.ACT, bank=0, row=2)   # real double-ACT
-        tracer.record(30, Command.PRE, bank=0)
-        assert tracer.dropped == 1
-        violations = verify_protocol(tracer)
-        assert len(violations) == 1
-        assert "ACT while row" in violations[0].reason
-
-    def test_ref_resynchronizes_truncated_window(self):
-        tracer = CommandTracer(capacity=3)
-        tracer.record(0, Command.ACT, bank=5, row=3)    # dropped
-        tracer.record(10, Command.REF, bank=None)
-        tracer.record(20, Command.PRE, bank=0)          # after REF: orphan
-        tracer.record(30, Command.ACT, bank=0, row=1)
-        assert tracer.dropped == 1
-        violations = verify_protocol(tracer)
-        assert violations and "no open row" in violations[0].reason
-
-    def test_untruncated_trace_keeps_strict_checking(self):
-        tracer = CommandTracer()
-        tracer.record(0, Command.PRE, bank=0)
-        assert tracer.dropped == 0
-        assert verify_protocol(tracer) != []
-
-    def test_wrapped_full_run_still_verifies(self, timing, organization):
-        controller, tracer = traced_controller(timing, organization)
-        tracer.capacity = 64
-        finish = 0
-        for i in range(500):
-            finish = controller.service(i % 8, (i * 7) % 64, finish)
-        assert tracer.dropped > 0
-        assert verify_protocol(tracer) == []
-
-
 class TestProtocolChecker:
-    def test_clean_simulation_has_no_violations(self, timing,
-                                                organization, context):
-        policy = dream_r_para_factory(2000)(context)
-        controller, tracer = traced_controller(timing, organization,
-                                               policy)
-        finish = 0
-        for i in range(500):
-            finish = controller.service(i % 8, (i * 7) % 64, finish)
-        assert verify_protocol(tracer) == []
-        assert tracer.count(Command.ACT) > 0
-
     def test_detects_double_act(self):
         tracer = CommandTracer()
         tracer.record(0, Command.ACT, bank=0, row=1)
@@ -184,58 +128,49 @@ class TestProtocolChecker:
         violations = verify_protocol(tracer)
         assert violations and "no open row" in violations[0].reason
 
-    def test_ref_closes_rows(self):
+    @pytest.mark.parametrize("command,closed", [
+        (Command.REF, {1, 2, 5}), (Command.DRFM_AB, {1, 2, 5}),
+        (Command.DRFM_SB, {1, 5}), (Command.NRR, {1})],
+        ids=["REF", "DRFMab", "DRFMsb", "NRR"])
+    def test_commands_close_the_banks_they_block(self, command, closed):
+        # Banks 1 and 5 hold position 1 of bankgroups 0 and 1; bank 2
+        # is outside the DRFMsb footprint.
         tracer = CommandTracer()
-        tracer.record(0, Command.ACT, bank=0, row=1)
-        tracer.record(10, Command.REF, bank=None)
-        tracer.record(20, Command.ACT, bank=0, row=2)
-        assert verify_protocol(tracer) == []
+        for bank in (1, 2, 5):
+            tracer.record(0, Command.ACT, bank=bank, row=1)
+        tracer.record(10, command,
+                      bank=None if command is Command.REF else 1)
+        for bank in (1, 2, 5):
+            tracer.record(20, Command.ACT, bank=bank, row=2)
+        still_open = {violation.command.bank
+                      for violation in verify_protocol(tracer)}
+        assert still_open == {1, 2, 5} - closed
 
-    def test_drfmab_closes_all_rows(self):
-        tracer = CommandTracer()
-        tracer.record(0, Command.ACT, bank=0, row=1)
-        tracer.record(0, Command.ACT, bank=1, row=1)
-        tracer.record(10, Command.DRFM_AB, bank=0)
-        tracer.record(20, Command.ACT, bank=0, row=2)
-        tracer.record(20, Command.ACT, bank=1, row=2)
-        assert verify_protocol(tracer) == []
-
+    @pytest.mark.parametrize("design", END_TO_END_DESIGNS)
     def test_end_to_end_full_run_is_protocol_clean(self, small_system,
-                                                   small_sim):
-        # Attach tracers to a complete closed-loop run with DREAM-R and
-        # verify every sub-channel's command stream is DRAM-legal.
-        from repro.mc.controller import MemoryController
-        from repro.cpu.core import Core
-        from repro.sim.engine import EventQueue
-        from repro.workloads.builder import build_traces, clear_cache
-
-        clear_cache()
-        traces = build_traces("mcf", small_system, small_sim,
-                              calibrate=False)
-        mc = MemoryController(small_system.organization,
-                              small_system.timing,
-                              dream_r_para_factory(2000), seed=1)
+                                                   design, monkeypatch):
+        # Trace every sub-channel of a complete closed-loop run: the
+        # stream must be DRAM-legal, and no row command may start
+        # before its bank's tRAS or tRP has passed.
+        factory, command = END_TO_END_DESIGNS[design]
+        system = SystemConfig.prac(64, num_cores=2) \
+            if design == "moat-prac" else small_system
+        sim = SimConfig(requests_per_core=6_000, seed=7)
         tracers = []
-        for controller in mc.controllers:
-            tracer = CommandTracer()
-            controller.attach_tracer(tracer)
-            tracers.append(tracer)
-        cores = [Core(i, traces[i], 800, small_system.mlp_per_core)
-                 for i in range(small_system.num_cores)]
-        queue = EventQueue()
-        for core in cores:
-            for slot in range(core.mlp):
-                fetched = core.fetch(slot)
-                if fetched:
-                    queue.push(fetched[1], fetched[0])
-        while queue:
-            now, request = queue.pop()
-            finish = mc.service(request.subchannel, request.bank,
-                                request.row, now)
-            cores[request.core].complete(finish)
-            fetched = cores[request.core].fetch(request.slot)
-            if fetched:
-                queue.push(finish + fetched[1], fetched[0])
+
+        def traced(*args, **kwargs):
+            mc = MemoryController(*args, **kwargs)
+            for subchannel in mc.device.subchannels:
+                tracers.append(CommandTracer())
+                subchannel.attach_tracer(tracers[-1])
+            return mc
+
+        monkeypatch.setattr("repro.sim.runner.MemoryController", traced)
+        run_simulation(system, build_traces("mcf", system, sim,
+                                            calibrate=False),
+                       sim, factory)
         for tracer in tracers:
             assert verify_protocol(tracer) == []
-        clear_cache()
+            assert early_commands(tracer, system.timing) == []
+        if command is not None:
+            assert sum(tracer.count(command) for tracer in tracers) > 0
